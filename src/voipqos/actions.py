@@ -2,8 +2,10 @@
 
 Each action mutates the shared SimWorld (buffer size, queue discipline,
 FEC, service class).  Applying an action records enough state to revert
-it later; stopping an action restores the configuration fields it
-touched and releases any reserved bandwidth.
+it later in the world's ledger of applied mechanisms,
+`SimWorld.mechanisms`, keyed by (flow_id, action) in application order;
+only apply_action and stop_action write it.  Stopping an action restores
+the configuration fields it touched and releases any reserved bandwidth.
 """
 from __future__ import annotations
 
@@ -134,25 +136,17 @@ class _Applied:
     had_fec: bool = False
 
 
-def _registry(world: SimWorld) -> Dict[Tuple[str, ActionId], _Applied]:
-    reg = getattr(world, "_action_registry", None)
-    if reg is None:
-        reg = {}
-        world._action_registry = reg
-    return reg
-
-
 def active_actions(world: SimWorld, flow_id: str) -> List[ActionId]:
-    return [a for (fid, a) in _registry(world) if fid == flow_id]
+    """The flow's applied mechanisms, oldest first."""
+    return [a for (fid, a) in world.mechanisms if fid == flow_id]
 
 
 def apply_action(
     world: SimWorld, flow_id: str, action: ActionId, kind: str = "d2"
 ) -> TransitionRecord:
     """Apply one QoS mechanism on behalf of the given call's flow."""
-    reg = _registry(world)
     key = (flow_id, action)
-    if key in reg:
+    if key in world.mechanisms:
         return TransitionRecord(kind, action.name, world.clock, flow_id, noop=True)
     applied = _Applied(action)
     if action.kind in (INCREASE_BUFFER, DECREASE_BUFFER):
@@ -207,7 +201,7 @@ def apply_action(
             raise ActionFailedError(str(exc)) from exc
     else:
         raise ValueError(f"unknown action kind: {action.kind}")
-    reg[key] = applied
+    world.mechanisms[key] = applied
     return TransitionRecord(kind, action.name, world.clock, flow_id)
 
 
@@ -215,8 +209,7 @@ def stop_action(
     world: SimWorld, flow_id: str, action: ActionId, kind: str = "d2"
 ) -> TransitionRecord:
     """Revert a previously applied action; stopping an inactive one is a no-op."""
-    reg = _registry(world)
-    applied = reg.pop((flow_id, action), None)
+    applied = world.mechanisms.pop((flow_id, action), None)
     if applied is None:
         return TransitionRecord(
             kind, f"stop:{action.name}", world.clock, flow_id, noop=True

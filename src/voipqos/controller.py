@@ -32,6 +32,8 @@ from .netsim import SimWorld
 # two consecutive windows, opens a new d1 state.
 SIGNIFICANT_CHANGE = 0.20
 SIGNIFICANT_WINDOWS = 2
+# Windows after a d3 coordination round before the next one may start.
+COORDINATE_COOLDOWN_WINDOWS = 2
 
 ACCEPTED = "accepted"
 DEGRADED = "degraded"
@@ -84,7 +86,6 @@ class Call:
     constraints: Constraints = DEFAULT_CONSTRAINTS
     weight: float = 1.0
     states: List[CallState] = field(default_factory=list)
-    active_actions: List[ActionId] = field(default_factory=list)
     status: str = ACCEPTED
     episode: Optional[Episode] = None
     sample: Optional[HeuristicSample] = None
@@ -131,19 +132,15 @@ class Controller:
         kb: KnowledgeBase,
         constraints: Constraints = DEFAULT_CONSTRAINTS,
         learning: bool = True,
-        window_s: float = 5.0,
-        coordinate_cooldown_windows: int = 2,
     ):
         self.world = world
         self.kb = kb
         self.constraints = constraints
         self.learning = learning
-        self.window_ms = window_s * 1000.0
         self.calls: Dict[str, Call] = {}
         self.transitions: List[TransitionRecord] = []
         self.episodes: List[dict] = []
         self._state_seq = 0
-        self._cooldown = coordinate_cooldown_windows
         self._cooldown_left = 0
         # One entry per action application: did the triggering sample
         # actually violate the call's constraints?
@@ -162,7 +159,7 @@ class Controller:
         if call.closed:
             return
         now = self.world.clock
-        for action in list(call.active_actions):
+        for action in actions_mod.active_actions(self.world, call.flow_id):
             self._stop(call, action, "d2")
         if call.episode is not None:
             self._finish_episode(call, satisfied=False)
@@ -212,7 +209,7 @@ class Controller:
             ok, _ = check_global(multi)
             if not ok:
                 self.coordinate(multi, now_ms)
-                self._cooldown_left = self._cooldown
+                self._cooldown_left = COORDINATE_COOLDOWN_WINDOWS
                 return
         for call in calls:
             self.step_call(call, now_ms)
@@ -314,20 +311,14 @@ class Controller:
 
     def _apply(self, call: Call, action: ActionId, kind: str) -> TransitionRecord:
         # Applying a mechanism implicitly retires a conflicting active one.
-        for active in list(call.active_actions):
+        for active in actions_mod.active_actions(self.world, call.flow_id):
             if actions_mod.conflicts(active, action):
                 self._stop(call, active, kind)
-        record = actions_mod.apply_action(self.world, call.flow_id, action, kind)
-        if not record.noop and action not in call.active_actions:
-            call.active_actions.append(action)
-        return record
+        return actions_mod.apply_action(self.world, call.flow_id, action, kind)
 
-    def _stop(self, call: Call, action: ActionId, kind: str) -> TransitionRecord:
+    def _stop(self, call: Call, action: ActionId, kind: str) -> None:
         record = actions_mod.stop_action(self.world, call.flow_id, action, kind)
-        if action in call.active_actions:
-            call.active_actions.remove(action)
         self.transitions.append(record)
-        return record
 
     def _finish_episode(self, call: Call, satisfied: bool) -> None:
         ep = call.episode
@@ -360,8 +351,9 @@ class Controller:
         if not degraded:
             return
         for call in accepted:
-            if call.active_actions:
-                for action in list(call.active_actions):
+            active = actions_mod.active_actions(self.world, call.flow_id)
+            if active:
+                for action in active:
                     self._stop(call, action, "d3")
                 self._open_state(call, "d3", now_ms)
         for call in degraded:

@@ -14,7 +14,6 @@ from .knowledge import KnowledgeBase, ScenarioCase
 from .metrics import (
     Constraints,
     DEFAULT_CONSTRAINTS,
-    classify,
     estimate_mos,
     satisfies,
 )
@@ -86,9 +85,17 @@ class Scenario:
         at = [e.at_s for e in self.timeline]
         if at != sorted(at):
             raise ScenarioError(f"{self.name}: timeline must be sorted by at_s")
+        for entry in self.timeline:
+            if entry.kind not in netsim.CHANGE_KINDS:
+                raise ScenarioError(f"{self.name}: unknown timeline kind {entry.kind!r}")
+        discipline = self.queue.get("discipline", netsim.TAIL_DROP)
+        if discipline not in (netsim.TAIL_DROP, netsim.RED):
+            raise ScenarioError(f"{self.name}: unsupported queue discipline {discipline!r}")
+        ids = [call.call_id for call in self.calls]
+        if len(set(ids)) != len(ids):
+            raise ScenarioError(f"{self.name}: duplicate call_id")
         for call in self.calls:
-            end = call.end_s if call.end_s is not None else self.duration_s
-            if not 0 <= call.start_s < end <= self.duration_s:
+            if not 0 <= call.start_s < _end_s(call, self) <= self.duration_s:
                 raise ScenarioError(
                     f"{self.name}: call {call.call_id} interval outside duration"
                 )
@@ -150,10 +157,6 @@ def load_scenario(path_or_preset: str) -> Scenario:
 
 
 # ---------------- presets ----------------
-
-def _bursty_call(call_id: str = "call-1", burst: int = 150) -> CallSpec:
-    return CallSpec(call_id, FlowSpec(burst_pkts=burst))
-
 
 def _table1(name: str, loss: float, buffer_pkts: int, service: str = "best_effort") -> Scenario:
     return Scenario(
@@ -436,51 +439,26 @@ def run(
             with open(os.path.join(out_dir, "kb.json"), "w") as fh:
                 json.dump(kb.to_json(), fh, indent=2, sort_keys=True)
         return artifacts
-    if mode == "baseline":
-        artifacts = _run_baseline(scenario, seed)
-    elif mode == "control":
-        artifacts = _run_control(scenario, seed, learning)
-    else:
+    if mode not in ("baseline", "control"):
         raise ValueError(f"unknown mode: {mode}")
+    artifacts = _run_windows(scenario, seed, mode, learning)
     if out_dir is not None:
         write_outputs(artifacts, out_dir)
     return artifacts
 
 
-def _run_baseline(scenario: Scenario, seed: int) -> RunArtifacts:
-    scenario.validate()
-    world = build_world(scenario, seed)
-    constraints = scenario.get_constraints()
-    timeseries = []
-    window_ms = WINDOW_S * 1000.0
-    samples: Dict[str, list] = {c.call_id: [] for c in scenario.calls}
-    t = 0.0
-    while t < scenario.duration_s * 1000.0 - 1e-9:
-        t += window_ms
-        world.advance(min(t, scenario.duration_s * 1000.0))
-        world.pop_notifications()
-        for call in scenario.calls:
-            sample = world.measure(_flow_id(call.call_id))
-            if sample is not None:
-                samples[call.call_id].append(sample)
-                timeseries.append(
-                    (t / 1000.0, call.call_id, sample.delay_ms, sample.loss, sample.mos)
-                )
-    summary = _summary(scenario, world, samples, constraints, episodes=[])
-    return RunArtifacts(scenario, seed, "baseline", summary, timeseries, world=world)
-
-
-def _run_control(
-    scenario: Scenario, seed: int, learning: Optional[bool]
+def _run_windows(
+    scenario: Scenario, seed: int, mode: str, learning: Optional[bool]
 ) -> RunArtifacts:
-    scenario.validate()
+    """The 5 s window loop; baseline mode runs it without a controller."""
     world = build_world(scenario, seed)
     constraints = scenario.get_constraints()
-    learn = scenario.learning if learning is None else learning
-    kb = default_kb()
-    kb.constraints = constraints
-    controller = Controller(world, kb, constraints, learning=learn, window_s=WINDOW_S)
-    window_ms = WINDOW_S * 1000.0
+    controller = kb = None
+    if mode == "control":
+        kb = default_kb()
+        kb.constraints = constraints
+        learn = scenario.learning if learning is None else learning
+        controller = Controller(world, kb, constraints, learning=learn)
     timeseries = []
     samples: Dict[str, list] = {c.call_id: [] for c in scenario.calls}
     opened = set()
@@ -490,46 +468,58 @@ def _run_control(
         # Open/close calls whose boundaries fall in this window.
         for call in scenario.calls:
             if call.call_id not in opened and call.start_s * 1000.0 <= t:
-                controller.add_call(call.call_id, _flow_id(call.call_id), call.weight)
                 opened.add(call.call_id)
-        t = min(t + window_ms, end_ms)
+                if controller is not None:
+                    controller.add_call(call.call_id, _flow_id(call.call_id), call.weight)
+        t = min(t + WINDOW_S * 1000.0, end_ms)
         world.advance(t)
         for call in scenario.calls:
-            call_end = (call.end_s if call.end_s is not None else scenario.duration_s)
-            if call.call_id in opened and call_end * 1000.0 <= t:
-                ctrl_call = controller.calls[call.call_id]
-                if not ctrl_call.closed:
-                    world.end_flow(_flow_id(call.call_id))
-                    controller.close_call(call.call_id)
-        controller.on_window(t)
-        live = controller.active_calls()
-        for call in live:
-            if call.sample is not None:
-                samples[call.call_id].append(call.sample)
-                timeseries.append(
-                    (
-                        t / 1000.0,
-                        call.call_id,
-                        call.sample.delay_ms,
-                        call.sample.loss,
-                        call.sample.mos,
-                    )
-                )
-        if len(live) >= 2:
+            if call.call_id in opened and _end_s(call, scenario) * 1000.0 <= t:
+                _end_call(world, controller, call.call_id)
+        if controller is None:
+            world.pop_notifications()
+            flows = [(c.call_id, world.measure(_flow_id(c.call_id))) for c in scenario.calls]
+        else:
+            controller.on_window(t)
+            live = controller.active_calls()
+            flows = [(c.call_id, c.sample) for c in live]
+        for call_id, sample in flows:
+            if sample is not None:
+                samples[call_id].append(sample)
+                row = (t / 1000.0, call_id, sample.delay_ms, sample.loss, sample.mos)
+                timeseries.append(row)
+        if controller is not None and len(live) >= 2:
             ok, means = check_global(live)
             if means:
                 timeseries.append(
                     (t / 1000.0, "__global__", means["delay_ms"], means["loss"], means["mos"])
                 )
     for call in scenario.calls:
-        if call.call_id in opened and not controller.calls[call.call_id].closed:
-            controller.close_call(call.call_id)
-    summary = _summary(scenario, world, samples, constraints, controller.episodes)
-    summary["trace_errors"] = validate_trace(controller)
+        if call.call_id in opened:
+            _end_call(world, controller, call.call_id)
+    episodes = [] if controller is None else controller.episodes
+    summary = _summary(scenario, world, samples, constraints, episodes)
+    if controller is not None:
+        summary["trace_errors"] = validate_trace(controller)
     return RunArtifacts(
-        scenario, seed, "control", summary, timeseries,
+        scenario, seed, mode, summary, timeseries,
         world=world, controller=controller, kb=kb,
     )
+
+
+def _end_s(call: CallSpec, scenario: Scenario) -> float:
+    return call.end_s if call.end_s is not None else scenario.duration_s
+
+
+def _end_call(world: SimWorld, controller: Optional[Controller], call_id: str) -> None:
+    flow_id = _flow_id(call_id)
+    if not world.flows[flow_id].active:
+        return
+    # Closing first stops the call's mechanisms, so end_flow releases
+    # whatever reservation the restored configuration holds.
+    if controller is not None:
+        controller.close_call(call_id)
+    world.end_flow(flow_id)
 
 
 def _summary(

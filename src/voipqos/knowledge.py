@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from .actions import ActionId, conflicts
+from .actions import CONFLICT_SETS, ActionId, conflicts
 from .metrics import (
     Constraints,
     DEFAULT_CONSTRAINTS,
@@ -93,20 +93,6 @@ class KnowledgeBase:
         self._check(case)
         return entry
 
-    @classmethod
-    def from_seed(cls, seed: dict, constraints: Constraints = DEFAULT_CONSTRAINTS):
-        kb = cls(constraints)
-        for case_name, entries in seed["cases"].items():
-            case = ScenarioCase(case_name)
-            for item in sorted(entries, key=lambda e: e["rank"]):
-                kb.add_entry(
-                    case,
-                    action_from_json(item["action"]),
-                    item["h_est"]["delay_ms"],
-                    item["h_est"]["loss"],
-                )
-        return kb
-
     # ---------------- access ----------------
 
     def entries(self, case: ScenarioCase) -> List[ActionEntry]:
@@ -147,9 +133,7 @@ class KnowledgeBase:
                 case.value: [entry_json(e) for e in self._cases[case]]
                 for case in ScenarioCase
             },
-            "conflict_sets": [
-                sorted(s) for s in _conflict_set_names()
-            ],
+            "conflict_sets": [sorted(s) for s in CONFLICT_SETS],
         }
 
     @classmethod
@@ -170,12 +154,6 @@ class KnowledgeBase:
             kb._check(case)
         kb.revision = data.get("revision", 0)
         return kb
-
-
-def _conflict_set_names() -> List[Set[str]]:
-    from .actions import CONFLICT_SETS
-
-    return [set(s) for s in CONFLICT_SETS]
 
 
 def action_to_json(action: ActionId) -> dict:

@@ -129,7 +129,6 @@ def classify(sample: HeuristicSample) -> QualityCategory:
 class WindowStats:
     """Running mean of per-interval delay and loss measurements."""
 
-    window_s: float = 5.0
     avg_delay_ms: float = 0.0
     avg_loss: float = 0.0
     samples: int = 0

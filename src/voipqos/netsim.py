@@ -173,6 +173,7 @@ SET_LATENCY = "set_latency"
 SET_LOSS_RATE = "set_loss_rate"
 SET_BUFFER_SIZE = "set_buffer_size"
 SET_BACKGROUND_RATE = "set_background_rate"
+CHANGE_KINDS = (SET_LATENCY, SET_LOSS_RATE, SET_BUFFER_SIZE, SET_BACKGROUND_RATE)
 
 
 @dataclass(frozen=True)
@@ -182,12 +183,7 @@ class NetworkChange:
     value: float
 
     def __post_init__(self) -> None:
-        if self.kind not in (
-            SET_LATENCY,
-            SET_LOSS_RATE,
-            SET_BUFFER_SIZE,
-            SET_BACKGROUND_RATE,
-        ):
+        if self.kind not in CHANGE_KINDS:
             raise ValueError(f"unknown network change kind: {self.kind}")
 
 
@@ -277,6 +273,9 @@ class SimWorld:
         self.log: List[Tuple[float, str, str, str, float]] = []
         self.notifications: List[NetworkChange] = []
         self.reserved_kbps = 0.0
+        # Applied QoS mechanisms by (flow_id, ActionId), oldest first;
+        # written only by actions.apply_action and actions.stop_action.
+        self.mechanisms: Dict[Tuple[str, object], object] = {}
         for change in sorted(timeline, key=lambda c: c.at_ms):
             self._schedule(change.at_ms, lambda c=change: self._do_change(c))
 
@@ -339,7 +338,8 @@ class SimWorld:
     def set_buffer(self, capacity_pkts: int) -> None:
         if capacity_pkts < 1:
             raise ValueError("capacity_pkts must be >= 1")
-        self.queue = self._requeue_config(capacity_pkts=capacity_pkts)
+        q = self.queue
+        self.queue = _clamped_queue(capacity_pkts, q.discipline, q.red, q.wred)
         self._shed_excess()
 
     def set_discipline(
@@ -348,18 +348,7 @@ class SimWorld:
         red: Optional[REDParams] = None,
         wred: Optional[Tuple[Tuple[int, REDParams], ...]] = None,
     ) -> None:
-        cap = self.queue.capacity_pkts
-        red = _clamp_red(red, cap)
-        if wred is not None:
-            wred = tuple((c, _clamp_red(p, cap)) for c, p in wred)
-        self.queue = QueueConfig(cap, discipline, red=red, wred=wred)
-
-    def _requeue_config(self, capacity_pkts: int) -> QueueConfig:
-        red = _clamp_red(self.queue.red, capacity_pkts)
-        wred = self.queue.wred
-        if wred is not None:
-            wred = tuple((c, _clamp_red(p, capacity_pkts)) for c, p in wred)
-        return QueueConfig(capacity_pkts, self.queue.discipline, red=red, wred=wred)
+        self.queue = _clamped_queue(self.queue.capacity_pkts, discipline, red, wred)
 
     def _shed_excess(self) -> None:
         # Newest best-effort packets are shed first, then priority.
@@ -398,14 +387,13 @@ class SimWorld:
         if not st.is_media:
             raise ValueError("FEC applies to media flows only")
         st.cfg.fec = fec
+        # The open block will never get its parity packet.
+        st.blocks.pop(st.block_id, None)
         st.media_in_block = 0
         if fec is not None:
             st.block_id += 1  # start a fresh block
 
     # ---------------- network changes ----------------
-
-    def apply_network_change(self, change: NetworkChange) -> None:
-        self._do_change(change)
 
     def _do_change(self, change: NetworkChange) -> None:
         if change.kind == SET_LATENCY:
@@ -681,6 +669,18 @@ class SimWorld:
                 writer.writerow(
                     [f"{at:.6f}", fid, event, "" if delay != delay else f"{delay:.6f}"]
                 )
+
+
+def _clamped_queue(
+    capacity: int,
+    discipline: str,
+    red: Optional[REDParams],
+    wred: Optional[Tuple[Tuple[int, REDParams], ...]],
+) -> QueueConfig:
+    """Queue config whose RED/WRED thresholds fit the buffer."""
+    if wred is not None:
+        wred = tuple((c, _clamp_red(p, capacity)) for c, p in wred)
+    return QueueConfig(capacity, discipline, red=_clamp_red(red, capacity), wred=wred)
 
 
 def _clamp_red(params: Optional[REDParams], capacity: int) -> Optional[REDParams]:

@@ -157,6 +157,17 @@ class TestApplyStop:
         assert world.queue.discipline == netsim.RED
         assert world.queue.red.max_th <= 40
 
+    def test_fec_toggles_leave_no_open_blocks(self):
+        # Stopping FEC mid-block must drop the block that never gets parity.
+        world = _world()
+        for _ in range(50):
+            actions.apply_action(world, "m", enable_fec())
+            world.advance(world.clock + 50.0)
+            actions.stop_action(world, "m", enable_fec())
+            world.advance(world.clock + 50.0)
+        world.advance(world.clock + 1000.0)
+        assert world.flows["m"].blocks == {}
+
     def test_transition_records_carry_kind(self):
         world = _world()
         record = actions.apply_action(world, "m", enable_fec(), kind="d3")

@@ -3,6 +3,7 @@ import pytest
 
 from voipqos import harness
 from voipqos.controller import (
+    COORDINATE_COOLDOWN_WINDOWS,
     Call,
     Controller,
     check_global,
@@ -188,4 +189,5 @@ class TestCoordination:
         assert d3_applies
         # Coordination is rate limited: no two d3 rounds in consecutive windows.
         times = sorted({t.at_ms for t in d3_applies})
-        assert all(b - a >= 2 * ctrl.window_ms for a, b in zip(times, times[1:]))
+        gap_ms = COORDINATE_COOLDOWN_WINDOWS * harness.WINDOW_S * 1000.0
+        assert all(b - a >= gap_ms for a, b in zip(times, times[1:]))

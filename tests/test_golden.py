@@ -1,0 +1,43 @@
+"""Fixed-seed outputs match the digests recorded in bench/golden.json.
+
+A refactor that changes behaviour changes a digest. The file is only
+read here; `bench/record_golden.py` re-records it after a deliberate
+output change.
+"""
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from voipqos import harness
+
+GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden.json"
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with open(GOLDEN) as fh:
+        return json.load(fh)["preset-sweep"]
+
+
+def _digest(obj) -> str:
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _digests(art) -> dict:
+    kb = None if art.kb is None else art.kb.to_json()
+    return {"summary": _digest(art.summary), "kb": _digest(kb)}
+
+
+@pytest.mark.parametrize("mode", ["control", "baseline"])
+@pytest.mark.parametrize("preset", sorted(harness.PRESETS))
+def test_preset_digests(golden, preset, mode):
+    art = harness.run(harness.load_scenario(preset), seed=0, mode=mode)
+    assert _digests(art) == golden[f"{preset}/{mode}/s0"]["digests"]
+
+
+def test_calibrate_digests(golden):
+    art = harness.run(None, seed=0, mode="calibrate")
+    assert _digests(art) == golden["calibrate/s0"]["digests"]

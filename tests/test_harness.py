@@ -20,6 +20,32 @@ from voipqos.harness import (
 )
 
 
+def _wred_queue() -> dict:
+    data = scenario_to_json(load_scenario("table4-red-1k"))
+    data["queue"]["discipline"] = "wred"
+    return data
+
+
+def _unknown_timeline_kind() -> dict:
+    data = scenario_to_json(load_scenario("table7-singlecall"))
+    data["timeline"][0]["kind"] = "set_jitter"
+    return data
+
+
+def _duplicate_call_ids() -> dict:
+    data = scenario_to_json(load_scenario("fig7-multicall"))
+    data["calls"][1]["call_id"] = data["calls"][0]["call_id"]
+    return data
+
+
+# Inputs that used to pass validation and fail mid-run with a ValueError.
+BAD_SCENARIOS = {
+    "wred-discipline": _wred_queue,
+    "unknown-timeline-kind": _unknown_timeline_kind,
+    "duplicate-call-id": _duplicate_call_ids,
+}
+
+
 class TestScenarioSerialization:
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_preset_round_trip(self, name, tmp_path):
@@ -51,6 +77,11 @@ class TestScenarioSerialization:
         with pytest.raises(ScenarioError):
             scenario_from_json({"name": "x"})  # missing duration_s
 
+    @pytest.mark.parametrize("case", sorted(BAD_SCENARIOS))
+    def test_unrunnable_input_rejected_at_load(self, case):
+        with pytest.raises(ScenarioError):
+            scenario_from_json(BAD_SCENARIOS[case]())
+
 
 class TestRuns:
     def test_baseline_summary_consistent_with_world_totals(self):
@@ -78,6 +109,24 @@ class TestRuns:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             harness.run(load_scenario("table1-s1"), mode="replay")
+
+    @pytest.mark.parametrize("preset", ["fig5-s3-guaranteed", "fig5-s4-guaranteed"])
+    def test_ended_call_holds_no_reservation(self, preset):
+        # The call ends with controlled_load active over a guaranteed
+        # start; stopping it must not re-admit a reservation that outlives
+        # the flow.
+        art = harness.run(load_scenario(preset), seed=0, mode="control")
+        assert not art.world.flows["flow-call-1"].active
+        assert art.world.reserved_kbps == 0.0
+
+    def test_last_window_ends_at_duration(self):
+        # 32 s is not a multiple of the 5 s window: the last window ends at
+        # 32 s, not 35 s, in both modes.
+        scenario = Scenario(name="short", duration_s=32.0, calls=[CallSpec("c")])
+        art = harness.run(scenario, seed=0, mode="baseline")
+        assert [row[0] for row in art.timeseries] == [5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 32.0]
+        art = harness.run(scenario, seed=0, mode="control")
+        assert max(row[0] for row in art.timeseries) <= 32.0
 
     def test_timeseries_covers_run(self):
         scenario = load_scenario("table4-red-1k")
@@ -158,6 +207,13 @@ class TestCli:
 
     def test_unknown_scenario_exit_code(self, capsys):
         assert cli.main(["run", "--scenario", "nope"]) == 1
+
+    @pytest.mark.parametrize("case", sorted(BAD_SCENARIOS))
+    def test_unrunnable_scenario_exit_code(self, case, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(BAD_SCENARIOS[case]()))
+        assert cli.main(["run", "--scenario", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_control_failure_exit_code(self, capsys):
         # 30% link loss cannot be brought inside constraints; the control
