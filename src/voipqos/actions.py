@@ -133,7 +133,6 @@ class _Applied:
     prev_service: Optional[str] = None
     prev_reserved: float = 0.0
     prev_fec: Optional[FecConfig] = None
-    had_fec: bool = False
 
 
 def active_actions(world: SimWorld, flow_id: str) -> List[ActionId]:
@@ -174,7 +173,6 @@ def apply_action(
     elif action.kind == ENABLE_FEC:
         st = world.flows[flow_id]
         applied.prev_fec = st.cfg.fec
-        applied.had_fec = st.cfg.fec is not None
         world.set_fec(
             flow_id,
             FecConfig(int(action.param("block_k", 4)), int(action.param("parity", 1))),
@@ -223,7 +221,7 @@ def stop_action(
             wred=applied.prev_queue.wred,
         )
     if action.kind == ENABLE_FEC:
-        world.set_fec(flow_id, applied.prev_fec if applied.had_fec else None)
+        world.set_fec(flow_id, applied.prev_fec)
     if applied.prev_service is not None:
         if applied.prev_service == netsim.GUARANTEED:
             world.configure_service_class(

@@ -35,9 +35,6 @@ SIGNIFICANT_WINDOWS = 2
 # Windows after a d3 coordination round before the next one may start.
 COORDINATE_COOLDOWN_WINDOWS = 2
 
-ACCEPTED = "accepted"
-DEGRADED = "degraded"
-
 
 def detect_case(
     g: Tuple[float, float], constraints: Constraints = DEFAULT_CONSTRAINTS
@@ -86,7 +83,6 @@ class Call:
     constraints: Constraints = DEFAULT_CONSTRAINTS
     weight: float = 1.0
     states: List[CallState] = field(default_factory=list)
-    status: str = ACCEPTED
     episode: Optional[Episode] = None
     sample: Optional[HeuristicSample] = None
     drift_windows: int = 0
@@ -197,11 +193,6 @@ class Controller:
             if sample is not None:
                 call.sample = sample
             self._observe(call, changes, now_ms)
-        for call in calls:
-            if call.sample is not None:
-                call.status = (
-                    ACCEPTED if satisfies(call.sample, call.constraints) else DEGRADED
-                )
         if self._cooldown_left > 0:
             self._cooldown_left -= 1
         multi = [c for c in calls if c.sample is not None]
@@ -344,10 +335,11 @@ class Controller:
     # ---------------- multi-call coordination ----------------
 
     def coordinate(self, calls: List[Call], now_ms: float) -> None:
-        """Global-constraint recovery: free accepted calls' mechanisms and
-        point the knowledge base's best candidates at the degraded calls."""
-        accepted = [c for c in calls if c.status == ACCEPTED]
-        degraded = [c for c in calls if c.status == DEGRADED]
+        """Global-constraint recovery: free the mechanisms of calls within
+        their constraints and point the knowledge base's best candidates at
+        the calls outside them. Every call must have a sample."""
+        accepted = [c for c in calls if satisfies(c.sample, c.constraints)]
+        degraded = [c for c in calls if not satisfies(c.sample, c.constraints)]
         if not degraded:
             return
         for call in accepted:

@@ -4,7 +4,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
 from . import actions as actions_mod
@@ -80,7 +80,16 @@ class Scenario:
     version: int = SCHEMA_VERSION
 
     def validate(self) -> None:
-        if self.duration_s <= 0:
+        """Raise ScenarioError unless the scenario can run.
+
+        Builds the link, queue and flow configs the scenario describes, so
+        every input their constructors reject is rejected here. The
+        timeline is checked entry by entry instead: building it costs as
+        much as parsing a long scenario.
+        """
+        if self.version != SCHEMA_VERSION:
+            raise ScenarioError(f"{self.name}: unsupported version {self.version!r}")
+        if not self.duration_s > 0:
             raise ScenarioError(f"{self.name}: duration_s must be > 0")
         at = [e.at_s for e in self.timeline]
         if at != sorted(at):
@@ -88,9 +97,6 @@ class Scenario:
         for entry in self.timeline:
             if entry.kind not in netsim.CHANGE_KINDS:
                 raise ScenarioError(f"{self.name}: unknown timeline kind {entry.kind!r}")
-        discipline = self.queue.get("discipline", netsim.TAIL_DROP)
-        if discipline not in (netsim.TAIL_DROP, netsim.RED):
-            raise ScenarioError(f"{self.name}: unsupported queue discipline {discipline!r}")
         ids = [call.call_id for call in self.calls]
         if len(set(ids)) != len(ids):
             raise ScenarioError(f"{self.name}: duplicate call_id")
@@ -99,6 +105,13 @@ class Scenario:
                 raise ScenarioError(
                     f"{self.name}: call {call.call_id} interval outside duration"
                 )
+            if not call.weight > 0:
+                raise ScenarioError(f"{self.name}: call {call.call_id} weight must be > 0")
+        try:
+            _netsim_configs(self)
+            self.get_constraints()
+        except (TypeError, ValueError) as exc:
+            raise ScenarioError(f"{self.name}: {exc}") from exc
 
     def get_constraints(self) -> Constraints:
         if self.constraints is None:
@@ -111,6 +124,9 @@ def scenario_to_json(scenario: Scenario) -> dict:
 
 
 def scenario_from_json(data: dict) -> Scenario:
+    unknown = sorted(set(data) - {f.name for f in fields(Scenario)})
+    if unknown:
+        raise ScenarioError(f"unknown scenario field(s): {', '.join(unknown)}")
     try:
         scenario = Scenario(
             name=data["name"],
@@ -283,17 +299,29 @@ PRESETS = {
 
 def build_world(scenario: Scenario, seed: int) -> SimWorld:
     scenario.validate()
-    link = LinkConfig(**scenario.link)
-    queue = _queue_config(scenario.queue)
+    link, queue, media, background = _netsim_configs(scenario)
     timeline = tuple(
         NetworkChange(e.at_s * 1000.0, e.kind, e.value) for e in scenario.timeline
     )
     world = SimWorld(link, queue, seed=seed, timeline=timeline)
-    for call in scenario.calls:
-        world.add_media_flow(_media_flow(call, scenario))
+    for flow in media:
+        world.add_media_flow(flow)
+    for flow in background:
+        world.add_background_flow(flow)
+    return world
+
+
+def _netsim_configs(scenario: Scenario) -> tuple:
+    """The link, queue, media flows and background flows a scenario
+    describes; raises the constructors' ValueError (or TypeError for an
+    unknown field) on bad input."""
+    link = LinkConfig(**scenario.link)
+    queue = _queue_config(scenario.queue)
+    media = [_media_flow(call, scenario) for call in scenario.calls]
+    background = []
     if scenario.background is not None:
         bg = scenario.background
-        world.add_background_flow(
+        background.append(
             BackgroundFlow(
                 "bg",
                 rate_kbps=bg.get("rate_kbps", 0.0),
@@ -301,7 +329,7 @@ def build_world(scenario: Scenario, seed: int) -> SimWorld:
                 burst_pkts=int(bg.get("burst_pkts", 1)),
             )
         )
-    return world
+    return link, queue, media, background
 
 
 def _queue_config(queue: Dict[str, object]) -> QueueConfig:

@@ -12,8 +12,9 @@ from __future__ import annotations
 import csv
 import heapq
 import random
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .metrics import HeuristicSample
@@ -21,6 +22,7 @@ from .metrics import HeuristicSample
 BEST_EFFORT = "best_effort"
 CONTROLLED_LOAD = "controlled_load"
 GUARANTEED = "guaranteed"
+SERVICES = (BEST_EFFORT, CONTROLLED_LOAD, GUARANTEED)
 
 
 class AdmissionRefusedError(Exception):
@@ -34,11 +36,12 @@ class LinkConfig:
     capacity_kbps: float = 1000.0
 
     def __post_init__(self) -> None:
-        if self.latency_ms < 0:
+        # Written so that NaN fails every check.
+        if not self.latency_ms >= 0:
             raise ValueError("latency_ms must be >= 0")
         if not 0.0 <= self.loss_rate <= 1.0:
             raise ValueError("loss_rate must be in [0, 1]")
-        if self.capacity_kbps <= 0:
+        if not self.capacity_kbps > 0:
             raise ValueError("capacity_kbps must be > 0")
 
 
@@ -61,6 +64,7 @@ class REDParams:
 TAIL_DROP = "tail_drop"
 RED = "red"
 WRED = "wred"
+DISCIPLINES = (TAIL_DROP, RED, WRED)
 
 
 @dataclass(frozen=True)
@@ -75,6 +79,8 @@ class QueueConfig:
     def __post_init__(self) -> None:
         if self.capacity_pkts < 1:
             raise ValueError("capacity_pkts must be >= 1")
+        if self.discipline not in DISCIPLINES:
+            raise ValueError(f"unknown queue discipline {self.discipline!r}")
         if self.discipline == RED and self.red is None:
             raise ValueError("RED discipline needs red parameters")
         if self.discipline == WRED and self.wred is None:
@@ -144,6 +150,8 @@ class MediaFlow:
             raise ValueError("rate_kbps and packet_interval_ms must be > 0")
         if self.burst_pkts < 1:
             raise ValueError("burst_pkts must be >= 1")
+        if self.service not in SERVICES:
+            raise ValueError(f"unknown service class {self.service!r}")
 
     @property
     def packet_bits(self) -> float:
@@ -190,7 +198,6 @@ class NetworkChange:
 @dataclass
 class Packet:
     flow_id: str
-    seq: int
     bits: float
     created_ms: float
     kind: str = "media"  # media | parity | background
@@ -223,7 +230,6 @@ class _Block:
     k: int
     media_resolved: int = 0
     parity_resolved: bool = False
-    delivered: List[Packet] = field(default_factory=list)
     lost: List[Packet] = field(default_factory=list)
     parity_ok: bool = False
     last_arrival_ms: float = 0.0
@@ -232,8 +238,8 @@ class _Block:
 class _FlowState:
     def __init__(self, cfg):
         self.cfg = cfg
+        self.is_media = isinstance(cfg, MediaFlow)
         self.epoch = 0
-        self.next_seq = 0
         self.media_in_block = 0
         self.block_id = 0
         self.tokens_bits = 0.0
@@ -243,10 +249,6 @@ class _FlowState:
         self.blocks: Dict[int, _Block] = {}
         self.last_delay_ms: Optional[float] = None
         self.active = True
-
-    @property
-    def is_media(self) -> bool:
-        return isinstance(self.cfg, MediaFlow)
 
 
 class SimWorld:
@@ -264,34 +266,38 @@ class SimWorld:
         self.link = link
         self.queue = queue
         self.flows: Dict[str, _FlowState] = {}
-        self._events: List[Tuple[float, int, Callable[[], None]]] = []
+        # Heap of (at_ms, seq, fn, args); advance() calls fn(self, *args).
+        # Entries hold plain functions and data, never the world itself.
+        self._events: List[Tuple[float, int, Callable[..., None], tuple]] = []
         self._seq = 0
         self._qp: deque = deque()
         self._qb: deque = deque()
         self._avg_queue = 0.0
         self._busy = False
-        self.log: List[Tuple[float, str, str, str, float]] = []
+        # (time_ms, flow_id, outcome, delay_ms or None), written by _record.
+        self.log: List[Tuple[float, str, str, Optional[float]]] = []
         self.notifications: List[NetworkChange] = []
         self.reserved_kbps = 0.0
         # Applied QoS mechanisms by (flow_id, ActionId), oldest first;
         # written only by actions.apply_action and actions.stop_action.
         self.mechanisms: Dict[Tuple[str, object], object] = {}
         for change in sorted(timeline, key=lambda c: c.at_ms):
-            self._schedule(change.at_ms, lambda c=change: self._do_change(c))
+            self._schedule(change.at_ms, SimWorld._do_change, change)
 
     # ---------------- event machinery ----------------
 
-    def _schedule(self, at_ms: float, fn: Callable[[], None]) -> None:
+    def _schedule(self, at_ms: float, fn: Callable[..., None], *args) -> None:
         self._seq += 1
-        heapq.heappush(self._events, (at_ms, self._seq, fn))
+        heapq.heappush(self._events, (at_ms, self._seq, fn, args))
 
     def advance(self, until_ms: float) -> None:
         if until_ms < self.clock:
             raise ValueError("cannot advance backwards")
-        while self._events and self._events[0][0] <= until_ms:
-            at, _, fn = heapq.heappop(self._events)
+        events = self._events
+        while events and events[0][0] <= until_ms:
+            at, _, fn, args = heapq.heappop(events)
             self.clock = at
-            fn()
+            fn(self, *args)
         self.clock = until_ms
 
     # ---------------- flow management ----------------
@@ -305,7 +311,7 @@ class SimWorld:
             st.tokens_bits = cfg.bucket_depth_pkts * cfg.packet_bits
             st.tokens_at_ms = cfg.start_ms
         self.flows[cfg.flow_id] = st
-        self._schedule(cfg.start_ms, lambda: self._emit(cfg.flow_id, st.epoch))
+        self._schedule(cfg.start_ms, SimWorld._emit, st, st.epoch)
 
     def add_background_flow(self, cfg: BackgroundFlow) -> None:
         if cfg.flow_id in self.flows:
@@ -313,7 +319,7 @@ class SimWorld:
         st = _FlowState(cfg)
         self.flows[cfg.flow_id] = st
         if cfg.rate_kbps > 0:
-            self._schedule(cfg.start_ms, lambda: self._emit(cfg.flow_id, st.epoch))
+            self._schedule(cfg.start_ms, SimWorld._emit, st, st.epoch)
 
     def end_flow(self, flow_id: str) -> None:
         st = self.flows[flow_id]
@@ -408,15 +414,12 @@ class SimWorld:
             self.set_buffer(int(change.value))
         elif change.kind == SET_BACKGROUND_RATE:
             for st in self.flows.values():
-                if isinstance(st.cfg, BackgroundFlow):
+                if not st.is_media:
                     st.cfg.rate_kbps = change.value
                     st.epoch += 1
                     if change.value > 0 and st.active:
-                        epoch = st.epoch
-                        self._schedule(
-                            self.clock + st.cfg.packet_interval_ms,
-                            lambda fid=st.cfg.flow_id, e=epoch: self._emit(fid, e),
-                        )
+                        at = self.clock + st.cfg.packet_interval_ms
+                        self._schedule(at, SimWorld._emit, st, st.epoch)
         self.notifications.append(change)
 
     def pop_notifications(self) -> List[NetworkChange]:
@@ -426,57 +429,37 @@ class SimWorld:
 
     # ---------------- emission ----------------
 
-    def _emit(self, flow_id: str, epoch: int) -> None:
-        st = self.flows[flow_id]
+    def _emit(self, st: _FlowState, epoch: int) -> None:
         if epoch != st.epoch or not st.active:
             return
         cfg = st.cfg
         if st.is_media and cfg.end_ms is not None and self.clock >= cfg.end_ms:
             return
-        if isinstance(cfg, BackgroundFlow) and cfg.rate_kbps <= 0:
+        if not st.is_media and cfg.rate_kbps <= 0:
             return
         for _ in range(cfg.burst_pkts):
             self._emit_one(st)
-        self._schedule(
-            self.clock + cfg.burst_pkts * cfg.packet_interval_ms,
-            lambda: self._emit(flow_id, epoch),
-        )
+        at = self.clock + cfg.burst_pkts * cfg.packet_interval_ms
+        self._schedule(at, SimWorld._emit, st, epoch)
 
     def _emit_one(self, st: _FlowState) -> None:
         cfg = st.cfg
-        if st.is_media:
-            pkt = Packet(cfg.flow_id, st.next_seq, cfg.packet_bits, self.clock)
-            st.next_seq += 1
-            if cfg.fec is not None:
-                pkt.block = st.block_id
-                st.blocks.setdefault(st.block_id, _Block(cfg.fec.block_k))
-                st.media_in_block += 1
-            st.totals.sent += 1
-            st.window.sent += 1
-            self._log(pkt, "sent")
-            self._offer(st, pkt)
-            if cfg.fec is not None and st.media_in_block >= cfg.fec.block_k:
-                parity = Packet(
-                    cfg.flow_id,
-                    st.next_seq,
-                    cfg.packet_bits,
-                    self.clock,
-                    kind="parity",
-                    block=st.block_id,
-                )
-                st.next_seq += 1
-                st.media_in_block = 0
-                st.block_id += 1
-                self._offer(st, parity)
-        else:
-            pkt = Packet(
-                cfg.flow_id, st.next_seq, cfg.packet_bits, self.clock, kind="background"
+        kind = "media" if st.is_media else "background"
+        pkt = Packet(cfg.flow_id, cfg.packet_bits, self.clock, kind)
+        fec = cfg.fec if st.is_media else None
+        if fec is not None:
+            pkt.block = st.block_id
+            st.blocks.setdefault(st.block_id, _Block(fec.block_k))
+            st.media_in_block += 1
+        self._record(st, "sent")
+        self._offer(st, pkt)
+        if fec is not None and st.media_in_block >= fec.block_k:
+            parity = Packet(
+                cfg.flow_id, cfg.packet_bits, self.clock, "parity", block=st.block_id
             )
-            st.next_seq += 1
-            st.totals.sent += 1
-            st.window.sent += 1
-            self._log(pkt, "sent")
-            self._offer(st, pkt)
+            st.media_in_block = 0
+            st.block_id += 1
+            self._offer(st, parity)
 
     # ---------------- policing and queueing ----------------
 
@@ -548,7 +531,7 @@ class SimWorld:
             return
         self._busy = True
         service_ms = pkt.bits / self.link.capacity_kbps
-        self._schedule(self.clock + service_ms, lambda: self._tx_done(pkt))
+        self._schedule(self.clock + service_ms, SimWorld._tx_done, pkt)
 
     def _next_packet(self) -> Optional[Packet]:
         if self._qp:
@@ -562,32 +545,35 @@ class SimWorld:
         if self.link.loss_rate > 0 and self.rng.random() < self.link.loss_rate:
             self._drop(pkt, "dropped_link")
         else:
-            latency = self.link.latency_ms
-            self._schedule(self.clock + latency, lambda: self._deliver(pkt))
+            self._schedule(self.clock + self.link.latency_ms, SimWorld._deliver, pkt)
         self._kick()
 
     # ---------------- terminal events ----------------
 
+    def _record(self, st: _FlowState, outcome: str, delay: Optional[float] = None) -> None:
+        """Count one packet outcome in the flow's totals and window, and log it.
+
+        `outcome` names the FlowCounters field to bump; a given delay is
+        added to both delay sums. Parity packets are never recorded.
+        """
+        for counters in (st.totals, st.window):
+            setattr(counters, outcome, getattr(counters, outcome) + 1)
+            if delay is not None:
+                counters.delay_sum_ms += delay
+                counters.delay_n += 1
+        self.log.append((self.clock, st.cfg.flow_id, outcome, delay))
+
     def _drop(self, pkt: Packet, reason: str) -> None:
         st = self.flows[pkt.flow_id]
         if pkt.kind != "parity":
-            setattr(st.totals, reason, getattr(st.totals, reason) + 1)
-            setattr(st.window, reason, getattr(st.window, reason) + 1)
-            self._log(pkt, reason)
+            self._record(st, reason)
         if pkt.block is not None:
             self._block_resolve(st, pkt, delivered=False)
 
     def _deliver(self, pkt: Packet) -> None:
         st = self.flows[pkt.flow_id]
-        delay = self.clock - pkt.created_ms
         if pkt.kind != "parity":
-            st.totals.delivered += 1
-            st.window.delivered += 1
-            st.totals.delay_sum_ms += delay
-            st.totals.delay_n += 1
-            st.window.delay_sum_ms += delay
-            st.window.delay_n += 1
-            self._log(pkt, "delivered", delay)
+            self._record(st, "delivered", self.clock - pkt.created_ms)
         if pkt.block is not None:
             self._block_resolve(st, pkt, delivered=True)
 
@@ -600,7 +586,8 @@ class SimWorld:
             block.parity_ok = delivered
         else:
             block.media_resolved += 1
-            (block.delivered if delivered else block.lost).append(pkt)
+            if not delivered:
+                block.lost.append(pkt)
         if delivered:
             block.last_arrival_ms = max(block.last_arrival_ms, self.clock)
         if block.media_resolved >= block.k and block.parity_resolved:
@@ -608,19 +595,8 @@ class SimWorld:
 
     def _block_finalize(self, st: _FlowState, block_id: int, block: _Block) -> None:
         if block.parity_ok and len(block.lost) == 1:
-            lost = block.lost[0]
-            delay = block.last_arrival_ms - lost.created_ms
-            st.totals.recovered += 1
-            st.window.recovered += 1
-            st.totals.delay_sum_ms += delay
-            st.totals.delay_n += 1
-            st.window.delay_sum_ms += delay
-            st.window.delay_n += 1
-            self._log(lost, "recovered", delay)
+            self._record(st, "recovered", block.last_arrival_ms - block.lost[0].created_ms)
         del st.blocks[block_id]
-
-    def _log(self, pkt: Packet, event: str, delay: float = float("nan")) -> None:
-        self.log.append((self.clock, pkt.flow_id, event, pkt.kind, delay))
 
     # ---------------- measurement ----------------
 
@@ -651,23 +627,31 @@ class SimWorld:
         return self.flows[flow_id].totals
 
     def check_conservation(self) -> None:
+        """Each flow's in-flight count equals its packets still held.
+
+        A counted packet is held while it waits in the queue, is in
+        transmission (a pending _tx_done) or propagates (a pending _deliver).
+        """
+        pending = [args[0] for _, _, fn, args in self._events
+                   if fn is SimWorld._tx_done or fn is SimWorld._deliver]
+        held = Counter(
+            p.flow_id for p in chain(self._qp, self._qb, pending) if p.kind != "parity"
+        )
         for fid, st in self.flows.items():
-            t = st.totals
-            if t.sent != t.delivered + t.dropped + t.in_flight:
-                raise AssertionError(f"conservation violated for flow {fid}")
-            if t.in_flight < 0:
-                raise AssertionError(f"negative in-flight count for flow {fid}")
+            if st.totals.in_flight != held[fid]:
+                raise AssertionError(
+                    f"conservation violated for flow {fid}: {st.totals.in_flight} "
+                    f"in flight by its counters, {held[fid]} held in queue or on the link"
+                )
 
     def export_trace_csv(self, path) -> None:
-        """Packet event log, media and background packets only."""
+        """The packet outcome log, one row per recorded outcome."""
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["time_ms", "flow_id", "event", "delay_ms"])
-            for at, fid, event, kind, delay in self.log:
-                if kind == "parity":
-                    continue
+            for at, fid, event, delay in self.log:
                 writer.writerow(
-                    [f"{at:.6f}", fid, event, "" if delay != delay else f"{delay:.6f}"]
+                    [f"{at:.6f}", fid, event, "" if delay is None else f"{delay:.6f}"]
                 )
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from voipqos import harness
+from voipqos import cli, harness
 
 GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden.json"
 
@@ -18,7 +18,7 @@ GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden.json"
 @pytest.fixture(scope="module")
 def golden():
     with open(GOLDEN) as fh:
-        return json.load(fh)["preset-sweep"]
+        return json.load(fh)
 
 
 def _digest(obj) -> str:
@@ -35,9 +35,17 @@ def _digests(art) -> dict:
 @pytest.mark.parametrize("preset", sorted(harness.PRESETS))
 def test_preset_digests(golden, preset, mode):
     art = harness.run(harness.load_scenario(preset), seed=0, mode=mode)
-    assert _digests(art) == golden[f"{preset}/{mode}/s0"]["digests"]
+    assert _digests(art) == golden["preset-sweep"][f"{preset}/{mode}/s0"]["digests"]
 
 
 def test_calibrate_digests(golden):
     art = harness.run(None, seed=0, mode="calibrate")
-    assert _digests(art) == golden["calibrate/s0"]["digests"]
+    assert _digests(art) == golden["preset-sweep"]["calibrate/s0"]["digests"]
+
+
+def test_cli_artifact_digests(golden, tmp_path):
+    # Every file a CLI run writes, trace.csv included.
+    argv = ["run", "--scenario", "table4-red-10k", "--seed", "0", "--out", str(tmp_path)]
+    assert cli.main(argv) in (0, 2)
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert got == golden["multicall-artifacts"]["table4-red-10k/s0"]["digests"]

@@ -1,7 +1,9 @@
 """Harness tests: scenario serialization, runs, artifact files, CLI."""
 import csv
+import gc
 import json
 import os
+import weakref
 
 import pytest
 
@@ -20,29 +22,43 @@ from voipqos.harness import (
 )
 
 
-def _wred_queue() -> dict:
-    data = scenario_to_json(load_scenario("table4-red-1k"))
-    data["queue"]["discipline"] = "wred"
-    return data
+def _edited(preset: str, edit):
+    """Maker of the preset's scenario JSON after `edit` changes it in place."""
+
+    def make() -> dict:
+        data = scenario_to_json(load_scenario(preset))
+        edit(data)
+        return data
+
+    return make
 
 
-def _unknown_timeline_kind() -> dict:
-    data = scenario_to_json(load_scenario("table7-singlecall"))
-    data["timeline"][0]["kind"] = "set_jitter"
-    return data
-
-
-def _duplicate_call_ids() -> dict:
-    data = scenario_to_json(load_scenario("fig7-multicall"))
-    data["calls"][1]["call_id"] = data["calls"][0]["call_id"]
-    return data
-
-
-# Inputs that used to pass validation and fail mid-run with a ValueError.
+# Inputs that used to pass validation, then failed mid-run with a
+# traceback or ran silently.
 BAD_SCENARIOS = {
-    "wred-discipline": _wred_queue,
-    "unknown-timeline-kind": _unknown_timeline_kind,
-    "duplicate-call-id": _duplicate_call_ids,
+    "wred-discipline": _edited("table4-red-1k", lambda d: d["queue"].update(discipline="wred")),
+    "unknown-timeline-kind": _edited(
+        "table7-singlecall", lambda d: d["timeline"][0].update(kind="set_jitter")
+    ),
+    "duplicate-call-id": _edited(
+        "fig7-multicall", lambda d: d["calls"][1].update(call_id=d["calls"][0]["call_id"])
+    ),
+    "red-without-params": _edited("table1-s1", lambda d: d["queue"].update(discipline="red")),
+    "red-max-th-above-capacity": _edited(
+        "table4-red-1k", lambda d: d["queue"].update(capacity_pkts=80)
+    ),
+    "negative-latency": _edited("table1-s1", lambda d: d["link"].update(latency_ms=-1.0)),
+    "zero-rate": _edited("table1-s1", lambda d: d["calls"][0]["flow"].update(rate_kbps=0)),
+    "zero-weight": _edited("fig7-multicall", lambda d: d["calls"][0].update(weight=0)),
+    "nan-capacity": _edited(
+        "table1-s1", lambda d: d["link"].update(capacity_kbps=float("nan"))
+    ),
+    "unknown-service": _edited(
+        "table1-s1", lambda d: d["calls"][0]["flow"].update(service="gold")
+    ),
+    "version-2": _edited("table1-s1", lambda d: d.update(version=2)),
+    "zero-loss-max": _edited("table1-s1", lambda d: d.update(constraints={"loss_max": 0.0})),
+    "unknown-top-level-key": _edited("table1-s1", lambda d: d.update(priority=1)),
 }
 
 
@@ -119,6 +135,13 @@ class TestRuns:
         assert not art.world.flows["flow-call-1"].active
         assert art.world.reserved_kbps == 0.0
 
+    def test_counter_drift_breaks_conservation(self):
+        art = harness.run(load_scenario("table4-red-10k"), seed=0, mode="baseline")
+        art.world.check_conservation()
+        art.world.flows["bg"].totals.sent += 1
+        with pytest.raises(AssertionError, match="flow bg"):
+            art.world.check_conservation()
+
     def test_last_window_ends_at_duration(self):
         # 32 s is not a multiple of the 5 s window: the last window ends at
         # 32 s, not 35 s, in both modes.
@@ -134,6 +157,31 @@ class TestRuns:
         times = [row[0] for row in art.timeseries]
         assert times == sorted(times)
         assert times[-1] == pytest.approx(scenario.duration_s)
+
+
+class TestWorldRelease:
+    """A world is freed by reference counting alone, without the cycle collector."""
+
+    @pytest.fixture(autouse=True)
+    def _collector_off(self):
+        gc.collect()
+        gc.disable()
+        yield
+        gc.enable()
+
+    def test_half_advanced_world(self):
+        world = harness.build_world(load_scenario("fig7-multicall"), seed=0)
+        world.advance(70_000.0)
+        ref = weakref.ref(world)
+        del world
+        assert ref() is None
+
+    def test_run_result(self):
+        art = harness.run(load_scenario("fig5-s3-controlled"), seed=0)
+        assert art.controller.transitions
+        ref = weakref.ref(art.world)
+        del art
+        assert ref() is None
 
 
 class TestArtifacts:

@@ -179,10 +179,10 @@ class TestServiceClasses:
         world = _world(latency=0.0, capacity=100.0, buffer_pkts=5)
         world.flows["x"] = netsim._FlowState(BackgroundFlow("x", rate_kbps=1.0))
         for i in range(7):
-            world.offer_packet(Packet("x", i, 800.0, 0.0, kind="background"))
+            world.offer_packet(Packet("x", 800.0, 0.0, kind="background"))
         assert world.occupancy == 5  # full: 1 in service + 4 queued + head slot
         dropped_before = world.flows["x"].totals.dropped_queue
-        pri = Packet("x", 99, 800.0, 0.0, kind="background", pclass=1)
+        pri = Packet("x", 800.0, 0.0, kind="background", pclass=1)
         outcome = world.offer_packet(pri)
         assert outcome == "enqueued"
         assert world.occupancy == 5  # one best-effort shed instead
@@ -247,6 +247,18 @@ class TestNetworkChanges:
         assert world.totals("bg").sent == sent_quiet  # silenced interval
         world.advance(10_000.0)
         assert world.totals("bg").sent > sent_quiet
+
+    def test_rate_change_at_start_keeps_one_emission_chain(self):
+        # The change supersedes the flow's start event instead of running
+        # a second chain of emissions beside it.
+        world = SimWorld(
+            LinkConfig(5.0, 0.0, 1000.0),
+            QueueConfig(capacity_pkts=100),
+            timeline=(NetworkChange(0.0, netsim.SET_BACKGROUND_RATE, 80.0),),
+        )
+        world.add_background_flow(BackgroundFlow("bg", rate_kbps=80.0))
+        world.advance(10_000.0)
+        assert world.totals("bg").sent == 1_000  # one 800-bit packet per 10 ms
 
     def test_buffer_shrink_sheds_newest_first(self):
         world = _world(latency=0.0, capacity=100.0, buffer_pkts=50)
