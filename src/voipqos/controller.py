@@ -61,8 +61,20 @@ class CallState:
     closed_at_ms: Optional[float] = None
     g: WindowStats = field(default_factory=WindowStats)
     sample: Optional[HeuristicSample] = None
-    category: Optional[QualityCategory] = None
     opening_sample: Optional[HeuristicSample] = None
+    # Consecutive windows whose sample drifted from the opening sample.
+    drift_windows: int = 0
+
+    @property
+    def category(self) -> Optional[QualityCategory]:
+        if self.opening_sample is None:
+            return None
+        return classify(self.opening_sample)
+
+    def add_sample(self, sample: HeuristicSample) -> None:
+        """Fold a window's sample into the state."""
+        self.g = update_window(self.g, sample.delay_ms, sample.loss)
+        self.sample = sample
 
 
 @dataclass
@@ -80,12 +92,10 @@ class Episode:
 class Call:
     call_id: str
     flow_id: str
-    constraints: Constraints = DEFAULT_CONSTRAINTS
     weight: float = 1.0
     states: List[CallState] = field(default_factory=list)
     episode: Optional[Episode] = None
     sample: Optional[HeuristicSample] = None
-    drift_windows: int = 0
     closed: bool = False
 
     def __post_init__(self) -> None:
@@ -97,7 +107,9 @@ class Call:
         return self.states[-1]
 
 
-def check_global(calls: List[Call]) -> Tuple[bool, Dict[str, float]]:
+def check_global(
+    calls: List[Call], constraints: Constraints = DEFAULT_CONSTRAINTS
+) -> Tuple[bool, Dict[str, float]]:
     """Weighted means of the calls' current samples vs shared thresholds."""
     if not calls:
         raise ValueError("check_global needs at least one call")
@@ -110,7 +122,6 @@ def check_global(calls: List[Call]) -> Tuple[bool, Dict[str, float]]:
         "loss": sum(c.weight * c.sample.loss for c in sampled) / wsum,
         "mos": sum(c.weight * c.sample.mos for c in sampled) / wsum,
     }
-    constraints = sampled[0].constraints
     ok = (
         means["delay_ms"] <= constraints.delay_max_ms
         and means["loss"] <= constraints.loss_max
@@ -126,12 +137,10 @@ class Controller:
         self,
         world: SimWorld,
         kb: KnowledgeBase,
-        constraints: Constraints = DEFAULT_CONSTRAINTS,
         learning: bool = True,
     ):
         self.world = world
         self.kb = kb
-        self.constraints = constraints
         self.learning = learning
         self.calls: Dict[str, Call] = {}
         self.transitions: List[TransitionRecord] = []
@@ -145,7 +154,7 @@ class Controller:
     # ---------------- call lifecycle ----------------
 
     def add_call(self, call_id: str, flow_id: str, weight: float = 1.0) -> Call:
-        call = Call(call_id, flow_id, self.constraints, weight)
+        call = Call(call_id, flow_id, weight)
         self.calls[call_id] = call
         self._open_state(call, "start", self.world.clock)
         return call
@@ -172,12 +181,9 @@ class Controller:
         if call.states:
             call.current_state.closed_at_ms = now
         self._state_seq += 1
-        state = CallState(self._state_seq, call.call_id, now, entering)
-        if call.sample is not None:
-            state.opening_sample = call.sample
-            state.category = classify(call.sample)
-        call.states.append(state)
-        call.drift_windows = 0
+        call.states.append(
+            CallState(self._state_seq, call.call_id, now, entering, opening_sample=call.sample)
+        )
 
     def _record(self, call: Call, kind: str, cause: str, now: float) -> None:
         self.transitions.append(TransitionRecord(kind, cause, now, call.call_id))
@@ -197,7 +203,7 @@ class Controller:
             self._cooldown_left -= 1
         multi = [c for c in calls if c.sample is not None]
         if len(multi) >= 2 and self._cooldown_left == 0:
-            ok, _ = check_global(multi)
+            ok, _ = check_global(multi, self.kb.constraints)
             if not ok:
                 self.coordinate(multi, now_ms)
                 self._cooldown_left = COORDINATE_COOLDOWN_WINDOWS
@@ -206,47 +212,33 @@ class Controller:
             self.step_call(call, now_ms)
 
     def _observe(self, call: Call, changes, now_ms: float) -> None:
-        """Open a d1 state on a network change or significant heuristic move."""
+        """Fold the window's sample into the current state, then open one d1
+        state on a network change, a category change or a drift from the
+        opening sample sustained for SIGNIFICANT_WINDOWS windows."""
         sample = call.sample
         if sample is None:
             return
         state = call.current_state
-        state.g = update_window(state.g, sample.delay_ms, sample.loss)
-        state.sample = sample
-        new_category = classify(sample)
-        if state.category is None:
-            state.category = new_category
+        state.add_sample(sample)
         if state.opening_sample is None:
             state.opening_sample = sample
-        if changes:
-            cause = ",".join(f"{c.kind}={c.value:g}" for c in changes)
-            self._record(call, "d1", cause, now_ms)
-            self._open_state(call, "d1", now_ms)
-            self._seed_state(call, sample)
-            return
-        if new_category != state.category:
-            self._record(
-                call, "d1", f"category:{state.category.name}->{new_category.name}", now_ms
-            )
-            self._open_state(call, "d1", now_ms)
-            self._seed_state(call, sample)
-            return
         ref = state.opening_sample
         drifted = _rel_change(ref.delay_ms, sample.delay_ms) > SIGNIFICANT_CHANGE or (
             _rel_change(ref.loss, sample.loss) > SIGNIFICANT_CHANGE
         )
-        call.drift_windows = call.drift_windows + 1 if drifted else 0
-        if call.drift_windows >= SIGNIFICANT_WINDOWS:
-            self._record(call, "d1", "heuristic-drift", now_ms)
-            self._open_state(call, "d1", now_ms)
-            self._seed_state(call, sample)
-
-    def _seed_state(self, call: Call, sample: HeuristicSample) -> None:
-        state = call.current_state
-        state.opening_sample = sample
-        state.category = classify(sample)
-        state.sample = sample
-        state.g = update_window(state.g, sample.delay_ms, sample.loss)
+        state.drift_windows = state.drift_windows + 1 if drifted else 0
+        category = classify(sample)
+        if changes:
+            cause = ",".join(f"{c.kind}={c.value:g}" for c in changes)
+        elif category != state.category:
+            cause = f"category:{state.category.name}->{category.name}"
+        elif state.drift_windows >= SIGNIFICANT_WINDOWS:
+            cause = "heuristic-drift"
+        else:
+            return
+        self._record(call, "d1", cause, now_ms)
+        self._open_state(call, "d1", now_ms)
+        call.current_state.add_sample(sample)
 
     # ---------------- single-call control ----------------
 
@@ -255,22 +247,18 @@ class Controller:
         if sample is None:
             return
         ep = call.episode
-        violated = not satisfies(sample, call.constraints)
+        constraints = self.kb.constraints
+        violated = not satisfies(sample, constraints)
         if ep is not None and ep.settling:
             kb_mod.acquire(self.kb, ep.case, ep.last_action, (sample.delay_ms, sample.loss))
             ep.settling = False
         if violated:
             if ep is None:
-                ep = Episode(
-                    detect_case((sample.delay_ms, sample.loss), call.constraints),
-                    now_ms,
-                )
-                call.episode = ep
-                entry = kb_mod.select_one_of(self.kb, ep.case)
-            else:
-                if ep.exhausted:
-                    return
-                entry = kb_mod.select_next(self.kb, ep.case, ep.tried)
+                case = detect_case((sample.delay_ms, sample.loss), constraints)
+                ep = call.episode = Episode(case, now_ms)
+            elif ep.exhausted:
+                return
+            entry = kb_mod.select_next(self.kb, ep.case, ep.tried)
             self._try_apply(call, ep, entry, now_ms, kind="d2")
         else:
             if ep is not None:
@@ -292,7 +280,7 @@ class Controller:
             ep.settling = True
             self.apply_checks.append(
                 call.sample is not None
-                and not satisfies(call.sample, call.constraints)
+                and not satisfies(call.sample, self.kb.constraints)
             )
             self.transitions.append(record)
             self._open_state(call, kind, now_ms)
@@ -338,8 +326,9 @@ class Controller:
         """Global-constraint recovery: free the mechanisms of calls within
         their constraints and point the knowledge base's best candidates at
         the calls outside them. Every call must have a sample."""
-        accepted = [c for c in calls if satisfies(c.sample, c.constraints)]
-        degraded = [c for c in calls if not satisfies(c.sample, c.constraints)]
+        constraints = self.kb.constraints
+        accepted = [c for c in calls if satisfies(c.sample, constraints)]
+        degraded = [c for c in calls if not satisfies(c.sample, constraints)]
         if not degraded:
             return
         for call in accepted:
@@ -350,7 +339,7 @@ class Controller:
                 self._open_state(call, "d3", now_ms)
         for call in degraded:
             sample = call.sample
-            case = detect_case((sample.delay_ms, sample.loss), call.constraints)
+            case = detect_case((sample.delay_ms, sample.loss), constraints)
             if call.episode is None:
                 call.episode = Episode(case, now_ms)
             ep = call.episode

@@ -14,6 +14,7 @@ from .knowledge import KnowledgeBase, ScenarioCase
 from .metrics import (
     Constraints,
     DEFAULT_CONSTRAINTS,
+    HeuristicSample,
     estimate_mos,
     satisfies,
 )
@@ -30,6 +31,8 @@ from .netsim import (
 
 SCHEMA_VERSION = 1
 WINDOW_S = 5.0
+# The call id of the timeseries rows that hold the calls' weighted means.
+GLOBAL_ROW_ID = "__global__"
 
 
 class ScenarioError(Exception):
@@ -83,10 +86,21 @@ class Scenario:
         """Raise ScenarioError unless the scenario can run.
 
         Builds the link, queue and flow configs the scenario describes, so
-        every input their constructors reject is rejected here. The
-        timeline is checked entry by entry instead: building it costs as
-        much as parsing a long scenario.
+        every input their constructors reject is rejected here. Each
+        timeline entry gets the check a NetworkChange runs, without being
+        built: building the timeline costs as much as parsing a long
+        scenario. A wrongly typed field is reported as a ScenarioError too.
         """
+        try:
+            self._check_fields()
+            _netsim_configs(self)
+            self.get_constraints()
+        except (TypeError, ValueError) as exc:
+            raise ScenarioError(f"{self.name}: {exc}") from exc
+
+    def _check_fields(self) -> None:
+        """What no config built from the scenario checks; a wrongly typed
+        field raises TypeError."""
         if self.version != SCHEMA_VERSION:
             raise ScenarioError(f"{self.name}: unsupported version {self.version!r}")
         if not self.duration_s > 0:
@@ -95,11 +109,12 @@ class Scenario:
         if at != sorted(at):
             raise ScenarioError(f"{self.name}: timeline must be sorted by at_s")
         for entry in self.timeline:
-            if entry.kind not in netsim.CHANGE_KINDS:
-                raise ScenarioError(f"{self.name}: unknown timeline kind {entry.kind!r}")
+            netsim.check_change(entry.kind, entry.value)
         ids = [call.call_id for call in self.calls]
         if len(set(ids)) != len(ids):
             raise ScenarioError(f"{self.name}: duplicate call_id")
+        if GLOBAL_ROW_ID in ids:
+            raise ScenarioError(f"{self.name}: call_id {GLOBAL_ROW_ID!r} is reserved")
         for call in self.calls:
             if not 0 <= call.start_s < _end_s(call, self) <= self.duration_s:
                 raise ScenarioError(
@@ -107,11 +122,6 @@ class Scenario:
                 )
             if not call.weight > 0:
                 raise ScenarioError(f"{self.name}: call {call.call_id} weight must be > 0")
-        try:
-            _netsim_configs(self)
-            self.get_constraints()
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"{self.name}: {exc}") from exc
 
     def get_constraints(self) -> Constraints:
         if self.constraints is None:
@@ -124,6 +134,8 @@ def scenario_to_json(scenario: Scenario) -> dict:
 
 
 def scenario_from_json(data: dict) -> Scenario:
+    if not isinstance(data, dict):
+        raise ScenarioError(f"a scenario is a JSON object, not {type(data).__name__}")
     unknown = sorted(set(data) - {f.name for f in fields(Scenario)})
     if unknown:
         raise ScenarioError(f"unknown scenario field(s): {', '.join(unknown)}")
@@ -149,7 +161,7 @@ def scenario_from_json(data: dict) -> Scenario:
             constraints=data.get("constraints"),
             version=data.get("version", SCHEMA_VERSION),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"invalid scenario field: {exc}") from exc
     scenario.validate()
     return scenario
@@ -168,8 +180,12 @@ def load_scenario(path_or_preset: str) -> Scenario:
             f"{path_or_preset!r} is neither a preset ({', '.join(sorted(PRESETS))}) "
             "nor an existing file"
         )
-    with open(path_or_preset) as fh:
-        return scenario_from_json(json.load(fh))
+    try:
+        with open(path_or_preset) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise ScenarioError(f"{path_or_preset}: {exc}") from exc
+    return scenario_from_json(data)
 
 
 # ---------------- presets ----------------
@@ -320,7 +336,7 @@ def _netsim_configs(scenario: Scenario) -> tuple:
     media = [_media_flow(call, scenario) for call in scenario.calls]
     background = []
     if scenario.background is not None:
-        bg = scenario.background
+        bg = dict(scenario.background)
         background.append(
             BackgroundFlow(
                 "bg",
@@ -443,8 +459,6 @@ def default_kb() -> KnowledgeBase:
 @dataclass
 class RunArtifacts:
     scenario: Scenario
-    seed: int
-    mode: str
     summary: dict
     timeseries: List[Tuple[float, str, float, float, float]]
     world: Optional[SimWorld] = None
@@ -461,7 +475,7 @@ def run(
 ) -> RunArtifacts:
     if mode == "calibrate":
         kb = calibrate(seed)
-        artifacts = RunArtifacts(scenario, seed, mode, {"revision": kb.revision}, [], kb=kb)
+        artifacts = RunArtifacts(scenario, {"revision": kb.revision}, [], kb=kb)
         if out_dir is not None:
             os.makedirs(out_dir, exist_ok=True)
             with open(os.path.join(out_dir, "kb.json"), "w") as fh:
@@ -486,9 +500,8 @@ def _run_windows(
         kb = default_kb()
         kb.constraints = constraints
         learn = scenario.learning if learning is None else learning
-        controller = Controller(world, kb, constraints, learning=learn)
+        controller = Controller(world, kb, learning=learn)
     timeseries = []
-    samples: Dict[str, list] = {c.call_id: [] for c in scenario.calls}
     opened = set()
     t = 0.0
     end_ms = scenario.duration_s * 1000.0
@@ -513,25 +526,23 @@ def _run_windows(
             flows = [(c.call_id, c.sample) for c in live]
         for call_id, sample in flows:
             if sample is not None:
-                samples[call_id].append(sample)
                 row = (t / 1000.0, call_id, sample.delay_ms, sample.loss, sample.mos)
                 timeseries.append(row)
         if controller is not None and len(live) >= 2:
-            ok, means = check_global(live)
+            _, means = check_global(live, constraints)
             if means:
                 timeseries.append(
-                    (t / 1000.0, "__global__", means["delay_ms"], means["loss"], means["mos"])
+                    (t / 1000.0, GLOBAL_ROW_ID, means["delay_ms"], means["loss"], means["mos"])
                 )
     for call in scenario.calls:
         if call.call_id in opened:
             _end_call(world, controller, call.call_id)
     episodes = [] if controller is None else controller.episodes
-    summary = _summary(scenario, world, samples, constraints, episodes)
+    summary = _summary(scenario, world, timeseries, constraints, episodes)
     if controller is not None:
         summary["trace_errors"] = validate_trace(controller)
     return RunArtifacts(
-        scenario, seed, mode, summary, timeseries,
-        world=world, controller=controller, kb=kb,
+        scenario, summary, timeseries, world=world, controller=controller, kb=kb
     )
 
 
@@ -553,10 +564,14 @@ def _end_call(world: SimWorld, controller: Optional[Controller], call_id: str) -
 def _summary(
     scenario: Scenario,
     world: SimWorld,
-    samples: Dict[str, list],
+    timeseries: List[Tuple[float, str, float, float, float]],
     constraints: Constraints,
     episodes: List[dict],
 ) -> dict:
+    windows_of: Dict[str, List[HeuristicSample]] = {c.call_id: [] for c in scenario.calls}
+    for _, call_id, delay_ms, loss, mos in timeseries:
+        if call_id in windows_of:  # not a GLOBAL_ROW_ID row
+            windows_of[call_id].append(HeuristicSample(delay_ms, loss, mos))
     per_call = {}
     all_ok = bool(scenario.calls)
     for call in scenario.calls:
@@ -564,7 +579,7 @@ def _summary(
         resolved = totals.delivered + totals.dropped
         avg_loss = (totals.dropped - totals.recovered) / resolved if resolved else 0.0
         avg_delay = totals.delay_sum_ms / totals.delay_n if totals.delay_n else 0.0
-        windows = samples.get(call.call_id, [])
+        windows = windows_of[call.call_id]
         ok_windows = sum(1 for s in windows if satisfies(s, constraints))
         avg_mos = sum(s.mos for s in windows) / len(windows) if windows else estimate_mos(
             avg_delay, min(1.0, avg_loss)

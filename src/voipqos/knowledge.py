@@ -50,12 +50,15 @@ class ActionEntry:
     rank: int
     h_delay_ms: float
     h_loss: float
-    category: QualityCategory = QualityCategory.EXCELLENT
     deleted: bool = False
 
     @property
     def h(self) -> Tuple[float, float]:
         return (self.h_delay_ms, self.h_loss)
+
+    @property
+    def category(self) -> QualityCategory:
+        return h_category(self.h_delay_ms, self.h_loss)
 
     def penalty(self, constraints: Constraints = DEFAULT_CONSTRAINTS) -> float:
         return penalty(self.h, constraints)
@@ -87,7 +90,6 @@ class KnowledgeBase:
             rank=len(self.entries(case)) + 1,
             h_delay_ms=h_delay_ms,
             h_loss=h_loss,
-            category=h_category(h_delay_ms, h_loss),
         )
         self._cases[case].append(entry)
         self._check(case)
@@ -147,7 +149,6 @@ class KnowledgeBase:
                     rank=item["rank"],
                     h_delay_ms=item["h_est"]["delay_ms"],
                     h_loss=item["h_est"]["loss"],
-                    category=QualityCategory[item["category"]],
                     deleted=item.get("deleted", False),
                 )
                 kb._cases[case].append(entry)
@@ -200,7 +201,6 @@ def acquire(
     """Replace an entry's estimate with the measured outcome."""
     entry = kb.entry(case, action)
     entry.h_delay_ms, entry.h_loss = measured_g
-    entry.category = h_category(entry.h_delay_ms, entry.h_loss)
     kb.revision += 1
 
 

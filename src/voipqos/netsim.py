@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import heapq
+import math
 import random
 from collections import Counter, deque
 from dataclasses import dataclass, field
@@ -23,6 +24,8 @@ BEST_EFFORT = "best_effort"
 CONTROLLED_LOAD = "controlled_load"
 GUARANTEED = "guaranteed"
 SERVICES = (BEST_EFFORT, CONTROLLED_LOAD, GUARANTEED)
+# Token-bucket depth of a guaranteed flow, in packets.
+BUCKET_DEPTH_PKTS = 10
 
 
 class AdmissionRefusedError(Exception):
@@ -136,10 +139,8 @@ class MediaFlow:
     flow_id: str
     rate_kbps: float = 26.0
     packet_interval_ms: float = 20.0
-    priority: int = 0
     service: str = BEST_EFFORT
     reserved_kbps: float = 0.0
-    bucket_depth_pkts: int = 10
     fec: Optional[FecConfig] = None
     burst_pkts: int = 1
     start_ms: float = 0.0
@@ -166,7 +167,13 @@ class BackgroundFlow:
     rate_kbps: float
     packet_bytes: int = 100
     burst_pkts: int = 1
-    start_ms: float = 0.0
+
+    def __post_init__(self) -> None:
+        # A rate of 0 is a silent flow that a timeline change may start.
+        if not self.rate_kbps >= 0:
+            raise ValueError("background rate_kbps must be >= 0")
+        if self.packet_bytes < 1 or self.burst_pkts < 1:
+            raise ValueError("packet_bytes and burst_pkts must be >= 1")
 
     @property
     def packet_bits(self) -> float:
@@ -181,7 +188,24 @@ SET_LATENCY = "set_latency"
 SET_LOSS_RATE = "set_loss_rate"
 SET_BUFFER_SIZE = "set_buffer_size"
 SET_BACKGROUND_RATE = "set_background_rate"
-CHANGE_KINDS = (SET_LATENCY, SET_LOSS_RATE, SET_BUFFER_SIZE, SET_BACKGROUND_RATE)
+# The values each change kind accepts, bounds included.
+CHANGE_RANGES = {
+    SET_LATENCY: (0.0, math.inf),
+    SET_LOSS_RATE: (0.0, 1.0),
+    SET_BUFFER_SIZE: (1.0, math.inf),
+    SET_BACKGROUND_RATE: (0.0, math.inf),
+}
+
+
+def check_change(kind: str, value: float) -> None:
+    """Raise ValueError unless a network change of this kind may take the value."""
+    if kind not in CHANGE_RANGES:
+        raise ValueError(f"unknown network change kind: {kind}")
+    low, high = CHANGE_RANGES[kind]
+    if not (low <= value <= high and math.isfinite(value)):
+        raise ValueError(
+            f"{kind} value {value!r} is not a finite number in [{low:g}, {high:g}]"
+        )
 
 
 @dataclass(frozen=True)
@@ -191,8 +215,7 @@ class NetworkChange:
     value: float
 
     def __post_init__(self) -> None:
-        if self.kind not in CHANGE_KINDS:
-            raise ValueError(f"unknown network change kind: {self.kind}")
+        check_change(self.kind, self.value)
 
 
 @dataclass
@@ -200,7 +223,7 @@ class Packet:
     flow_id: str
     bits: float
     created_ms: float
-    kind: str = "media"  # media | parity | background
+    parity: bool = False
     block: Optional[int] = None
     pclass: int = 0  # 0 = best effort, 1 = priority
 
@@ -214,7 +237,10 @@ class FlowCounters:
     dropped_policer: int = 0
     recovered: int = 0
     delay_sum_ms: float = 0.0
-    delay_n: int = 0
+
+    @property
+    def delay_n(self) -> int:
+        return self.delivered + self.recovered
 
     @property
     def dropped(self) -> int:
@@ -308,7 +334,7 @@ class SimWorld:
         st = _FlowState(cfg)
         if cfg.service == GUARANTEED:
             self._admit(cfg.flow_id, cfg.reserved_kbps)
-            st.tokens_bits = cfg.bucket_depth_pkts * cfg.packet_bits
+            st.tokens_bits = BUCKET_DEPTH_PKTS * cfg.packet_bits
             st.tokens_at_ms = cfg.start_ms
         self.flows[cfg.flow_id] = st
         self._schedule(cfg.start_ms, SimWorld._emit, st, st.epoch)
@@ -319,7 +345,7 @@ class SimWorld:
         st = _FlowState(cfg)
         self.flows[cfg.flow_id] = st
         if cfg.rate_kbps > 0:
-            self._schedule(cfg.start_ms, SimWorld._emit, st, st.epoch)
+            self._schedule(0.0, SimWorld._emit, st, st.epoch)
 
     def end_flow(self, flow_id: str) -> None:
         st = self.flows[flow_id]
@@ -367,7 +393,6 @@ class SimWorld:
         flow_id: str,
         service: str,
         reserved_kbps: float = 0.0,
-        bucket_depth_pkts: int = 10,
     ) -> None:
         st = self.flows[flow_id]
         if not st.is_media:
@@ -383,8 +408,7 @@ class SimWorld:
                 cfg.service = BEST_EFFORT
                 raise
             cfg.reserved_kbps = reserved_kbps
-            cfg.bucket_depth_pkts = bucket_depth_pkts
-            st.tokens_bits = bucket_depth_pkts * cfg.packet_bits
+            st.tokens_bits = BUCKET_DEPTH_PKTS * cfg.packet_bits
             st.tokens_at_ms = self.clock
         cfg.service = service
 
@@ -444,8 +468,7 @@ class SimWorld:
 
     def _emit_one(self, st: _FlowState) -> None:
         cfg = st.cfg
-        kind = "media" if st.is_media else "background"
-        pkt = Packet(cfg.flow_id, cfg.packet_bits, self.clock, kind)
+        pkt = Packet(cfg.flow_id, cfg.packet_bits, self.clock)
         fec = cfg.fec if st.is_media else None
         if fec is not None:
             pkt.block = st.block_id
@@ -455,7 +478,7 @@ class SimWorld:
         self._offer(st, pkt)
         if fec is not None and st.media_in_block >= fec.block_k:
             parity = Packet(
-                cfg.flow_id, cfg.packet_bits, self.clock, "parity", block=st.block_id
+                cfg.flow_id, cfg.packet_bits, self.clock, parity=True, block=st.block_id
             )
             st.media_in_block = 0
             st.block_id += 1
@@ -484,7 +507,7 @@ class SimWorld:
 
     def _refill_tokens(self, st: _FlowState) -> None:
         cfg = st.cfg
-        depth = cfg.bucket_depth_pkts * cfg.packet_bits
+        depth = BUCKET_DEPTH_PKTS * cfg.packet_bits
         elapsed = self.clock - st.tokens_at_ms
         st.tokens_bits = min(depth, st.tokens_bits + cfg.reserved_kbps * elapsed)
         st.tokens_at_ms = self.clock
@@ -560,19 +583,18 @@ class SimWorld:
             setattr(counters, outcome, getattr(counters, outcome) + 1)
             if delay is not None:
                 counters.delay_sum_ms += delay
-                counters.delay_n += 1
         self.log.append((self.clock, st.cfg.flow_id, outcome, delay))
 
     def _drop(self, pkt: Packet, reason: str) -> None:
         st = self.flows[pkt.flow_id]
-        if pkt.kind != "parity":
+        if not pkt.parity:
             self._record(st, reason)
         if pkt.block is not None:
             self._block_resolve(st, pkt, delivered=False)
 
     def _deliver(self, pkt: Packet) -> None:
         st = self.flows[pkt.flow_id]
-        if pkt.kind != "parity":
+        if not pkt.parity:
             self._record(st, "delivered", self.clock - pkt.created_ms)
         if pkt.block is not None:
             self._block_resolve(st, pkt, delivered=True)
@@ -581,7 +603,7 @@ class SimWorld:
         block = st.blocks.get(pkt.block)
         if block is None:
             return
-        if pkt.kind == "parity":
+        if pkt.parity:
             block.parity_resolved = True
             block.parity_ok = delivered
         else:
@@ -635,7 +657,7 @@ class SimWorld:
         pending = [args[0] for _, _, fn, args in self._events
                    if fn is SimWorld._tx_done or fn is SimWorld._deliver]
         held = Counter(
-            p.flow_id for p in chain(self._qp, self._qb, pending) if p.kind != "parity"
+            p.flow_id for p in chain(self._qp, self._qb, pending) if not p.parity
         )
         for fid, st in self.flows.items():
             if st.totals.in_flight != held[fid]:

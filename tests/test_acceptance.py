@@ -15,6 +15,7 @@ checklist of the system-level behaviors:
 9. configured random loss is calibrated
 10. identical (scenario, seed, mode) gives byte-identical traces
 11. every preset's control run yields a valid state trace
+12. the closed-loop presets meet their constraints on seeds 0-5
 """
 import itertools
 
@@ -283,4 +284,23 @@ def test_11_trace_validity_all_presets():
         "trace validity: state machines of all preset control runs check out",
         not failures,
         "; ".join(f"{n}: {e}" for n, e in failures) or f"{len(harness.PRESETS)} presets",
+    )
+
+
+CLOSED_LOOP_PRESETS = (
+    "table7-singlecall",
+    "fig7-multicall",
+    "fig10-learning",
+    "video-loss-sweep",
+)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("name", CLOSED_LOOP_PRESETS)
+def test_12_closed_loop_across_seeds(name, seed):
+    summary = _control(name, seed).summary
+    _check(
+        f"closed loop across seeds: {name} meets its constraints with a valid trace",
+        summary["constraints_met"] and not summary["trace_errors"],
+        f"seed {seed}, trace errors {summary['trace_errors']}",
     )

@@ -59,7 +59,56 @@ BAD_SCENARIOS = {
     "version-2": _edited("table1-s1", lambda d: d.update(version=2)),
     "zero-loss-max": _edited("table1-s1", lambda d: d.update(constraints={"loss_max": 0.0})),
     "unknown-top-level-key": _edited("table1-s1", lambda d: d.update(priority=1)),
+    "negative-latency-step": _edited(
+        "table7-singlecall", lambda d: d["timeline"][0].update(value=-1.0)
+    ),
+    "nan-latency-step": _edited(
+        "table7-singlecall", lambda d: d["timeline"][0].update(value=float("nan"))
+    ),
+    "loss-step-above-one": _edited(
+        "table7-singlecall", lambda d: d["timeline"][5].update(value=1.5)
+    ),
+    "negative-loss-step": _edited(
+        "table7-singlecall", lambda d: d["timeline"][5].update(value=-0.1)
+    ),
+    "zero-buffer-step": _edited(
+        "table7-singlecall",
+        lambda d: d["timeline"][0].update(kind=netsim.SET_BUFFER_SIZE, value=0),
+    ),
+    "negative-background-step": _edited(
+        "table7-singlecall", lambda d: d["timeline"][3].update(value=-5.0)
+    ),
+    "non-number-step": _edited(
+        "table7-singlecall", lambda d: d["timeline"][0].update(value="fast")
+    ),
+    "invalid-json": lambda: '{"name": "x", "duration_s": 10,',
+    "top-level-list": lambda: [1, 2],
+    "string-duration": _edited("table1-s1", lambda d: d.update(duration_s="10")),
+    "null-call-start": _edited("table1-s1", lambda d: d["calls"][0].update(start_s=None)),
+    "negative-background-rate": _edited(
+        "table4-red-1k", lambda d: d["background"].update(rate_kbps=-50)
+    ),
+    "zero-background-packet-bytes": _edited(
+        "table4-red-1k", lambda d: d["background"].update(packet_bytes=0)
+    ),
+    "background-not-object": _edited("table4-red-1k", lambda d: d.update(background=5)),
+    "link-not-object": _edited("table1-s1", lambda d: d.update(link="fast")),
+    "zero-background-burst": _edited(
+        "table4-red-1k", lambda d: d["background"].update(burst_pkts=0)
+    ),
+    # The call id of the timeseries' global rows.
+    "reserved-call-id": _edited(
+        "table1-s1", lambda d: d["calls"][0].update(call_id="__global__")
+    ),
 }
+
+
+def _write_bad(case: str, tmp_path) -> str:
+    """Path of a file holding the case's scenario (raw text or JSON)."""
+    data = BAD_SCENARIOS[case]()
+    path = tmp_path / "bad.json"
+    path.write_text(data if isinstance(data, str) else json.dumps(data))
+    return str(path)
 
 
 class TestScenarioSerialization:
@@ -94,9 +143,9 @@ class TestScenarioSerialization:
             scenario_from_json({"name": "x"})  # missing duration_s
 
     @pytest.mark.parametrize("case", sorted(BAD_SCENARIOS))
-    def test_unrunnable_input_rejected_at_load(self, case):
+    def test_unrunnable_input_rejected_at_load(self, case, tmp_path):
         with pytest.raises(ScenarioError):
-            scenario_from_json(BAD_SCENARIOS[case]())
+            load_scenario(_write_bad(case, tmp_path))
 
 
 class TestRuns:
@@ -258,9 +307,7 @@ class TestCli:
 
     @pytest.mark.parametrize("case", sorted(BAD_SCENARIOS))
     def test_unrunnable_scenario_exit_code(self, case, tmp_path, capsys):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(BAD_SCENARIOS[case]()))
-        assert cli.main(["run", "--scenario", str(path)]) == 1
+        assert cli.main(["run", "--scenario", _write_bad(case, tmp_path)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_control_failure_exit_code(self, capsys):

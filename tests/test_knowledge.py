@@ -10,7 +10,13 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from voipqos.actions import ActionId, enable_fec, enable_red, increase_buffer
+from voipqos.actions import (
+    ActionId,
+    default_knowledge,
+    enable_fec,
+    enable_red,
+    increase_buffer,
+)
 from voipqos.knowledge import (
     KnowledgeBase,
     KnowledgeError,
@@ -83,6 +89,12 @@ class TestSelection:
         assert select_one_of(kb, CASE) is None
         assert select_next(kb, CASE, []) is None
 
+    @pytest.mark.parametrize("case", list(ScenarioCase))
+    def test_next_with_nothing_tried_is_best(self, case):
+        # The controller opens every episode with select_next(kb, case, []).
+        kb = KnowledgeBase.from_json(default_knowledge())
+        assert select_next(kb, case, []) is select_one_of(kb, case)
+
 
 class TestAcquisition:
     def test_overwrites_estimate_and_category(self):
@@ -117,6 +129,12 @@ class TestSerialization:
         data = kb.to_json()
         back = KnowledgeBase.from_json(data)
         assert back.to_json() == data
+
+    def test_category_is_read_from_the_estimate(self):
+        data = _kb([("a", 10.0, 0.0)]).to_json()
+        data["cases"][CASE.value][0]["category"] = "POOR"  # a stale copy
+        entry = KnowledgeBase.from_json(data).entry(CASE, ActionId("a"))
+        assert entry.category is QualityCategory.EXCELLENT
 
 
 class TestRefineExamples:

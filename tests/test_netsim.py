@@ -179,10 +179,10 @@ class TestServiceClasses:
         world = _world(latency=0.0, capacity=100.0, buffer_pkts=5)
         world.flows["x"] = netsim._FlowState(BackgroundFlow("x", rate_kbps=1.0))
         for i in range(7):
-            world.offer_packet(Packet("x", 800.0, 0.0, kind="background"))
+            world.offer_packet(Packet("x", 800.0, 0.0))
         assert world.occupancy == 5  # full: 1 in service + 4 queued + head slot
         dropped_before = world.flows["x"].totals.dropped_queue
-        pri = Packet("x", 800.0, 0.0, kind="background", pclass=1)
+        pri = Packet("x", 800.0, 0.0, pclass=1)
         outcome = world.offer_packet(pri)
         assert outcome == "enqueued"
         assert world.occupancy == 5  # one best-effort shed instead
@@ -272,6 +272,20 @@ class TestNetworkChanges:
     def test_unknown_change_kind_rejected(self):
         with pytest.raises(ValueError):
             NetworkChange(0.0, "set_jitter", 1.0)
+
+    @pytest.mark.parametrize(
+        "kind,value",
+        [
+            (netsim.SET_LATENCY, -1.0),
+            (netsim.SET_LATENCY, float("nan")),
+            (netsim.SET_LOSS_RATE, 1.5),
+            (netsim.SET_BUFFER_SIZE, 0),
+            (netsim.SET_BACKGROUND_RATE, float("inf")),
+        ],
+    )
+    def test_out_of_range_change_rejected(self, kind, value):
+        with pytest.raises(ValueError):
+            NetworkChange(0.0, kind, value)
 
 
 class TestMeasurement:
