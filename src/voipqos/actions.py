@@ -34,6 +34,9 @@ BUFFER_STEP_PKTS = 15
 BUFFER_MIN_PKTS = 10
 BUFFER_MAX_PKTS = 200
 
+# The service class each service-class action moves its flow into.
+SERVICE_OF = {CONTROLLED_LOAD: netsim.CONTROLLED_LOAD, GUARANTEED_LOAD: netsim.GUARANTEED}
+
 # Headroom factor applied to the flow rate when reserving guaranteed
 # bandwidth (covers FEC parity overhead and scheduling slack).
 GUARANTEED_RESERVATION_FACTOR = 1.25
@@ -129,7 +132,7 @@ class TransitionRecord:
 class _Applied:
     action: ActionId
     prev_buffer: Optional[int] = None
-    prev_queue: Optional[netsim.QueueConfig] = None
+    prev_red: Optional[netsim.REDTable] = None
     prev_service: Optional[str] = None
     prev_reserved: float = 0.0
     prev_fec: Optional[FecConfig] = None
@@ -156,20 +159,17 @@ def apply_action(
         applied.prev_buffer = cur
         world.set_buffer(new)
     elif action.kind in (ENABLE_RED, ENABLE_WRED):
-        applied.prev_queue = world.queue
+        applied.prev_red = world.queue.red
         params = REDParams(
             action.param("min_th", 50.0),
             action.param("max_th", 100.0),
             action.param("max_p", 0.1),
         )
-        if action.kind == ENABLE_RED:
-            world.set_discipline(netsim.RED, red=params)
-        else:
+        lax = None
+        if action.kind == ENABLE_WRED:
             # Priority class gets a laxer drop curve than best effort.
-            lax = REDParams(
-                params.min_th * 1.2, params.max_th * 1.2, params.max_p / 2
-            )
-            world.set_discipline(netsim.WRED, wred=((0, params), (1, lax)))
+            lax = REDParams(params.min_th * 1.2, params.max_th * 1.2, params.max_p / 2)
+        world.set_red((params, lax))
     elif action.kind == ENABLE_FEC:
         st = world.flows[flow_id]
         applied.prev_fec = st.cfg.fec
@@ -177,23 +177,16 @@ def apply_action(
             flow_id,
             FecConfig(int(action.param("block_k", 4)), int(action.param("parity", 1))),
         )
-    elif action.kind == CONTROLLED_LOAD:
+    elif action.kind in SERVICE_OF:
+        service = SERVICE_OF[action.kind]
         cfg = world.flows[flow_id].cfg
-        if cfg.service == netsim.CONTROLLED_LOAD:
+        if cfg.service == service:
             return TransitionRecord(kind, action.name, world.clock, flow_id, noop=True)
         applied.prev_service = cfg.service
         applied.prev_reserved = cfg.reserved_kbps
-        world.configure_service_class(flow_id, netsim.CONTROLLED_LOAD)
-    elif action.kind == GUARANTEED_LOAD:
-        cfg = world.flows[flow_id].cfg
-        if cfg.service == netsim.GUARANTEED:
-            return TransitionRecord(kind, action.name, world.clock, flow_id, noop=True)
-        applied.prev_service = cfg.service
-        applied.prev_reserved = cfg.reserved_kbps
-        reserved = cfg.rate_kbps * GUARANTEED_RESERVATION_FACTOR
         try:
             world.configure_service_class(
-                flow_id, netsim.GUARANTEED, reserved_kbps=reserved
+                flow_id, service, reserved_kbps=cfg.rate_kbps * GUARANTEED_RESERVATION_FACTOR
             )
         except AdmissionRefusedError as exc:
             raise ActionFailedError(str(exc)) from exc
@@ -214,21 +207,14 @@ def stop_action(
         )
     if applied.prev_buffer is not None:
         world.set_buffer(applied.prev_buffer)
-    if applied.prev_queue is not None:
-        world.set_discipline(
-            applied.prev_queue.discipline,
-            red=applied.prev_queue.red,
-            wred=applied.prev_queue.wred,
-        )
+    if applied.prev_red is not None:
+        world.set_red(applied.prev_red)
     if action.kind == ENABLE_FEC:
         world.set_fec(flow_id, applied.prev_fec)
     if applied.prev_service is not None:
-        if applied.prev_service == netsim.GUARANTEED:
-            world.configure_service_class(
-                flow_id, netsim.GUARANTEED, reserved_kbps=applied.prev_reserved
-            )
-        else:
-            world.configure_service_class(flow_id, applied.prev_service)
+        world.configure_service_class(
+            flow_id, applied.prev_service, reserved_kbps=applied.prev_reserved
+        )
     return TransitionRecord(kind, f"stop:{action.name}", world.clock, flow_id)
 
 

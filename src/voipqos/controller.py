@@ -122,12 +122,7 @@ def check_global(
         "loss": sum(c.weight * c.sample.loss for c in sampled) / wsum,
         "mos": sum(c.weight * c.sample.mos for c in sampled) / wsum,
     }
-    ok = (
-        means["delay_ms"] <= constraints.delay_max_ms
-        and means["loss"] <= constraints.loss_max
-        and means["mos"] >= constraints.mos_min
-    )
-    return ok, means
+    return constraints.met_by(means["delay_ms"], means["loss"], means["mos"]), means
 
 
 class Controller:

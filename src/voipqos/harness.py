@@ -336,28 +336,33 @@ def _netsim_configs(scenario: Scenario) -> tuple:
     media = [_media_flow(call, scenario) for call in scenario.calls]
     background = []
     if scenario.background is not None:
-        bg = dict(scenario.background)
-        background.append(
-            BackgroundFlow(
-                "bg",
-                rate_kbps=bg.get("rate_kbps", 0.0),
-                packet_bytes=int(bg.get("packet_bytes", 100)),
-                burst_pkts=int(bg.get("burst_pkts", 1)),
-            )
+        bg = _known_fields(
+            scenario.background, "background", ("rate_kbps", "packet_bytes", "burst_pkts")
         )
+        background.append(BackgroundFlow("bg", **{"rate_kbps": 0.0, **bg}))
     return link, queue, media, background
 
 
+def _known_fields(obj: dict, what: str, allowed: Tuple[str, ...]) -> dict:
+    """The object itself; raises ValueError if it has a key not allowed."""
+    unknown = sorted(set(obj) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown {what} field(s): {', '.join(unknown)}")
+    return obj
+
+
 def _queue_config(queue: Dict[str, object]) -> QueueConfig:
+    """The queue a scenario's queue object describes: "tail_drop" has no
+    RED curve, "red" drops best-effort packets early."""
+    _known_fields(queue, "queue", ("capacity_pkts", "discipline", "red"))
     discipline = queue.get("discipline", "tail_drop")
-    red = None
-    if "red" in queue and queue["red"] is not None:
-        red = REDParams(**queue["red"])  # type: ignore[arg-type]
-    return QueueConfig(
-        capacity_pkts=int(queue.get("capacity_pkts", 100)),
-        discipline=discipline,
-        red=red,
-    )
+    red = queue.get("red")
+    if discipline not in ("tail_drop", "red"):
+        raise ValueError(f"unknown queue discipline {discipline!r}")
+    if (discipline == "red") != (red is not None):
+        raise ValueError("the red discipline needs red parameters, and only it takes them")
+    table = (None, None) if red is None else (REDParams(**red), None)  # type: ignore[arg-type]
+    return QueueConfig(queue.get("capacity_pkts", 100), table)  # type: ignore[arg-type]
 
 
 def _flow_id(call_id: str) -> str:
@@ -584,11 +589,7 @@ def _summary(
         avg_mos = sum(s.mos for s in windows) / len(windows) if windows else estimate_mos(
             avg_delay, min(1.0, avg_loss)
         )
-        call_ok = (
-            avg_delay <= constraints.delay_max_ms
-            and avg_loss <= constraints.loss_max
-            and avg_mos >= constraints.mos_min
-        )
+        call_ok = constraints.met_by(avg_delay, avg_loss, avg_mos)
         all_ok = all_ok and call_ok
         per_call[call.call_id] = {
             "avg_delay_ms": avg_delay,

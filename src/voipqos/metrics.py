@@ -26,6 +26,10 @@ class Constraints:
         if self.delay_max_ms <= 0 or self.loss_max <= 0 or self.mos_min <= 0:
             raise ValueError("constraint thresholds must be strictly positive")
 
+    def met_by(self, delay_ms: float, loss: float, mos: float) -> bool:
+        """True iff the delay, loss and MOS are all within the thresholds."""
+        return delay_ms <= self.delay_max_ms and loss <= self.loss_max and mos >= self.mos_min
+
 
 DEFAULT_CONSTRAINTS = Constraints()
 
@@ -153,8 +157,4 @@ def update_window(
 
 def satisfies(sample: HeuristicSample, constraints: Constraints) -> bool:
     """True iff the sample is within every local constraint."""
-    return (
-        sample.delay_ms <= constraints.delay_max_ms
-        and sample.loss <= constraints.loss_max
-        and sample.mos >= constraints.mos_min
-    )
+    return constraints.met_by(sample.delay_ms, sample.loss, sample.mos)

@@ -1,11 +1,12 @@
 """Deterministic discrete-event simulation of a shared-bottleneck VoIP path.
 
 All flows (media calls plus CBR background) traverse one queue and one
-link.  The queue supports tail-drop, RED and WRED disciplines plus a
-strict-priority class used by the IntServ-style service classes.  Media
-flows can run single-parity FEC.  A scripted timeline of network changes
-drives impairments; every run with the same (seed, config) produces the
-same event history.
+link.  The queue has a strict-priority class used by the IntServ-style
+service classes and a per-class RED table (RED: a curve for best effort;
+WRED: a laxer one for priority too).  Guaranteed flows' reservations are
+summed from the live flows when read.  Media flows can run single-parity
+FEC.  A scripted timeline of network changes drives impairments; every
+run with the same (seed, config) produces the same event history.
 """
 from __future__ import annotations
 
@@ -30,6 +31,12 @@ BUCKET_DEPTH_PKTS = 10
 
 class AdmissionRefusedError(Exception):
     """Raised when a guaranteed-service reservation cannot be admitted."""
+
+
+def _check_count(name: str, value: int) -> None:
+    """Raise ValueError unless value is an int >= 1 (a packet count)."""
+    if not isinstance(value, int) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -64,50 +71,24 @@ class REDParams:
             raise ValueError("ewma_weight must be in (0, 1]")
 
 
-TAIL_DROP = "tail_drop"
-RED = "red"
-WRED = "wred"
-DISCIPLINES = (TAIL_DROP, RED, WRED)
+# RED drop curve per priority class (0 = best effort, 1 = priority);
+# None is tail drop only.
+REDTable = Tuple[Optional[REDParams], Optional[REDParams]]
 
 
 @dataclass(frozen=True)
 class QueueConfig:
     capacity_pkts: int = 100
-    discipline: str = TAIL_DROP
-    red: Optional[REDParams] = None
-    # WRED: per-priority-class RED parameters (class 0 = best effort,
-    # class 1 = priority).
-    wred: Optional[Tuple[Tuple[int, REDParams], ...]] = None
+    # Class 0's EWMA weight drives the average queue of both classes.
+    red: REDTable = (None, None)
 
     def __post_init__(self) -> None:
-        if self.capacity_pkts < 1:
-            raise ValueError("capacity_pkts must be >= 1")
-        if self.discipline not in DISCIPLINES:
-            raise ValueError(f"unknown queue discipline {self.discipline!r}")
-        if self.discipline == RED and self.red is None:
-            raise ValueError("RED discipline needs red parameters")
-        if self.discipline == WRED and self.wred is None:
-            raise ValueError("WRED discipline needs per-class parameters")
-        for params in self._all_params():
-            if params.max_th > self.capacity_pkts:
+        _check_count("capacity_pkts", self.capacity_pkts)
+        if len(self.red) != 2:
+            raise ValueError("red needs one entry per priority class")
+        for params in self.red:
+            if params is not None and params.max_th > self.capacity_pkts:
                 raise ValueError("max_th must not exceed capacity_pkts")
-
-    def _all_params(self) -> List[REDParams]:
-        out = []
-        if self.red is not None:
-            out.append(self.red)
-        if self.wred is not None:
-            out.extend(p for _, p in self.wred)
-        return out
-
-    def params_for_class(self, pclass: int) -> Optional[REDParams]:
-        if self.discipline == RED:
-            return self.red if pclass == 0 else None
-        if self.discipline == WRED and self.wred is not None:
-            for cls, params in self.wred:
-                if cls == pclass:
-                    return params
-        return None
 
 
 def red_drop_probability(params: REDParams, avg_queue: float) -> float:
@@ -126,8 +107,7 @@ class FecConfig:
     parity_count: int = 1
 
     def __post_init__(self) -> None:
-        if self.block_k < 1:
-            raise ValueError("block_k must be >= 1")
+        _check_count("block_k", self.block_k)
         if self.parity_count != 1:
             raise ValueError("only single-parity FEC is supported")
 
@@ -149,8 +129,7 @@ class MediaFlow:
     def __post_init__(self) -> None:
         if self.rate_kbps <= 0 or self.packet_interval_ms <= 0:
             raise ValueError("rate_kbps and packet_interval_ms must be > 0")
-        if self.burst_pkts < 1:
-            raise ValueError("burst_pkts must be >= 1")
+        _check_count("burst_pkts", self.burst_pkts)
         if self.service not in SERVICES:
             raise ValueError(f"unknown service class {self.service!r}")
 
@@ -172,8 +151,8 @@ class BackgroundFlow:
         # A rate of 0 is a silent flow that a timeline change may start.
         if not self.rate_kbps >= 0:
             raise ValueError("background rate_kbps must be >= 0")
-        if self.packet_bytes < 1 or self.burst_pkts < 1:
-            raise ValueError("packet_bytes and burst_pkts must be >= 1")
+        _check_count("packet_bytes", self.packet_bytes)
+        _check_count("burst_pkts", self.burst_pkts)
 
     @property
     def packet_bits(self) -> float:
@@ -303,7 +282,6 @@ class SimWorld:
         # (time_ms, flow_id, outcome, delay_ms or None), written by _record.
         self.log: List[Tuple[float, str, str, Optional[float]]] = []
         self.notifications: List[NetworkChange] = []
-        self.reserved_kbps = 0.0
         # Applied QoS mechanisms by (flow_id, ActionId), oldest first;
         # written only by actions.apply_action and actions.stop_action.
         self.mechanisms: Dict[Tuple[str, object], object] = {}
@@ -328,6 +306,15 @@ class SimWorld:
 
     # ---------------- flow management ----------------
 
+    @property
+    def reserved_kbps(self) -> float:
+        """Bandwidth reserved by the active guaranteed media flows."""
+        return sum(
+            st.cfg.reserved_kbps
+            for st in self.flows.values()
+            if st.active and st.is_media and st.cfg.service == GUARANTEED
+        )
+
     def add_media_flow(self, cfg: MediaFlow) -> None:
         if cfg.flow_id in self.flows:
             raise ValueError(f"duplicate flow id {cfg.flow_id}")
@@ -351,11 +338,9 @@ class SimWorld:
         st = self.flows[flow_id]
         st.active = False
         st.epoch += 1
-        if st.is_media and st.cfg.service == GUARANTEED:
-            self.reserved_kbps -= st.cfg.reserved_kbps
-            st.cfg.service = BEST_EFFORT
 
     def _admit(self, flow_id: str, reserved_kbps: float) -> None:
+        """Raise unless the reservation fits in what the other flows leave free."""
         if reserved_kbps <= 0:
             raise AdmissionRefusedError(f"{flow_id}: reservation must be > 0")
         if self.reserved_kbps + reserved_kbps > self.link.capacity_kbps:
@@ -363,24 +348,16 @@ class SimWorld:
                 f"{flow_id}: reservation {reserved_kbps} kbps exceeds headroom "
                 f"({self.link.capacity_kbps - self.reserved_kbps} kbps free)"
             )
-        self.reserved_kbps += reserved_kbps
 
     # ---------------- configuration hooks (used by QoS actions) ------
 
     def set_buffer(self, capacity_pkts: int) -> None:
-        if capacity_pkts < 1:
-            raise ValueError("capacity_pkts must be >= 1")
-        q = self.queue
-        self.queue = _clamped_queue(capacity_pkts, q.discipline, q.red, q.wred)
+        self.queue = _clamped_queue(capacity_pkts, self.queue.red)
         self._shed_excess()
 
-    def set_discipline(
-        self,
-        discipline: str,
-        red: Optional[REDParams] = None,
-        wred: Optional[Tuple[Tuple[int, REDParams], ...]] = None,
-    ) -> None:
-        self.queue = _clamped_queue(self.queue.capacity_pkts, discipline, red, wred)
+    def set_red(self, red: REDTable) -> None:
+        """Install a per-class RED table, its thresholds fitted to the buffer."""
+        self.queue = _clamped_queue(self.queue.capacity_pkts, red)
 
     def _shed_excess(self) -> None:
         # Newest best-effort packets are shed first, then priority.
@@ -394,12 +371,14 @@ class SimWorld:
         service: str,
         reserved_kbps: float = 0.0,
     ) -> None:
+        """Move a media flow into a service class; only GUARANTEED admits
+        (and holds) reserved_kbps, the other classes ignore it."""
         st = self.flows[flow_id]
         if not st.is_media:
             raise ValueError("service classes apply to media flows only")
         cfg = st.cfg
         if cfg.service == GUARANTEED:
-            self.reserved_kbps -= cfg.reserved_kbps
+            # Releases the reservation, so admission leaves it out.
             cfg.reserved_kbps = 0.0
         if service == GUARANTEED:
             try:
@@ -519,12 +498,10 @@ class SimWorld:
     def offer_packet(self, pkt: Packet) -> str:
         """Run the queue discipline for one packet; returns the outcome."""
         occ = self.occupancy
-        params = self.queue.params_for_class(pkt.pclass)
-        weight_params = self.queue.red or (
-            self.queue.wred[0][1] if self.queue.wred else None
-        )
-        if weight_params is not None:
-            w = weight_params.ewma_weight
+        red = self.queue.red
+        params = red[pkt.pclass]
+        if red[0] is not None:
+            w = red[0].ewma_weight
             self._avg_queue = (1.0 - w) * self._avg_queue + w * occ
         if occ >= self.queue.capacity_pkts:
             # A full buffer yields to priority traffic: the newest
@@ -677,16 +654,9 @@ class SimWorld:
                 )
 
 
-def _clamped_queue(
-    capacity: int,
-    discipline: str,
-    red: Optional[REDParams],
-    wred: Optional[Tuple[Tuple[int, REDParams], ...]],
-) -> QueueConfig:
-    """Queue config whose RED/WRED thresholds fit the buffer."""
-    if wred is not None:
-        wred = tuple((c, _clamp_red(p, capacity)) for c, p in wred)
-    return QueueConfig(capacity, discipline, red=_clamp_red(red, capacity), wred=wred)
+def _clamped_queue(capacity: int, red: REDTable) -> QueueConfig:
+    """Queue config whose RED thresholds fit the buffer."""
+    return QueueConfig(capacity, tuple(_clamp_red(p, capacity) for p in red))
 
 
 def _clamp_red(params: Optional[REDParams], capacity: int) -> Optional[REDParams]:

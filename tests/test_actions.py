@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from voipqos import actions, netsim
+from voipqos import actions
 from voipqos.actions import (
     ActionFailedError,
     BUFFER_MAX_PKTS,
@@ -154,8 +154,9 @@ class TestApplyStop:
     def test_red_thresholds_scale_to_small_buffers(self):
         world = _world(buffer_pkts=40)
         actions.apply_action(world, "m", enable_red())
-        assert world.queue.discipline == netsim.RED
-        assert world.queue.red.max_th <= 40
+        params, lax = world.queue.red
+        assert lax is None
+        assert params.max_th <= 40
 
     def test_fec_toggles_leave_no_open_blocks(self):
         # Stopping FEC mid-block must drop the block that never gets parity.

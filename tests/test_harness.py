@@ -100,6 +100,22 @@ BAD_SCENARIOS = {
     "reserved-call-id": _edited(
         "table1-s1", lambda d: d["calls"][0].update(call_id="__global__")
     ),
+    # Packet counts are integers: no silent truncation, no mid-run TypeError.
+    "float-burst": _edited("table1-s1", lambda d: d["calls"][0]["flow"].update(burst_pkts=1.5)),
+    "float-queue-capacity": _edited(
+        "table4-red-1k", lambda d: d["queue"].update(capacity_pkts=150.9)
+    ),
+    "float-fec-block": _edited(
+        "table1-s1", lambda d: d["calls"][0]["flow"].update(fec_block_k=2.5)
+    ),
+    "float-background-packet-bytes": _edited(
+        "table4-red-1k", lambda d: d["background"].update(packet_bytes=100.5)
+    ),
+    "unknown-queue-key": _edited("table1-s1", lambda d: d["queue"].update(capacity=20)),
+    "unknown-background-key": _edited("table1-s1", lambda d: d.update(background={"rate": 900})),
+    "red-params-with-tail-drop": _edited(
+        "table4-red-1k", lambda d: d["queue"].update(discipline="tail_drop")
+    ),
 }
 
 

@@ -30,8 +30,7 @@ class TestDeterminism:
         world = _world(
             loss=0.1,
             buffer_pkts=100,
-            discipline=netsim.RED,
-            red=REDParams(10, 50, 0.2),
+            red=(REDParams(10, 50, 0.2), None),
             seed=seed,
         )
         world.add_media_flow(MediaFlow("m"))
@@ -72,8 +71,7 @@ class TestRed:
             latency=6.0,
             capacity=1000.0,
             buffer_pkts=150,
-            discipline=netsim.RED,
-            red=REDParams(20, 60, 0.2),
+            red=(REDParams(20, 60, 0.2), None),
         )
         world.add_media_flow(MediaFlow("m"))
         world.add_background_flow(BackgroundFlow("bg", rate_kbps=1100.0))
@@ -85,13 +83,29 @@ class TestRed:
         delivered_delay = bg.delay_sum_ms / bg.delay_n
         assert delivered_delay < 150.0
 
+    def test_priority_class_follows_its_laxer_curve(self):
+        # WRED table: best effort drops early past an average of 10, the
+        # priority class only past 20. Class 0's weight of 1 makes the
+        # average the occupancy at each offer; class 1's weight is unused.
+        strict = REDParams(5, 10, 1.0, ewma_weight=1.0)
+        lax = REDParams(20, 30, 1.0, ewma_weight=0.001)
+        world = _world(latency=0.0, capacity=100.0, red=(strict, lax))
+        world.flows["x"] = netsim._FlowState(BackgroundFlow("x", rate_kbps=1.0))
+        for _ in range(15):
+            assert world.offer_packet(Packet("x", 800.0, 0.0, pclass=1)) == "enqueued"
+        assert world.occupancy == 14  # one packet is in transmission
+        assert world.offer_packet(Packet("x", 800.0, 0.0)) == "dropped_queue"
+        assert world._avg_queue == 14.0
+        assert world.offer_packet(Packet("x", 800.0, 0.0, pclass=1)) == "enqueued"
+        assert world.flows["x"].totals.dropped_queue == 1
+
     def test_params_validation(self):
         with pytest.raises(ValueError):
             REDParams(100, 50, 0.1)
         with pytest.raises(ValueError):
             REDParams(10, 50, 0.0)
         with pytest.raises(ValueError):
-            QueueConfig(capacity_pkts=80, discipline=netsim.RED, red=REDParams(50, 100, 0.1))
+            QueueConfig(capacity_pkts=80, red=(REDParams(50, 100, 0.1), None))
 
 
 class TestFec:
