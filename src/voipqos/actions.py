@@ -1,11 +1,11 @@
 """QoS mechanism catalog: identifiers, world effects, conflicts, defaults.
 
-Each action mutates the shared SimWorld (buffer size, queue discipline,
-FEC, service class).  Applying an action records enough state to revert
-it later in the world's ledger of applied mechanisms,
-`SimWorld.mechanisms`, keyed by (flow_id, action) in application order;
-only apply_action and stop_action write it.  Stopping an action restores
-the configuration fields it touched and releases any reserved bandwidth.
+Applied actions sit in the world's ledger, `SimWorld.mechanisms`, keyed
+by (flow_id, action) in application order; only apply_action and
+stop_action write it.  A buffer or RED/WRED entry holds its queue effect,
+and the world derives the shared queue from the ledger, so one call's
+stop leaves the others' mechanisms in place.  Stopping FEC or a service
+class reverts the flow to its configured value.  Nothing is snapshotted.
 """
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ from . import netsim
 from .netsim import (
     AdmissionRefusedError,
     FecConfig,
+    QueueEffect,
     REDParams,
     SimWorld,
 )
@@ -31,8 +32,6 @@ CONTROLLED_LOAD = "controlled_load"
 GUARANTEED_LOAD = "guaranteed_load"
 
 BUFFER_STEP_PKTS = 15
-BUFFER_MIN_PKTS = 10
-BUFFER_MAX_PKTS = 200
 
 # The service class each service-class action moves its flow into.
 SERVICE_OF = {CONTROLLED_LOAD: netsim.CONTROLLED_LOAD, GUARANTEED_LOAD: netsim.GUARANTEED}
@@ -128,16 +127,6 @@ class TransitionRecord:
     noop: bool = False
 
 
-@dataclass
-class _Applied:
-    action: ActionId
-    prev_buffer: Optional[int] = None
-    prev_red: Optional[netsim.REDTable] = None
-    prev_service: Optional[str] = None
-    prev_reserved: float = 0.0
-    prev_fec: Optional[FecConfig] = None
-
-
 def active_actions(world: SimWorld, flow_id: str) -> List[ActionId]:
     """The flow's applied mechanisms, oldest first."""
     return [a for (fid, a) in world.mechanisms if fid == flow_id]
@@ -150,16 +139,11 @@ def apply_action(
     key = (flow_id, action)
     if key in world.mechanisms:
         return TransitionRecord(kind, action.name, world.clock, flow_id, noop=True)
-    applied = _Applied(action)
+    effect = QueueEffect()
     if action.kind in (INCREASE_BUFFER, DECREASE_BUFFER):
         step = int(action.param("step_pkts", BUFFER_STEP_PKTS))
-        cur = world.queue.capacity_pkts
-        delta = step if action.kind == INCREASE_BUFFER else -step
-        new = max(BUFFER_MIN_PKTS, min(BUFFER_MAX_PKTS, cur + delta))
-        applied.prev_buffer = cur
-        world.set_buffer(new)
+        effect = QueueEffect(step_pkts=step if action.kind == INCREASE_BUFFER else -step)
     elif action.kind in (ENABLE_RED, ENABLE_WRED):
-        applied.prev_red = world.queue.red
         params = REDParams(
             action.param("min_th", 50.0),
             action.param("max_th", 100.0),
@@ -169,10 +153,8 @@ def apply_action(
         if action.kind == ENABLE_WRED:
             # Priority class gets a laxer drop curve than best effort.
             lax = REDParams(params.min_th * 1.2, params.max_th * 1.2, params.max_p / 2)
-        world.set_red((params, lax))
+        effect = QueueEffect(red=(params, lax))
     elif action.kind == ENABLE_FEC:
-        st = world.flows[flow_id]
-        applied.prev_fec = st.cfg.fec
         world.set_fec(
             flow_id,
             FecConfig(int(action.param("block_k", 4)), int(action.param("parity", 1))),
@@ -182,8 +164,6 @@ def apply_action(
         cfg = world.flows[flow_id].cfg
         if cfg.service == service:
             return TransitionRecord(kind, action.name, world.clock, flow_id, noop=True)
-        applied.prev_service = cfg.service
-        applied.prev_reserved = cfg.reserved_kbps
         try:
             world.configure_service_class(
                 flow_id, service, reserved_kbps=cfg.rate_kbps * GUARANTEED_RESERVATION_FACTOR
@@ -192,28 +172,28 @@ def apply_action(
             raise ActionFailedError(str(exc)) from exc
     else:
         raise ValueError(f"unknown action kind: {action.kind}")
-    world.mechanisms[key] = applied
+    world.mechanisms[key] = effect
+    world.derive_queue()
     return TransitionRecord(kind, action.name, world.clock, flow_id)
 
 
 def stop_action(
     world: SimWorld, flow_id: str, action: ActionId, kind: str = "d2"
 ) -> TransitionRecord:
-    """Revert a previously applied action; stopping an inactive one is a no-op."""
-    applied = world.mechanisms.pop((flow_id, action), None)
-    if applied is None:
+    """Stop a previously applied action; stopping an inactive one is a no-op."""
+    key = (flow_id, action)
+    if key not in world.mechanisms:
         return TransitionRecord(
             kind, f"stop:{action.name}", world.clock, flow_id, noop=True
         )
-    if applied.prev_buffer is not None:
-        world.set_buffer(applied.prev_buffer)
-    if applied.prev_red is not None:
-        world.set_red(applied.prev_red)
+    del world.mechanisms[key]
+    world.derive_queue()
+    configured = world.flows[flow_id].configured
     if action.kind == ENABLE_FEC:
-        world.set_fec(flow_id, applied.prev_fec)
-    if applied.prev_service is not None:
+        world.set_fec(flow_id, configured.fec)
+    elif action.kind in SERVICE_OF:
         world.configure_service_class(
-            flow_id, applied.prev_service, reserved_kbps=applied.prev_reserved
+            flow_id, configured.service, reserved_kbps=configured.reserved_kbps
         )
     return TransitionRecord(kind, f"stop:{action.name}", world.clock, flow_id)
 

@@ -334,6 +334,13 @@ def _netsim_configs(scenario: Scenario) -> tuple:
     link = LinkConfig(**scenario.link)
     queue = _queue_config(scenario.queue)
     media = [_media_flow(call, scenario) for call in scenario.calls]
+    # Every media flow is admitted when the world is built.
+    reserved = sum(f.reserved_kbps for f in media if f.service == netsim.GUARANTEED)
+    if reserved > link.capacity_kbps:
+        raise ValueError(
+            f"guaranteed calls reserve {reserved:g} kbps, more than the link's "
+            f"{link.capacity_kbps:g} kbps"
+        )
     background = []
     if scenario.background is not None:
         bg = _known_fields(

@@ -3,10 +3,11 @@
 All flows (media calls plus CBR background) traverse one queue and one
 link.  The queue has a strict-priority class used by the IntServ-style
 service classes and a per-class RED table (RED: a curve for best effort;
-WRED: a laxer one for priority too).  Guaranteed flows' reservations are
-summed from the live flows when read.  Media flows can run single-parity
-FEC.  A scripted timeline of network changes drives impairments; every
-run with the same (seed, config) produces the same event history.
+WRED: a laxer one for priority too), derived from the configured queue
+and the applied mechanisms.  Guaranteed flows' reservations are summed
+from the live flows when read.  Media flows can run single-parity FEC.  A
+scripted timeline of network changes drives impairments; every run with
+the same (seed, config) produces the same event history.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import heapq
 import math
 import random
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -27,6 +28,9 @@ GUARANTEED = "guaranteed"
 SERVICES = (BEST_EFFORT, CONTROLLED_LOAD, GUARANTEED)
 # Token-bucket depth of a guaranteed flow, in packets.
 BUCKET_DEPTH_PKTS = 10
+# The buffer capacities a buffer mechanism's step may reach.
+BUFFER_MIN_PKTS = 10
+BUFFER_MAX_PKTS = 200
 
 
 class AdmissionRefusedError(Exception):
@@ -89,6 +93,14 @@ class QueueConfig:
         for params in self.red:
             if params is not None and params.max_th > self.capacity_pkts:
                 raise ValueError("max_th must not exceed capacity_pkts")
+
+
+@dataclass(frozen=True)
+class QueueEffect:
+    """A mechanism's buffer step or replacement RED table; per-flow ones have neither."""
+
+    step_pkts: Optional[int] = None
+    red: Optional[REDTable] = None
 
 
 def red_drop_probability(params: REDParams, avg_queue: float) -> float:
@@ -185,6 +197,8 @@ def check_change(kind: str, value: float) -> None:
         raise ValueError(
             f"{kind} value {value!r} is not a finite number in [{low:g}, {high:g}]"
         )
+    if kind == SET_BUFFER_SIZE and value != int(value):
+        raise ValueError(f"{kind} value {value!r} is not a whole number of packets")
 
 
 @dataclass(frozen=True)
@@ -242,7 +256,8 @@ class _Block:
 
 class _FlowState:
     def __init__(self, cfg):
-        self.cfg = cfg
+        self.cfg = cfg  # live: mechanisms and timeline changes edit it
+        self.configured = replace(cfg)
         self.is_media = isinstance(cfg, MediaFlow)
         self.epoch = 0
         self.media_in_block = 0
@@ -269,6 +284,9 @@ class SimWorld:
         self.clock = 0.0
         self.rng = random.Random(seed)
         self.link = link
+        # The configured queue; `queue` is derived from it and the ledger.
+        self.configured_capacity_pkts = queue.capacity_pkts
+        self.configured_red = queue.red
         self.queue = queue
         self.flows: Dict[str, _FlowState] = {}
         # Heap of (at_ms, seq, fn, args); advance() calls fn(self, *args).
@@ -282,9 +300,10 @@ class SimWorld:
         # (time_ms, flow_id, outcome, delay_ms or None), written by _record.
         self.log: List[Tuple[float, str, str, Optional[float]]] = []
         self.notifications: List[NetworkChange] = []
-        # Applied QoS mechanisms by (flow_id, ActionId), oldest first;
-        # written only by actions.apply_action and actions.stop_action.
-        self.mechanisms: Dict[Tuple[str, object], object] = {}
+        # Applied QoS mechanisms by (flow_id, ActionId), oldest first, each
+        # with its queue effect (empty for a per-flow one); written only by
+        # actions.apply_action and actions.stop_action, then derive_queue().
+        self.mechanisms: Dict[Tuple[str, object], QueueEffect] = {}
         for change in sorted(timeline, key=lambda c: c.at_ms):
             self._schedule(change.at_ms, SimWorld._do_change, change)
 
@@ -309,10 +328,13 @@ class SimWorld:
     @property
     def reserved_kbps(self) -> float:
         """Bandwidth reserved by the active guaranteed media flows."""
+        return self._reserved_except(None)
+
+    def _reserved_except(self, flow_id: Optional[str]) -> float:
         return sum(
             st.cfg.reserved_kbps
-            for st in self.flows.values()
-            if st.active and st.is_media and st.cfg.service == GUARANTEED
+            for fid, st in self.flows.items()
+            if fid != flow_id and st.active and st.is_media and st.cfg.service == GUARANTEED
         )
 
     def add_media_flow(self, cfg: MediaFlow) -> None:
@@ -343,24 +365,32 @@ class SimWorld:
         """Raise unless the reservation fits in what the other flows leave free."""
         if reserved_kbps <= 0:
             raise AdmissionRefusedError(f"{flow_id}: reservation must be > 0")
-        if self.reserved_kbps + reserved_kbps > self.link.capacity_kbps:
+        others = self._reserved_except(flow_id)
+        if others + reserved_kbps > self.link.capacity_kbps:
             raise AdmissionRefusedError(
                 f"{flow_id}: reservation {reserved_kbps} kbps exceeds headroom "
-                f"({self.link.capacity_kbps - self.reserved_kbps} kbps free)"
+                f"({self.link.capacity_kbps - others} kbps free)"
             )
 
     # ---------------- configuration hooks (used by QoS actions) ------
 
     def set_buffer(self, capacity_pkts: int) -> None:
-        self.queue = _clamped_queue(capacity_pkts, self.queue.red)
-        self._shed_excess()
+        """Set the configured buffer capacity; mechanisms' steps stay on top."""
+        self.configured_capacity_pkts = capacity_pkts
+        self.derive_queue()
 
-    def set_red(self, red: REDTable) -> None:
-        """Install a per-class RED table, its thresholds fitted to the buffer."""
-        self.queue = _clamped_queue(self.queue.capacity_pkts, red)
-
-    def _shed_excess(self) -> None:
-        # Newest best-effort packets are shed first, then priority.
+    def derive_queue(self) -> None:
+        """Fold the ledger's queue effects, oldest first, into the configured
+        queue (buffer steps stack, clamped in turn; the newest RED table
+        wins), then shed what no longer fits, newest best effort first."""
+        capacity, red = self.configured_capacity_pkts, self.configured_red
+        for effect in self.mechanisms.values():
+            if effect.step_pkts is not None:
+                capacity += effect.step_pkts
+                capacity = max(BUFFER_MIN_PKTS, min(BUFFER_MAX_PKTS, capacity))
+            if effect.red is not None:
+                red = effect.red
+        self.queue = QueueConfig(capacity, tuple(_clamp_red(p, capacity) for p in red))
         while self.occupancy > self.queue.capacity_pkts:
             pkt = self._qb.pop() if self._qb else self._qp.pop()
             self._drop(pkt, "dropped_queue")
@@ -372,23 +402,19 @@ class SimWorld:
         reserved_kbps: float = 0.0,
     ) -> None:
         """Move a media flow into a service class; only GUARANTEED admits
-        (and holds) reserved_kbps, the other classes ignore it."""
+        (and holds) reserved_kbps, the other classes ignore it. A refused
+        admission leaves the flow as it was."""
         st = self.flows[flow_id]
         if not st.is_media:
             raise ValueError("service classes apply to media flows only")
         cfg = st.cfg
-        if cfg.service == GUARANTEED:
-            # Releases the reservation, so admission leaves it out.
-            cfg.reserved_kbps = 0.0
         if service == GUARANTEED:
-            try:
-                self._admit(flow_id, reserved_kbps)
-            except AdmissionRefusedError:
-                cfg.service = BEST_EFFORT
-                raise
+            self._admit(flow_id, reserved_kbps)
             cfg.reserved_kbps = reserved_kbps
             st.tokens_bits = BUCKET_DEPTH_PKTS * cfg.packet_bits
             st.tokens_at_ms = self.clock
+        elif cfg.service == GUARANTEED:
+            cfg.reserved_kbps = 0.0  # releases the reservation
         cfg.service = service
 
     def set_fec(self, flow_id: str, fec: Optional[FecConfig]) -> None:
@@ -652,11 +678,6 @@ class SimWorld:
                 writer.writerow(
                     [f"{at:.6f}", fid, event, "" if delay is None else f"{delay:.6f}"]
                 )
-
-
-def _clamped_queue(capacity: int, red: REDTable) -> QueueConfig:
-    """Queue config whose RED thresholds fit the buffer."""
-    return QueueConfig(capacity, tuple(_clamp_red(p, capacity) for p in red))
 
 
 def _clamp_red(params: Optional[REDParams], capacity: int) -> Optional[REDParams]:

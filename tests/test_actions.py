@@ -3,11 +3,9 @@ import itertools
 
 import pytest
 
-from voipqos import actions
+from voipqos import actions, netsim
 from voipqos.actions import (
     ActionFailedError,
-    BUFFER_MAX_PKTS,
-    BUFFER_MIN_PKTS,
     CASE_ORDER,
     conflicts,
     controlled_load,
@@ -18,7 +16,15 @@ from voipqos.actions import (
     guaranteed_load,
     increase_buffer,
 )
-from voipqos.netsim import LinkConfig, MediaFlow, QueueConfig, SimWorld
+from voipqos.netsim import (
+    BUFFER_MAX_PKTS,
+    BUFFER_MIN_PKTS,
+    LinkConfig,
+    MediaFlow,
+    NetworkChange,
+    QueueConfig,
+    SimWorld,
+)
 
 
 CATALOG = [
@@ -151,6 +157,14 @@ class TestApplyStop:
         assert actions.active_actions(world, "m") == []
         assert world.reserved_kbps == 0.0
 
+    def test_refused_admission_leaves_flow_unchanged(self):
+        world = SimWorld(LinkConfig(10.0, 0.0, 20.0), QueueConfig())
+        world.add_media_flow(MediaFlow("m", service=netsim.CONTROLLED_LOAD))
+        with pytest.raises(ActionFailedError):
+            actions.apply_action(world, "m", guaranteed_load())
+        cfg = world.flows["m"].cfg
+        assert (cfg.service, cfg.reserved_kbps) == (netsim.CONTROLLED_LOAD, 0.0)
+
     def test_red_thresholds_scale_to_small_buffers(self):
         world = _world(buffer_pkts=40)
         actions.apply_action(world, "m", enable_red())
@@ -174,6 +188,56 @@ class TestApplyStop:
         record = actions.apply_action(world, "m", enable_fec(), kind="d3")
         assert record.kind == "d3"
         assert record.cause == enable_fec().name
+
+
+class TestDerivedQueue:
+    """The shared queue is the configured queue under the active
+    world-wide mechanisms, whichever call applied or stopped them."""
+
+    def _two_flow_world(self):
+        world = SimWorld(LinkConfig(10.0, 0.0, 1000.0), QueueConfig(capacity_pkts=40))
+        world.add_media_flow(MediaFlow("a"))
+        world.add_media_flow(MediaFlow("b"))
+        return world
+
+    def test_stopping_one_call_keeps_the_others_mechanisms(self):
+        world = self._two_flow_world()
+        for flow_id, action in [
+            ("a", increase_buffer()),
+            ("b", increase_buffer()),
+            ("a", enable_red()),
+            ("b", enable_wred()),
+        ]:
+            actions.apply_action(world, flow_id, action)
+        assert world.queue.capacity_pkts == 70
+        assert world.queue.red[1] is not None  # b's WRED, the newest table, wins
+        actions.stop_action(world, "a", increase_buffer())
+        actions.stop_action(world, "a", enable_red())
+        only_b = self._two_flow_world()
+        actions.apply_action(only_b, "b", increase_buffer())
+        actions.apply_action(only_b, "b", enable_wred())
+        assert world.queue == only_b.queue
+        assert world.queue.capacity_pkts == 55
+
+    def test_timeline_buffer_change_survives_a_stop(self):
+        world = SimWorld(
+            LinkConfig(10.0, 0.0, 1000.0),
+            QueueConfig(capacity_pkts=40),
+            timeline=(NetworkChange(1_000.0, netsim.SET_BUFFER_SIZE, 100),),
+        )
+        world.add_media_flow(MediaFlow("m"))
+        actions.apply_action(world, "m", increase_buffer())
+        world.advance(2_000.0)
+        assert world.queue.capacity_pkts == 115
+        actions.stop_action(world, "m", increase_buffer())
+        assert world.queue.capacity_pkts == 100
+
+    def test_red_alone_leaves_capacity(self):
+        world = _world(buffer_pkts=300)  # above BUFFER_MAX_PKTS
+        actions.apply_action(world, "m", enable_red())
+        assert world.queue.capacity_pkts == 300
+        actions.stop_action(world, "m", enable_red())
+        assert world.queue == QueueConfig(capacity_pkts=300)
 
 
 class TestDefaultKnowledge:

@@ -116,6 +116,18 @@ BAD_SCENARIOS = {
     "red-params-with-tail-drop": _edited(
         "table4-red-1k", lambda d: d["queue"].update(discipline="tail_drop")
     ),
+    "float-timeline-buffer": _edited(
+        "table7-singlecall",
+        lambda d: d["timeline"][0].update(kind=netsim.SET_BUFFER_SIZE, value=150.9),
+    ),
+    # Two 32.5 kbps guaranteed reservations on a 50 kbps link.
+    "over-reserved-link": _edited(
+        "fig7-multicall",
+        lambda d: [
+            d["link"].update(capacity_kbps=50.0),
+            *(c["flow"].update(service="guaranteed") for c in d["calls"]),
+        ],
+    ),
 }
 
 
@@ -199,6 +211,13 @@ class TestRuns:
         art = harness.run(load_scenario(preset), seed=0, mode="control")
         assert not art.world.flows["flow-call-1"].active
         assert art.world.reserved_kbps == 0.0
+
+    def test_multicall_ends_with_configured_queue(self):
+        # Every call has stopped its mechanisms, so the queue is the
+        # scenario's 40-packet tail-drop queue again.
+        art = harness.run(load_scenario("fig7-multicall"), seed=0, mode="control")
+        assert art.world.mechanisms == {}
+        assert art.world.queue == netsim.QueueConfig(40)
 
     def test_counter_drift_breaks_conservation(self):
         art = harness.run(load_scenario("table4-red-10k"), seed=0, mode="baseline")

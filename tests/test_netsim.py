@@ -294,6 +294,7 @@ class TestNetworkChanges:
             (netsim.SET_LATENCY, float("nan")),
             (netsim.SET_LOSS_RATE, 1.5),
             (netsim.SET_BUFFER_SIZE, 0),
+            (netsim.SET_BUFFER_SIZE, 150.9),
             (netsim.SET_BACKGROUND_RATE, float("inf")),
         ],
     )
