@@ -1,11 +1,11 @@
 """QoS mechanism catalog: identifiers, world effects, conflicts, defaults.
 
-Applied actions sit in the world's ledger, `SimWorld.mechanisms`, keyed
-by (flow_id, action) in application order; only apply_action and
-stop_action write it.  A buffer or RED/WRED entry holds its queue effect,
-and the world derives the shared queue from the ledger, so one call's
-stop leaves the others' mechanisms in place.  Stopping FEC or a service
-class reverts the flow to its configured value.  Nothing is snapshotted.
+apply_action turns an action into its `netsim.Effect` (a buffer step, a
+RED/WRED table, an FEC config, or a service class with its reservation)
+and adds it to the world's ledger, `SimWorld.mechanisms`, keyed by
+(flow_id, action) in application order; stop_action removes it.  The
+world derives the shared queue and the flow from the ledger, so nothing
+is snapshotted or restored, and one call's stop leaves the others' in place.
 """
 from __future__ import annotations
 
@@ -15,13 +15,7 @@ from importlib import resources
 from typing import Dict, List, Optional, Tuple
 
 from . import netsim
-from .netsim import (
-    AdmissionRefusedError,
-    FecConfig,
-    QueueEffect,
-    REDParams,
-    SimWorld,
-)
+from .netsim import AdmissionRefusedError, Effect, FecConfig, REDParams, SimWorld
 
 INCREASE_BUFFER = "increase_buffer"
 DECREASE_BUFFER = "decrease_buffer"
@@ -135,15 +129,25 @@ def active_actions(world: SimWorld, flow_id: str) -> List[ActionId]:
 def apply_action(
     world: SimWorld, flow_id: str, action: ActionId, kind: str = "d2"
 ) -> TransitionRecord:
-    """Apply one QoS mechanism on behalf of the given call's flow."""
-    key = (flow_id, action)
-    if key in world.mechanisms:
+    """Apply one QoS mechanism on behalf of the given call's flow; a flow
+    already in the action's service class gets no ledger entry."""
+    st = world.flows[flow_id]
+    in_class = st.is_media and st.cfg.service == SERVICE_OF.get(action.kind)
+    if (flow_id, action) in world.mechanisms or in_class:
         return TransitionRecord(kind, action.name, world.clock, flow_id, noop=True)
-    effect = QueueEffect()
+    try:
+        world.set_mechanism(flow_id, action, _effect(action, st.cfg.rate_kbps))
+    except AdmissionRefusedError as exc:
+        raise ActionFailedError(str(exc)) from exc
+    return TransitionRecord(kind, action.name, world.clock, flow_id)
+
+
+def _effect(action: ActionId, rate_kbps: float) -> Effect:
+    """What the action changes, for a flow sending rate_kbps."""
     if action.kind in (INCREASE_BUFFER, DECREASE_BUFFER):
         step = int(action.param("step_pkts", BUFFER_STEP_PKTS))
-        effect = QueueEffect(step_pkts=step if action.kind == INCREASE_BUFFER else -step)
-    elif action.kind in (ENABLE_RED, ENABLE_WRED):
+        return Effect(step_pkts=step if action.kind == INCREASE_BUFFER else -step)
+    if action.kind in (ENABLE_RED, ENABLE_WRED):
         params = REDParams(
             action.param("min_th", 50.0),
             action.param("max_th", 100.0),
@@ -153,49 +157,27 @@ def apply_action(
         if action.kind == ENABLE_WRED:
             # Priority class gets a laxer drop curve than best effort.
             lax = REDParams(params.min_th * 1.2, params.max_th * 1.2, params.max_p / 2)
-        effect = QueueEffect(red=(params, lax))
-    elif action.kind == ENABLE_FEC:
-        world.set_fec(
-            flow_id,
-            FecConfig(int(action.param("block_k", 4)), int(action.param("parity", 1))),
-        )
-    elif action.kind in SERVICE_OF:
-        service = SERVICE_OF[action.kind]
-        cfg = world.flows[flow_id].cfg
-        if cfg.service == service:
-            return TransitionRecord(kind, action.name, world.clock, flow_id, noop=True)
-        try:
-            world.configure_service_class(
-                flow_id, service, reserved_kbps=cfg.rate_kbps * GUARANTEED_RESERVATION_FACTOR
-            )
-        except AdmissionRefusedError as exc:
-            raise ActionFailedError(str(exc)) from exc
-    else:
-        raise ValueError(f"unknown action kind: {action.kind}")
-    world.mechanisms[key] = effect
-    world.derive_queue()
-    return TransitionRecord(kind, action.name, world.clock, flow_id)
+        return Effect(red=(params, lax))
+    if action.kind == ENABLE_FEC:
+        fec = FecConfig(int(action.param("block_k", 4)), int(action.param("parity", 1)))
+        return Effect(flow={"fec": fec})
+    if action.kind == GUARANTEED_LOAD:
+        reserved = rate_kbps * GUARANTEED_RESERVATION_FACTOR
+        return Effect(flow={"service": netsim.GUARANTEED, "reserved_kbps": reserved})
+    if action.kind == CONTROLLED_LOAD:
+        # Only guaranteed service holds a reservation.
+        return Effect(flow={"service": netsim.CONTROLLED_LOAD, "reserved_kbps": 0.0})
+    raise ValueError(f"unknown action kind: {action.kind}")
 
 
 def stop_action(
     world: SimWorld, flow_id: str, action: ActionId, kind: str = "d2"
 ) -> TransitionRecord:
     """Stop a previously applied action; stopping an inactive one is a no-op."""
-    key = (flow_id, action)
-    if key not in world.mechanisms:
-        return TransitionRecord(
-            kind, f"stop:{action.name}", world.clock, flow_id, noop=True
-        )
-    del world.mechanisms[key]
-    world.derive_queue()
-    configured = world.flows[flow_id].configured
-    if action.kind == ENABLE_FEC:
-        world.set_fec(flow_id, configured.fec)
-    elif action.kind in SERVICE_OF:
-        world.configure_service_class(
-            flow_id, configured.service, reserved_kbps=configured.reserved_kbps
-        )
-    return TransitionRecord(kind, f"stop:{action.name}", world.clock, flow_id)
+    applied = (flow_id, action) in world.mechanisms
+    if applied:
+        world.set_mechanism(flow_id, action, None)
+    return TransitionRecord(kind, f"stop:{action.name}", world.clock, flow_id, noop=not applied)
 
 
 # ---------------- default knowledge seed ----------------

@@ -145,14 +145,9 @@ def scenario_from_json(data: dict) -> Scenario:
             duration_s=data["duration_s"],
             link=dict(data.get("link", {})) or Scenario("_", 1).link,
             queue=dict(data.get("queue", {})) or Scenario("_", 1).queue,
+            # An unknown call or flow key is a TypeError, so never dropped.
             calls=[
-                CallSpec(
-                    call_id=c["call_id"],
-                    flow=FlowSpec(**c.get("flow", {})),
-                    weight=c.get("weight", 1.0),
-                    start_s=c.get("start_s", 0.0),
-                    end_s=c.get("end_s"),
-                )
+                CallSpec(**{**c, "flow": FlowSpec(**c.get("flow", {}))})
                 for c in data.get("calls", [])
             ],
             background=data.get("background"),
@@ -518,13 +513,17 @@ def _run_windows(
     t = 0.0
     end_ms = scenario.duration_s * 1000.0
     while t < end_ms - 1e-9:
-        # Open/close calls whose boundaries fall in this window.
+        # Open the calls that start in this window; close those that ended.
+        t_end = t + WINDOW_S * 1000.0
+        if t_end >= end_ms - 1e-9:
+            # The last window runs to the end itself, so no call outlives it.
+            t_end = end_ms
         for call in scenario.calls:
-            if call.call_id not in opened and call.start_s * 1000.0 <= t:
+            if call.call_id not in opened and call.start_s * 1000.0 < t_end:
                 opened.add(call.call_id)
                 if controller is not None:
                     controller.add_call(call.call_id, _flow_id(call.call_id), call.weight)
-        t = min(t + WINDOW_S * 1000.0, end_ms)
+        t = t_end
         world.advance(t)
         for call in scenario.calls:
             if call.call_id in opened and _end_s(call, scenario) * 1000.0 <= t:
@@ -546,9 +545,7 @@ def _run_windows(
                 timeseries.append(
                     (t / 1000.0, GLOBAL_ROW_ID, means["delay_ms"], means["loss"], means["mos"])
                 )
-    for call in scenario.calls:
-        if call.call_id in opened:
-            _end_call(world, controller, call.call_id)
+    # Validation keeps end_s <= duration_s, so every call has ended here.
     episodes = [] if controller is None else controller.episodes
     summary = _summary(scenario, world, timeseries, constraints, episodes)
     if controller is not None:

@@ -3,11 +3,13 @@
 All flows (media calls plus CBR background) traverse one queue and one
 link.  The queue has a strict-priority class used by the IntServ-style
 service classes and a per-class RED table (RED: a curve for best effort;
-WRED: a laxer one for priority too), derived from the configured queue
-and the applied mechanisms.  Guaranteed flows' reservations are summed
-from the live flows when read.  Media flows can run single-parity FEC.  A
-scripted timeline of network changes drives impairments; every run with
-the same (seed, config) produces the same event history.
+WRED: a laxer one for priority too).  Media flows can run single-parity
+FEC.  The live queue and media flows are derived from their configured
+values and the applied mechanisms' ledger, `SimWorld.mechanisms`, whose
+one writer is `SimWorld.set_mechanism`.  Guaranteed reservations are
+summed from the live flows.  A scripted timeline of network changes
+drives impairments; every run with the same (seed, config) produces the
+same event history.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ import random
 from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 from itertools import chain
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from .metrics import HeuristicSample
 
@@ -96,11 +98,14 @@ class QueueConfig:
 
 
 @dataclass(frozen=True)
-class QueueEffect:
-    """A mechanism's buffer step or replacement RED table; per-flow ones have neither."""
+class Effect:
+    """What one applied mechanism changes: the shared queue (a buffer step
+    or a replacement RED table) or its flow (the MediaFlow fields it sets:
+    a service class with its reservation, or an FEC config)."""
 
     step_pkts: Optional[int] = None
     red: Optional[REDTable] = None
+    flow: Mapping[str, object] = field(default_factory=dict)
 
 
 def red_drop_probability(params: REDParams, avg_queue: float) -> float:
@@ -256,7 +261,7 @@ class _Block:
 
 class _FlowState:
     def __init__(self, cfg):
-        self.cfg = cfg  # live: mechanisms and timeline changes edit it
+        self.cfg = cfg  # live: derived from the ledger, or edited by the timeline
         self.configured = replace(cfg)
         self.is_media = isinstance(cfg, MediaFlow)
         self.epoch = 0
@@ -301,9 +306,8 @@ class SimWorld:
         self.log: List[Tuple[float, str, str, Optional[float]]] = []
         self.notifications: List[NetworkChange] = []
         # Applied QoS mechanisms by (flow_id, ActionId), oldest first, each
-        # with its queue effect (empty for a per-flow one); written only by
-        # actions.apply_action and actions.stop_action, then derive_queue().
-        self.mechanisms: Dict[Tuple[str, object], QueueEffect] = {}
+        # with its effect; written only by set_mechanism.
+        self.mechanisms: Dict[Tuple[str, object], Effect] = {}
         for change in sorted(timeline, key=lambda c: c.at_ms):
             self._schedule(change.at_ms, SimWorld._do_change, change)
 
@@ -372,14 +376,57 @@ class SimWorld:
                 f"({self.link.capacity_kbps - others} kbps free)"
             )
 
-    # ---------------- configuration hooks (used by QoS actions) ------
+    # ---------------- the mechanism ledger ----------------
+
+    def set_mechanism(self, flow_id: str, action: object, effect: Optional[Effect]) -> None:
+        """Add the media flow's ledger entry for an action, or remove it when
+        effect is None; then derive the flow (its configured MediaFlow with its
+        entries' fields set, oldest first) and the queue. A flow entering
+        guaranteed service, or changing its reservation, is admitted again. A
+        refused admission raises AdmissionRefusedError, changing nothing, when
+        the added entry asks for guaranteed service; otherwise the flow is
+        served best effort.
+        """
+        st = self.flows[flow_id]
+        if not st.is_media:
+            raise ValueError("QoS mechanisms act on behalf of media flows")
+        ledger = dict(self.mechanisms)
+        if effect is None:
+            del ledger[(flow_id, action)]
+        else:
+            ledger[(flow_id, action)] = effect
+        cfg = replace(st.configured, **{
+            k: v for (fid, _), e in ledger.items() if fid == flow_id for k, v in e.flow.items()
+        })
+        if cfg.service == GUARANTEED and (st.cfg.service, st.cfg.reserved_kbps) != (
+            GUARANTEED, cfg.reserved_kbps
+        ):
+            try:
+                self._admit(flow_id, cfg.reserved_kbps)
+            except AdmissionRefusedError:
+                if effect is not None and effect.flow.get("service") == GUARANTEED:
+                    raise
+                # Traffic outside an admitted reservation is best effort (RFC 2212).
+                cfg = replace(cfg, service=BEST_EFFORT, reserved_kbps=0.0)
+            else:
+                st.tokens_bits = BUCKET_DEPTH_PKTS * cfg.packet_bits
+                st.tokens_at_ms = self.clock
+        if cfg.fec != st.cfg.fec:
+            # The open block will never get its parity packet.
+            st.blocks.pop(st.block_id, None)
+            st.media_in_block = 0
+            if cfg.fec is not None:
+                st.block_id += 1  # start a fresh block
+        st.cfg = cfg
+        self.mechanisms = ledger
+        self._derive_queue()
 
     def set_buffer(self, capacity_pkts: int) -> None:
         """Set the configured buffer capacity; mechanisms' steps stay on top."""
         self.configured_capacity_pkts = capacity_pkts
-        self.derive_queue()
+        self._derive_queue()
 
-    def derive_queue(self) -> None:
+    def _derive_queue(self) -> None:
         """Fold the ledger's queue effects, oldest first, into the configured
         queue (buffer steps stack, clamped in turn; the newest RED table
         wins), then shed what no longer fits, newest best effort first."""
@@ -394,39 +441,6 @@ class SimWorld:
         while self.occupancy > self.queue.capacity_pkts:
             pkt = self._qb.pop() if self._qb else self._qp.pop()
             self._drop(pkt, "dropped_queue")
-
-    def configure_service_class(
-        self,
-        flow_id: str,
-        service: str,
-        reserved_kbps: float = 0.0,
-    ) -> None:
-        """Move a media flow into a service class; only GUARANTEED admits
-        (and holds) reserved_kbps, the other classes ignore it. A refused
-        admission leaves the flow as it was."""
-        st = self.flows[flow_id]
-        if not st.is_media:
-            raise ValueError("service classes apply to media flows only")
-        cfg = st.cfg
-        if service == GUARANTEED:
-            self._admit(flow_id, reserved_kbps)
-            cfg.reserved_kbps = reserved_kbps
-            st.tokens_bits = BUCKET_DEPTH_PKTS * cfg.packet_bits
-            st.tokens_at_ms = self.clock
-        elif cfg.service == GUARANTEED:
-            cfg.reserved_kbps = 0.0  # releases the reservation
-        cfg.service = service
-
-    def set_fec(self, flow_id: str, fec: Optional[FecConfig]) -> None:
-        st = self.flows[flow_id]
-        if not st.is_media:
-            raise ValueError("FEC applies to media flows only")
-        st.cfg.fec = fec
-        # The open block will never get its parity packet.
-        st.blocks.pop(st.block_id, None)
-        st.media_in_block = 0
-        if fec is not None:
-            st.block_id += 1  # start a fresh block
 
     # ---------------- network changes ----------------
 
@@ -686,5 +700,7 @@ def _clamp_red(params: Optional[REDParams], capacity: int) -> Optional[REDParams
         return params
     scale = capacity / params.max_th
     min_th = max(1.0, params.min_th * scale)
-    max_th = max(min_th + 1.0, float(capacity))
-    return REDParams(min_th, max_th, params.max_p, params.ewma_weight)
+    if min_th + 1.0 > capacity:
+        # The one-packet floors overshoot the buffer: scale min_th alone.
+        min_th = params.min_th * scale
+    return REDParams(min_th, float(capacity), params.max_p, params.ewma_weight)

@@ -1,9 +1,11 @@
 """QoS action catalog tests: conflicts, apply/stop reversibility, defaults."""
 import itertools
+from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from voipqos import actions, netsim
+from voipqos import actions, harness, netsim
 from voipqos.actions import (
     ActionFailedError,
     CASE_ORDER,
@@ -16,9 +18,11 @@ from voipqos.actions import (
     guaranteed_load,
     increase_buffer,
 )
+from voipqos.controller import Controller
 from voipqos.netsim import (
     BUFFER_MAX_PKTS,
     BUFFER_MIN_PKTS,
+    FecConfig,
     LinkConfig,
     MediaFlow,
     NetworkChange,
@@ -183,6 +187,14 @@ class TestApplyStop:
         world.advance(world.clock + 1000.0)
         assert world.flows["m"].blocks == {}
 
+    @pytest.mark.parametrize("action", CATALOG, ids=lambda a: a.name)
+    def test_background_flow_takes_no_mechanism(self, action):
+        world = _world()
+        world.add_background_flow(netsim.BackgroundFlow("bg", 100.0))
+        with pytest.raises(ValueError, match="media flows"):
+            actions.apply_action(world, "bg", action)
+        assert world.mechanisms == {}
+
     def test_transition_records_carry_kind(self):
         world = _world()
         record = actions.apply_action(world, "m", enable_fec(), kind="d3")
@@ -238,6 +250,152 @@ class TestDerivedQueue:
         assert world.queue.capacity_pkts == 300
         actions.stop_action(world, "m", enable_red())
         assert world.queue == QueueConfig(capacity_pkts=300)
+
+
+def _contested_world():
+    """A 70 kbps link: guaranteed flow a (40 kbps reserved) and best-effort
+    flow b. Both fit under guaranteed_load (32.5 kbps each), but a's
+    configured reservation and b's guaranteed_load do not."""
+    world = SimWorld(LinkConfig(10.0, 0.0, 70.0), QueueConfig())
+    world.add_media_flow(MediaFlow("a", service=netsim.GUARANTEED, reserved_kbps=40.0))
+    world.add_media_flow(MediaFlow("b"))
+    return world
+
+
+def _expected_cfg(world, flow_id):
+    """The flow's configured MediaFlow with its active mechanisms' fields."""
+    fields = {}
+    for action in actions.active_actions(world, flow_id):
+        if action == enable_fec():
+            fields["fec"] = FecConfig(4, 1)
+        elif action == controlled_load():
+            fields.update(service=netsim.CONTROLLED_LOAD, reserved_kbps=0.0)
+        elif action == guaranteed_load():
+            fields.update(service=netsim.GUARANTEED, reserved_kbps=26.0 * 1.25)
+    return replace(world.flows[flow_id].configured, **fields)
+
+
+def _best_effort(cfg):
+    return replace(cfg, service=netsim.BEST_EFFORT, reserved_kbps=0.0)
+
+
+class TestRefusedReadmission:
+    """A flow whose reservation cannot be re-admitted when its mechanism
+    stops is served best effort (RFC 2212); the stop never raises."""
+
+    def _contest(self, world):
+        actions.apply_action(world, "a", controlled_load())
+        actions.apply_action(world, "b", guaranteed_load())
+
+    def test_stop_serves_best_effort(self):
+        world = _contested_world()
+        self._contest(world)
+        record = actions.stop_action(world, "a", controlled_load())
+        assert not record.noop
+        assert world.flows["a"].cfg.service == netsim.BEST_EFFORT
+        assert world.reserved_kbps == 32.5  # b's reservation only
+        assert list(world.mechanisms) == [("b", guaranteed_load())]
+
+    def test_close_call_serves_best_effort(self):
+        world = _contested_world()
+        controller = Controller(world, harness.default_kb())
+        controller.add_call("call-a", "a")
+        self._contest(world)
+        controller.close_call("call-a")
+        assert controller.calls["call-a"].closed
+        assert world.flows["a"].cfg.service == netsim.BEST_EFFORT
+        assert world.reserved_kbps == 32.5
+
+    def test_admitted_readmission_restores_guaranteed(self):
+        world = _contested_world()
+        self._contest(world)
+        actions.stop_action(world, "b", guaranteed_load())
+        actions.stop_action(world, "a", controlled_load())
+        assert world.flows["a"].cfg == world.flows["a"].configured
+        assert world.reserved_kbps == 40.0  # a's configured reservation
+
+    def test_stop_back_to_a_larger_reservation_serves_best_effort(self):
+        # a stays guaranteed under guaranteed_load; stopping it brings back
+        # the larger configured reservation, which no longer fits.
+        world = _contested_world()
+        self._contest(world)
+        actions.stop_action(world, "a", controlled_load())
+        actions.apply_action(world, "a", guaranteed_load())
+        assert world.flows["a"].cfg.service == netsim.GUARANTEED
+        assert world.reserved_kbps == 65.0
+        actions.stop_action(world, "a", guaranteed_load())
+        assert world.flows["a"].cfg == _best_effort(world.flows["a"].configured)
+        assert world.reserved_kbps == 32.5  # b's reservation only
+
+    def test_fallback_flow_takes_other_mechanisms(self):
+        # A best-effort fallback is no reason to refuse FEC.
+        world = _contested_world()
+        self._contest(world)
+        actions.stop_action(world, "a", controlled_load())
+        actions.apply_action(world, "a", enable_fec())
+        assert world.flows["a"].cfg == _best_effort(_expected_cfg(world, "a"))
+        assert actions.active_actions(world, "a") == [enable_fec()]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["a", "b"]),
+                st.sampled_from(CATALOG),
+                st.booleans(),
+                st.integers(0, 100),
+            ),
+            max_size=30,
+        )
+    )
+    # Stopping a's controlled_load and then its guaranteed_load brings back
+    # a's larger configured reservation while b holds its own.
+    @example(
+        [
+            ("a", controlled_load(), True, 0),
+            ("a", guaranteed_load(), True, 0),
+            ("b", guaranteed_load(), True, 0),
+        ]
+    )
+    def test_random_apply_stop_sequences(self, steps):
+        world = _contested_world()
+        configured_queue = world.queue
+
+        def check():
+            held = sum(
+                flow.cfg.reserved_kbps
+                for flow in world.flows.values()
+                if flow.cfg.service == netsim.GUARANTEED
+            )
+            assert world.reserved_kbps == held <= world.link.capacity_kbps
+            for flow_id in ("a", "b"):
+                cfg, expected = world.flows[flow_id].cfg, _expected_cfg(world, flow_id)
+                assert cfg == expected or (
+                    expected.service == netsim.GUARANTEED and cfg == _best_effort(expected)
+                )
+
+        for flow_id, action, apply, advance_ms in steps:
+            if apply:
+                ledger = dict(world.mechanisms)
+                try:
+                    actions.apply_action(world, flow_id, action)
+                except ActionFailedError:
+                    assert world.mechanisms == ledger
+            else:
+                actions.stop_action(world, flow_id, action)
+            world.advance(world.clock + advance_ms)
+            check()
+        for flow_id, action in list(world.mechanisms):
+            actions.stop_action(world, flow_id, action)
+            check()
+        assert world.mechanisms == {}
+        assert world.queue == configured_queue
+        for flow in world.flows.values():
+            assert flow.cfg == flow.configured or (
+                flow.configured.service == netsim.GUARANTEED
+                and flow.cfg == _best_effort(flow.configured)
+            )
+        world.check_conservation()
 
 
 class TestDefaultKnowledge:

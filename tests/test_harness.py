@@ -6,6 +6,7 @@ import os
 import weakref
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from voipqos import cli, harness, netsim
 from voipqos.harness import (
@@ -120,6 +121,8 @@ BAD_SCENARIOS = {
         "table7-singlecall",
         lambda d: d["timeline"][0].update(kind=netsim.SET_BUFFER_SIZE, value=150.9),
     ),
+    # A misspelled "end_s": the call would silently run to the scenario's end.
+    "unknown-call-key": _edited("fig10-learning", lambda d: d["calls"][0].update(end=10.0)),
     # Two 32.5 kbps guaranteed reservations on a 50 kbps link.
     "over-reserved-link": _edited(
         "fig7-multicall",
@@ -235,12 +238,125 @@ class TestRuns:
         art = harness.run(scenario, seed=0, mode="control")
         assert max(row[0] for row in art.timeseries) <= 32.0
 
+    def test_call_starting_inside_the_last_window_runs(self):
+        # Call b starts at 7 s, inside the last 5 s window of a 10 s run.
+        scenario = Scenario(
+            name="late", duration_s=10.0, calls=[CallSpec("a"), CallSpec("b", start_s=7.0)]
+        )
+        art = harness.run(scenario, seed=0, mode="control")
+        assert sorted(art.controller.calls) == ["a", "b"]
+        assert all(call.closed for call in art.controller.calls.values())
+        assert not art.world.flows["flow-b"].active
+        assert art.summary["calls"]["b"]["packets_sent"] > 0
+
+    def test_call_ends_when_duration_is_a_hair_past_a_window(self):
+        # 10.000000000000002 s leaves a last window shorter than the loop's
+        # tolerance; the run still ends every call at the scenario's end.
+        scenario = Scenario(name="hair", duration_s=10.000000000000002, calls=[CallSpec("a")])
+        art = harness.run(scenario, seed=0, mode="baseline")
+        assert not art.world.flows["flow-a"].active
+        assert art.timeseries[-1][0] == scenario.duration_s
+
     def test_timeseries_covers_run(self):
         scenario = load_scenario("table4-red-1k")
         art = harness.run(scenario, seed=0, mode="baseline")
         times = [row[0] for row in art.timeseries]
         assert times == sorted(times)
         assert times[-1] == pytest.approx(scenario.duration_s)
+
+
+def _num(low, high):
+    return st.floats(low, high, allow_nan=False)
+
+
+# Scenario JSON within the documented ranges, plus at most one edit that
+# a scenario must not survive.
+_FLOW = st.fixed_dictionaries({}, optional={
+    "rate_kbps": _num(1.0, 300.0),
+    "packet_interval_ms": _num(10.0, 60.0),
+    "burst_pkts": st.integers(1, 4),
+    "service": st.sampled_from(netsim.SERVICES),
+    "fec_block_k": st.integers(0, 6),
+})
+_CALL = st.fixed_dictionaries({"call_id": st.sampled_from("abc")}, optional={
+    "flow": _FLOW,
+    "weight": _num(0.1, 3.0),
+    "start_s": _num(0.0, 10.0),
+})
+_CHANGE = st.one_of(
+    st.fixed_dictionaries({"kind": st.just(netsim.SET_LATENCY), "value": _num(0.0, 200.0)}),
+    st.fixed_dictionaries({"kind": st.just(netsim.SET_LOSS_RATE), "value": _num(0.0, 0.3)}),
+    st.fixed_dictionaries({"kind": st.just(netsim.SET_BUFFER_SIZE), "value": st.integers(1, 250)}),
+    st.fixed_dictionaries(
+        {"kind": st.just(netsim.SET_BACKGROUND_RATE), "value": _num(0.0, 600.0)}
+    ),
+)
+_SCENARIO = st.fixed_dictionaries({
+    "name": st.just("generated"),
+    "duration_s": _num(10.0, 30.0),
+    "link": st.fixed_dictionaries({
+        "latency_ms": _num(0.0, 200.0),
+        "loss_rate": _num(0.0, 0.3),
+        "capacity_kbps": _num(20.0, 2000.0),
+    }),
+    "queue": st.one_of(
+        st.fixed_dictionaries({"capacity_pkts": st.integers(1, 250)}),
+        st.fixed_dictionaries({
+            "capacity_pkts": st.integers(60, 250),
+            "discipline": st.just("red"),
+            "red": st.fixed_dictionaries(
+                {"min_th": _num(1.0, 40.0), "max_th": _num(41.0, 60.0), "max_p": _num(0.01, 1.0)}
+            ),
+        }),
+    ),
+    "calls": st.lists(_CALL, max_size=3, unique_by=lambda c: c["call_id"]),
+    "timeline": st.lists(
+        st.tuples(_num(0.0, 30.0), _CHANGE).map(lambda t: {"at_s": t[0], **t[1]}), max_size=4
+    ).map(lambda entries: sorted(entries, key=lambda e: e["at_s"])),
+}, optional={
+    "background": st.fixed_dictionaries({
+        "rate_kbps": _num(0.0, 600.0),
+        "packet_bytes": st.sampled_from([40, 100, 1000]),
+        "burst_pkts": st.integers(1, 3),
+    }),
+})
+
+
+def _latency_step(at_s):
+    return {"at_s": at_s, "kind": netsim.SET_LATENCY, "value": 10.0}
+
+
+_BREAKS = {
+    "zero-duration": lambda d: d.update(duration_s=0),
+    "loss-above-one": lambda d: d["link"].update(loss_rate=1.5),
+    "empty-buffer": lambda d: d["queue"].update(capacity_pkts=0),
+    "unsorted-timeline": lambda d: d["timeline"].extend([_latency_step(20.0), _latency_step(10.0)]),
+    "call-after-end": lambda d: d["calls"].append({"call_id": "x", "start_s": 40.0}),
+    "misspelled-call-key": lambda d: d["calls"].append({"call_id": "x", "end": 5.0}),
+    "unknown-service": lambda d: d["calls"].append({"call_id": "x", "flow": {"service": "gold"}}),
+}
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_SCENARIO, st.one_of(st.none(), st.sampled_from(sorted(_BREAKS))))
+def test_generated_scenario_loads_valid_or_fails_early(data, edit):
+    """Generated scenario JSON either raises ScenarioError at load or runs
+    a baseline to the end with every packet accounted for.
+
+    Control mode stays covered by the golden pool in bench/golden.json:
+    two-call control runs can still raise the known KnowledgeError of
+    multi-call coordination, which is not a scenario fault.
+    """
+    if edit is not None:
+        _BREAKS[edit](data)
+    try:
+        scenario = scenario_from_json(data)
+    except ScenarioError:
+        return
+    art = harness.run(scenario, seed=0, mode="baseline")
+    art.world.check_conservation()
+    assert art.world.reserved_kbps <= art.world.link.capacity_kbps
+    assert not any(flow.active for flow in art.world.flows.values() if flow.is_media)
 
 
 class TestWorldRelease:

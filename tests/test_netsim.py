@@ -99,6 +99,17 @@ class TestRed:
         assert world.offer_packet(Packet("x", 800.0, 0.0, pclass=1)) == "enqueued"
         assert world.flows["x"].totals.dropped_queue == 1
 
+    @pytest.mark.parametrize(
+        "red, capacity", [((1, 41, 1.0), 1), ((40, 41, 0.5), 30), ((50, 100, 0.1), 80)]
+    )
+    def test_shrunk_buffer_keeps_red_inside_it(self, red, capacity):
+        world = _world(buffer_pkts=100 if red[1] <= 100 else 150, red=(REDParams(*red), None))
+        world.set_buffer(capacity)
+        params = world.queue.red[0]
+        assert world.queue.capacity_pkts == capacity
+        assert 0 < params.min_th < params.max_th == capacity
+        assert params.max_p == red[2]
+
     def test_params_validation(self):
         with pytest.raises(ValueError):
             REDParams(100, 50, 0.1)
