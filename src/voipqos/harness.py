@@ -109,6 +109,10 @@ class Scenario:
         if at != sorted(at):
             raise ScenarioError(f"{self.name}: timeline must be sorted by at_s")
         for entry in self.timeline:
+            if not 0 <= entry.at_s <= self.duration_s:
+                raise ScenarioError(
+                    f"{self.name}: timeline at_s {entry.at_s!r} is outside [0, duration_s]"
+                )
             netsim.check_change(entry.kind, entry.value)
         ids = [call.call_id for call in self.calls]
         if len(set(ids)) != len(ids):
@@ -509,25 +513,28 @@ def _run_windows(
         learn = scenario.learning if learning is None else learning
         controller = Controller(world, kb, learning=learn)
     timeseries = []
-    opened = set()
     t = 0.0
     end_ms = scenario.duration_s * 1000.0
     while t < end_ms - 1e-9:
-        # Open the calls that start in this window; close those that ended.
-        t_end = t + WINDOW_S * 1000.0
-        if t_end >= end_ms - 1e-9:
+        # Open the calls that start in the window [t_prev, t); close those
+        # that end in (t_prev, t]. Windows tile the run, so each call opens
+        # and closes exactly once.
+        t_prev, t = t, t + WINDOW_S * 1000.0
+        if t >= end_ms - 1e-9:
             # The last window runs to the end itself, so no call outlives it.
-            t_end = end_ms
-        for call in scenario.calls:
-            if call.call_id not in opened and call.start_s * 1000.0 < t_end:
-                opened.add(call.call_id)
-                if controller is not None:
+            t = end_ms
+        if controller is not None:
+            for call in scenario.calls:
+                if t_prev <= call.start_s * 1000.0 < t:
                     controller.add_call(call.call_id, _flow_id(call.call_id), call.weight)
-        t = t_end
         world.advance(t)
         for call in scenario.calls:
-            if call.call_id in opened and _end_s(call, scenario) * 1000.0 <= t:
-                _end_call(world, controller, call.call_id)
+            if t_prev < _end_s(call, scenario) * 1000.0 <= t:
+                # Closing first stops the call's mechanisms, so end_flow
+                # releases whatever reservation the restored flow holds.
+                if controller is not None:
+                    controller.close_call(call.call_id)
+                world.end_flow(_flow_id(call.call_id))
         if controller is None:
             world.pop_notifications()
             flows = [(c.call_id, world.measure(_flow_id(c.call_id))) for c in scenario.calls]
@@ -557,17 +564,6 @@ def _run_windows(
 
 def _end_s(call: CallSpec, scenario: Scenario) -> float:
     return call.end_s if call.end_s is not None else scenario.duration_s
-
-
-def _end_call(world: SimWorld, controller: Optional[Controller], call_id: str) -> None:
-    flow_id = _flow_id(call_id)
-    if not world.flows[flow_id].active:
-        return
-    # Closing first stops the call's mechanisms, so end_flow releases
-    # whatever reservation the restored configuration holds.
-    if controller is not None:
-        controller.close_call(call_id)
-    world.end_flow(flow_id)
 
 
 def _summary(

@@ -10,6 +10,11 @@ one writer is `SimWorld.set_mechanism`.  Guaranteed reservations are
 summed from the live flows.  A scripted timeline of network changes
 drives impairments; every run with the same (seed, config) produces the
 same event history.
+
+Each packet carries its flow and, under FEC, its block; a flow holds only
+its open block.  A flow's totals are its one set of packet counters: a
+measurement window is the totals since the last sample, plus the window's
+own delay sum.
 """
 from __future__ import annotations
 
@@ -218,11 +223,11 @@ class NetworkChange:
 
 @dataclass
 class Packet:
-    flow_id: str
+    flow: _FlowState
     bits: float
     created_ms: float
     parity: bool = False
-    block: Optional[int] = None
+    block: Optional[_Block] = None
     pclass: int = 0  # 0 = best effort, 1 = priority
 
 
@@ -251,10 +256,13 @@ class FlowCounters:
 
 @dataclass
 class _Block:
-    k: int
+    """One FEC block: its media packets and the parity sent after them."""
+
+    sent: int = 0
     media_resolved: int = 0
-    parity_resolved: bool = False
-    lost: List[Packet] = field(default_factory=list)
+    # Creation times of the lost media; holding no packet, a block forms
+    # no reference cycle with the packets that point to it.
+    lost: List[float] = field(default_factory=list)
     parity_ok: bool = False
     last_arrival_ms: float = 0.0
 
@@ -264,14 +272,16 @@ class _FlowState:
         self.cfg = cfg  # live: derived from the ledger, or edited by the timeline
         self.configured = replace(cfg)
         self.is_media = isinstance(cfg, MediaFlow)
+        # A scheduled _emit runs only while its epoch is the flow's.
         self.epoch = 0
-        self.media_in_block = 0
-        self.block_id = 0
+        self.block: Optional[_Block] = None  # the open FEC block
         self.tokens_bits = 0.0
         self.tokens_at_ms = 0.0
         self.totals = FlowCounters()
-        self.window = FlowCounters()
-        self.blocks: Dict[int, _Block] = {}
+        # The window is the totals since `mark`, taken by the last sample,
+        # but for the delay sum, which has its own accumulator.
+        self.mark = FlowCounters()
+        self.window_delay_ms = 0.0
         self.last_delay_ms: Optional[float] = None
         self.active = True
 
@@ -412,11 +422,7 @@ class SimWorld:
                 st.tokens_bits = BUCKET_DEPTH_PKTS * cfg.packet_bits
                 st.tokens_at_ms = self.clock
         if cfg.fec != st.cfg.fec:
-            # The open block will never get its parity packet.
-            st.blocks.pop(st.block_id, None)
-            st.media_in_block = 0
-            if cfg.fec is not None:
-                st.block_id += 1  # start a fresh block
+            st.block = None  # the open block will never get its parity packet
         st.cfg = cfg
         self.mechanisms = ledger
         self._derive_queue()
@@ -473,12 +479,11 @@ class SimWorld:
     # ---------------- emission ----------------
 
     def _emit(self, st: _FlowState, epoch: int) -> None:
-        if epoch != st.epoch or not st.active:
+        # end_flow and every background rate change start a new epoch.
+        if epoch != st.epoch:
             return
         cfg = st.cfg
         if st.is_media and cfg.end_ms is not None and self.clock >= cfg.end_ms:
-            return
-        if not st.is_media and cfg.rate_kbps <= 0:
             return
         for _ in range(cfg.burst_pkts):
             self._emit_one(st)
@@ -487,21 +492,18 @@ class SimWorld:
 
     def _emit_one(self, st: _FlowState) -> None:
         cfg = st.cfg
-        pkt = Packet(cfg.flow_id, cfg.packet_bits, self.clock)
+        pkt = Packet(st, cfg.packet_bits, self.clock)
         fec = cfg.fec if st.is_media else None
         if fec is not None:
-            pkt.block = st.block_id
-            st.blocks.setdefault(st.block_id, _Block(fec.block_k))
-            st.media_in_block += 1
+            if st.block is None:
+                st.block = _Block()
+            pkt.block = block = st.block
+            block.sent += 1
         self._record(st, "sent")
         self._offer(st, pkt)
-        if fec is not None and st.media_in_block >= fec.block_k:
-            parity = Packet(
-                cfg.flow_id, cfg.packet_bits, self.clock, parity=True, block=st.block_id
-            )
-            st.media_in_block = 0
-            st.block_id += 1
-            self._offer(st, parity)
+        if fec is not None and block.sent >= fec.block_k:
+            st.block = None
+            self._offer(st, Packet(st, cfg.packet_bits, self.clock, parity=True, block=block))
 
     # ---------------- policing and queueing ----------------
 
@@ -566,19 +568,15 @@ class SimWorld:
     def _kick(self) -> None:
         if self._busy:
             return
-        pkt = self._next_packet()
-        if pkt is None:
+        if self._qp:
+            pkt = self._qp.popleft()
+        elif self._qb:
+            pkt = self._qb.popleft()
+        else:
             return
         self._busy = True
         service_ms = pkt.bits / self.link.capacity_kbps
         self._schedule(self.clock + service_ms, SimWorld._tx_done, pkt)
-
-    def _next_packet(self) -> Optional[Packet]:
-        if self._qp:
-            return self._qp.popleft()
-        if self._qb:
-            return self._qb.popleft()
-        return None
 
     def _tx_done(self, pkt: Packet) -> None:
         self._busy = False
@@ -591,75 +589,74 @@ class SimWorld:
     # ---------------- terminal events ----------------
 
     def _record(self, st: _FlowState, outcome: str, delay: Optional[float] = None) -> None:
-        """Count one packet outcome in the flow's totals and window, and log it.
+        """Count one packet outcome in the flow's totals, and log it.
 
         `outcome` names the FlowCounters field to bump; a given delay is
-        added to both delay sums. Parity packets are never recorded.
+        added to the totals' and the window's delay sums. Parity packets
+        are never recorded.
         """
-        for counters in (st.totals, st.window):
-            setattr(counters, outcome, getattr(counters, outcome) + 1)
-            if delay is not None:
-                counters.delay_sum_ms += delay
+        totals = st.totals
+        setattr(totals, outcome, getattr(totals, outcome) + 1)
+        if delay is not None:
+            totals.delay_sum_ms += delay
+            st.window_delay_ms += delay
         self.log.append((self.clock, st.cfg.flow_id, outcome, delay))
 
     def _drop(self, pkt: Packet, reason: str) -> None:
-        st = self.flows[pkt.flow_id]
         if not pkt.parity:
-            self._record(st, reason)
+            self._record(pkt.flow, reason)
         if pkt.block is not None:
-            self._block_resolve(st, pkt, delivered=False)
+            self._block_resolve(pkt, delivered=False)
 
     def _deliver(self, pkt: Packet) -> None:
-        st = self.flows[pkt.flow_id]
         if not pkt.parity:
-            self._record(st, "delivered", self.clock - pkt.created_ms)
+            self._record(pkt.flow, "delivered", self.clock - pkt.created_ms)
         if pkt.block is not None:
-            self._block_resolve(st, pkt, delivered=True)
+            self._block_resolve(pkt, delivered=True)
 
-    def _block_resolve(self, st: _FlowState, pkt: Packet, delivered: bool) -> None:
-        block = st.blocks.get(pkt.block)
-        if block is None:
-            return
+    def _block_resolve(self, pkt: Packet, delivered: bool) -> None:
+        """Resolve one packet of a block. The block's last resolution, once
+        all its media are resolved and its parity arrived, recovers its one
+        lost media packet, if exactly one was lost."""
+        block = pkt.block
         if pkt.parity:
-            block.parity_resolved = True
             block.parity_ok = delivered
         else:
             block.media_resolved += 1
             if not delivered:
-                block.lost.append(pkt)
+                block.lost.append(pkt.created_ms)
         if delivered:
-            block.last_arrival_ms = max(block.last_arrival_ms, self.clock)
-        if block.media_resolved >= block.k and block.parity_resolved:
-            self._block_finalize(st, pkt.block, block)
-
-    def _block_finalize(self, st: _FlowState, block_id: int, block: _Block) -> None:
-        if block.parity_ok and len(block.lost) == 1:
-            self._record(st, "recovered", block.last_arrival_ms - block.lost[0].created_ms)
-        del st.blocks[block_id]
+            block.last_arrival_ms = self.clock
+        if block.parity_ok and block.media_resolved == block.sent and len(block.lost) == 1:
+            self._record(pkt.flow, "recovered", block.last_arrival_ms - block.lost[0])
 
     # ---------------- measurement ----------------
 
     def measure(self, flow_id: str) -> Optional[HeuristicSample]:
-        """Sample of the flow's window counters; resets the window.
+        """Sample of the flow's window, the totals since the last sample;
+        starts the next window.
 
         Returns None when nothing was resolved in the window (the caller
-        keeps its previous sample).
+        keeps its previous sample, and the window goes on).
         """
         st = self.flows[flow_id]
-        w = st.window
-        resolved = w.delivered + w.dropped
+        t, m = st.totals, st.mark
+        dropped = t.dropped - m.dropped
+        resolved = t.delivered - m.delivered + dropped
         if resolved == 0:
             return None
-        net_drops = w.dropped - w.recovered
-        loss = min(1.0, max(0.0, net_drops / resolved))
-        if w.delay_n > 0:
-            delay = w.delay_sum_ms / w.delay_n
+        recovered = t.recovered - m.recovered
+        loss = min(1.0, max(0.0, (dropped - recovered) / resolved))
+        delay_n = t.delay_n - m.delay_n
+        if delay_n > 0:
+            delay = st.window_delay_ms / delay_n
             st.last_delay_ms = delay
         elif st.last_delay_ms is not None:
             delay = st.last_delay_ms
         else:
             delay = self.link.latency_ms
-        st.window = FlowCounters()
+        st.mark = replace(t)
+        st.window_delay_ms = 0.0
         return HeuristicSample.from_measurement(delay, loss)
 
     def totals(self, flow_id: str) -> FlowCounters:
@@ -673,14 +670,12 @@ class SimWorld:
         """
         pending = [args[0] for _, _, fn, args in self._events
                    if fn is SimWorld._tx_done or fn is SimWorld._deliver]
-        held = Counter(
-            p.flow_id for p in chain(self._qp, self._qb, pending) if not p.parity
-        )
+        held = Counter(p.flow for p in chain(self._qp, self._qb, pending) if not p.parity)
         for fid, st in self.flows.items():
-            if st.totals.in_flight != held[fid]:
+            if st.totals.in_flight != held[st]:
                 raise AssertionError(
                     f"conservation violated for flow {fid}: {st.totals.in_flight} "
-                    f"in flight by its counters, {held[fid]} held in queue or on the link"
+                    f"in flight by its counters, {held[st]} held in queue or on the link"
                 )
 
     def export_trace_csv(self, path) -> None:

@@ -1,5 +1,6 @@
 """QoS action catalog tests: conflicts, apply/stop reversibility, defaults."""
 import itertools
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -177,15 +178,19 @@ class TestApplyStop:
         assert params.max_th <= 40
 
     def test_fec_toggles_leave_no_open_blocks(self):
-        # Stopping FEC mid-block must drop the block that never gets parity.
+        # Stopping FEC mid-block drops the block that never gets parity; it
+        # is freed once its packets are resolved.
         world = _world()
+        dropped = []
         for _ in range(50):
             actions.apply_action(world, "m", enable_fec())
             world.advance(world.clock + 50.0)
+            dropped.append(weakref.ref(world.flows["m"].block))
             actions.stop_action(world, "m", enable_fec())
+            assert world.flows["m"].block is None
             world.advance(world.clock + 50.0)
         world.advance(world.clock + 1000.0)
-        assert world.flows["m"].blocks == {}
+        assert all(ref() is None for ref in dropped)
 
     @pytest.mark.parametrize("action", CATALOG, ids=lambda a: a.name)
     def test_background_flow_takes_no_mechanism(self, action):

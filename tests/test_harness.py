@@ -79,6 +79,13 @@ BAD_SCENARIOS = {
     "negative-background-step": _edited(
         "table7-singlecall", lambda d: d["timeline"][3].update(value=-5.0)
     ),
+    # Timeline changes run inside the scenario's duration, bounds included.
+    "timeline-before-start": _edited(
+        "table7-singlecall", lambda d: d["timeline"][0].update(at_s=-1.0)
+    ),
+    "timeline-after-end": _edited(
+        "table7-singlecall", lambda d: d["timeline"][5].update(at_s=601.0)
+    ),
     "non-number-step": _edited(
         "table7-singlecall", lambda d: d["timeline"][0].update(value="fast")
     ),
@@ -382,6 +389,21 @@ class TestWorldRelease:
         ref = weakref.ref(art.world)
         del art
         assert ref() is None
+
+    def test_fec_blocks_of_pending_packets(self):
+        # A block that held its lost packets would form a cycle with them.
+        world = netsim.SimWorld(netsim.LinkConfig(20.0, 0.2, 1000.0), netsim.QueueConfig())
+        fec = netsim.FecConfig(4)
+        world.add_media_flow(netsim.MediaFlow("m", packet_interval_ms=1.0, fec=fec))
+        world.advance(1_000.5)
+        pending = [
+            args[0] for _, _, _, args in world._events if isinstance(args[0], netsim.Packet)
+        ]
+        blocks = {id(p.block): p.block for p in pending if p.block is not None}
+        assert any(block.lost for block in blocks.values())
+        refs = [weakref.ref(block) for block in blocks.values()]
+        del world, pending, blocks
+        assert all(ref() is None for ref in refs)
 
 
 class TestArtifacts:

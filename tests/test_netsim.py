@@ -90,13 +90,13 @@ class TestRed:
         strict = REDParams(5, 10, 1.0, ewma_weight=1.0)
         lax = REDParams(20, 30, 1.0, ewma_weight=0.001)
         world = _world(latency=0.0, capacity=100.0, red=(strict, lax))
-        world.flows["x"] = netsim._FlowState(BackgroundFlow("x", rate_kbps=1.0))
+        x = world.flows["x"] = netsim._FlowState(BackgroundFlow("x", rate_kbps=1.0))
         for _ in range(15):
-            assert world.offer_packet(Packet("x", 800.0, 0.0, pclass=1)) == "enqueued"
+            assert world.offer_packet(Packet(x, 800.0, 0.0, pclass=1)) == "enqueued"
         assert world.occupancy == 14  # one packet is in transmission
-        assert world.offer_packet(Packet("x", 800.0, 0.0)) == "dropped_queue"
+        assert world.offer_packet(Packet(x, 800.0, 0.0)) == "dropped_queue"
         assert world._avg_queue == 14.0
-        assert world.offer_packet(Packet("x", 800.0, 0.0, pclass=1)) == "enqueued"
+        assert world.offer_packet(Packet(x, 800.0, 0.0, pclass=1)) == "enqueued"
         assert world.flows["x"].totals.dropped_queue == 1
 
     @pytest.mark.parametrize(
@@ -202,12 +202,12 @@ class TestServiceClasses:
 
     def test_full_buffer_pushes_out_best_effort_for_priority(self):
         world = _world(latency=0.0, capacity=100.0, buffer_pkts=5)
-        world.flows["x"] = netsim._FlowState(BackgroundFlow("x", rate_kbps=1.0))
+        x = world.flows["x"] = netsim._FlowState(BackgroundFlow("x", rate_kbps=1.0))
         for i in range(7):
-            world.offer_packet(Packet("x", 800.0, 0.0))
+            world.offer_packet(Packet(x, 800.0, 0.0))
         assert world.occupancy == 5  # full: 1 in service + 4 queued + head slot
         dropped_before = world.flows["x"].totals.dropped_queue
-        pri = Packet("x", 800.0, 0.0, pclass=1)
+        pri = Packet(x, 800.0, 0.0, pclass=1)
         outcome = world.offer_packet(pri)
         assert outcome == "enqueued"
         assert world.occupancy == 5  # one best-effort shed instead
@@ -285,6 +285,25 @@ class TestNetworkChanges:
         world.advance(10_000.0)
         assert world.totals("bg").sent == 1_000  # one 800-bit packet per 10 ms
 
+    def test_ended_flows_send_nothing_more(self):
+        # end_flow starts a new epoch, which no emission event of the old
+        # one survives, and a later background rate change skips the flow.
+        world = SimWorld(
+            LinkConfig(5.0, 0.0, 1000.0),
+            QueueConfig(capacity_pkts=100),
+            timeline=(NetworkChange(2_000.0, netsim.SET_BACKGROUND_RATE, 400.0),),
+        )
+        world.add_media_flow(MediaFlow("m", fec=FecConfig(4)))
+        world.add_background_flow(BackgroundFlow("bg", rate_kbps=200.0))
+        world.advance(1_000.0)
+        world.end_flow("m")
+        world.end_flow("bg")
+        sent = world.totals("m").sent, world.totals("bg").sent
+        assert min(sent) > 0
+        world.advance(5_000.0)
+        assert (world.totals("m").sent, world.totals("bg").sent) == sent
+        world.check_conservation()
+
     def test_buffer_shrink_sheds_newest_first(self):
         world = _world(latency=0.0, capacity=100.0, buffer_pkts=50)
         world.add_media_flow(MediaFlow("m", burst_pkts=40))
@@ -327,9 +346,11 @@ class TestMeasurement:
         world.advance(5_000.0)
         first = world.measure("m")
         assert first is not None and first.loss == 0.0
+        st = world.flows["m"]
+        assert st.mark == st.totals and st.window_delay_ms == 0.0
         world.advance(5_001.0)
         # Essentially nothing resolved since the last sample.
-        assert world.flows["m"].window.delivered <= 1
+        assert st.totals.delivered - st.mark.delivered <= 1
 
     def test_loss_counts_recoveries(self):
         world = _world(latency=5.0, loss=0.05, capacity=10_000.0, seed=5)
