@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
@@ -103,8 +104,9 @@ class Scenario:
         field raises TypeError."""
         if self.version != SCHEMA_VERSION:
             raise ScenarioError(f"{self.name}: unsupported version {self.version!r}")
-        if not self.duration_s > 0:
-            raise ScenarioError(f"{self.name}: duration_s must be > 0")
+        # Written so that NaN fails.
+        if not 0 < self.duration_s < math.inf:
+            raise ScenarioError(f"{self.name}: duration_s must be finite and > 0")
         at = [e.at_s for e in self.timeline]
         if at != sorted(at):
             raise ScenarioError(f"{self.name}: timeline must be sorted by at_s")
@@ -124,8 +126,10 @@ class Scenario:
                 raise ScenarioError(
                     f"{self.name}: call {call.call_id} interval outside duration"
                 )
-            if not call.weight > 0:
-                raise ScenarioError(f"{self.name}: call {call.call_id} weight must be > 0")
+            if not 0 < call.weight < math.inf:
+                raise ScenarioError(
+                    f"{self.name}: call {call.call_id} weight must be finite and > 0"
+                )
 
     def get_constraints(self) -> Constraints:
         if self.constraints is None:
@@ -312,13 +316,15 @@ PRESETS = {
 
 # ---------------- world construction ----------------
 
-def build_world(scenario: Scenario, seed: int) -> SimWorld:
+def build_world(scenario: Scenario, seed: int, trace: bool = False) -> SimWorld:
+    """The scenario's world; only a traced world keeps the packet log that
+    trace.csv is written from."""
     scenario.validate()
     link, queue, media, background = _netsim_configs(scenario)
     timeline = tuple(
         NetworkChange(e.at_s * 1000.0, e.kind, e.value) for e in scenario.timeline
     )
-    world = SimWorld(link, queue, seed=seed, timeline=timeline)
+    world = SimWorld(link, queue, seed=seed, timeline=timeline, trace=trace)
     for flow in media:
         world.add_media_flow(flow)
     for flow in background:
@@ -494,17 +500,18 @@ def run(
         return artifacts
     if mode not in ("baseline", "control"):
         raise ValueError(f"unknown mode: {mode}")
-    artifacts = _run_windows(scenario, seed, mode, learning)
+    # Only the artifacts in out_dir include trace.csv, the packet log.
+    artifacts = _run_windows(scenario, seed, mode, learning, trace=out_dir is not None)
     if out_dir is not None:
         write_outputs(artifacts, out_dir)
     return artifacts
 
 
 def _run_windows(
-    scenario: Scenario, seed: int, mode: str, learning: Optional[bool]
+    scenario: Scenario, seed: int, mode: str, learning: Optional[bool], trace: bool
 ) -> RunArtifacts:
     """The 5 s window loop; baseline mode runs it without a controller."""
-    world = build_world(scenario, seed)
+    world = build_world(scenario, seed, trace=trace)
     constraints = scenario.get_constraints()
     controller = kb = None
     if mode == "control":

@@ -1,6 +1,7 @@
 """Call-quality metrics: E-model rating, quality bands, windowed averages."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import IntEnum
 
@@ -23,8 +24,9 @@ class Constraints:
     mos_min: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.delay_max_ms <= 0 or self.loss_max <= 0 or self.mos_min <= 0:
-            raise ValueError("constraint thresholds must be strictly positive")
+        # Written so that NaN fails.
+        if not all(0 < v < math.inf for v in (self.delay_max_ms, self.loss_max, self.mos_min)):
+            raise ValueError("constraint thresholds must be finite and strictly positive")
 
     def met_by(self, delay_ms: float, loss: float, mos: float) -> bool:
         """True iff the delay, loss and MOS are all within the thresholds."""

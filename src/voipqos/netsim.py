@@ -14,17 +14,19 @@ same event history.
 Each packet carries its flow and, under FEC, its block; a flow holds only
 its open block.  A flow's totals are its one set of packet counters: a
 measurement window is the totals since the last sample, plus the window's
-own delay sum.
+own delay sum.  The packet log, one row per packet outcome, is kept only by
+a world built with `trace=True`, the one reader being `export_trace_csv`.
 """
 from __future__ import annotations
 
 import csv
-import heapq
+import io
 import math
 import random
 from collections import Counter, deque
 from dataclasses import dataclass, field, replace
-from itertools import chain
+from heapq import heappop, heappush
+from itertools import chain, count
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from .metrics import HeuristicSample
@@ -58,12 +60,12 @@ class LinkConfig:
 
     def __post_init__(self) -> None:
         # Written so that NaN fails every check.
-        if not self.latency_ms >= 0:
-            raise ValueError("latency_ms must be >= 0")
+        if not 0 <= self.latency_ms < math.inf:
+            raise ValueError("latency_ms must be finite and >= 0")
         if not 0.0 <= self.loss_rate <= 1.0:
             raise ValueError("loss_rate must be in [0, 1]")
-        if not self.capacity_kbps > 0:
-            raise ValueError("capacity_kbps must be > 0")
+        if not 0 < self.capacity_kbps < math.inf:
+            raise ValueError("capacity_kbps must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -149,8 +151,11 @@ class MediaFlow:
     end_ms: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.rate_kbps <= 0 or self.packet_interval_ms <= 0:
-            raise ValueError("rate_kbps and packet_interval_ms must be > 0")
+        # Written so that NaN fails every check.
+        if not (0 < self.rate_kbps < math.inf and 0 < self.packet_interval_ms < math.inf):
+            raise ValueError("rate_kbps and packet_interval_ms must be finite and > 0")
+        if not math.isfinite(self.reserved_kbps):
+            raise ValueError("reserved_kbps must be finite")
         _check_count("burst_pkts", self.burst_pkts)
         if self.service not in SERVICES:
             raise ValueError(f"unknown service class {self.service!r}")
@@ -171,8 +176,8 @@ class BackgroundFlow:
 
     def __post_init__(self) -> None:
         # A rate of 0 is a silent flow that a timeline change may start.
-        if not self.rate_kbps >= 0:
-            raise ValueError("background rate_kbps must be >= 0")
+        if not 0 <= self.rate_kbps < math.inf:
+            raise ValueError("background rate_kbps must be finite and >= 0")
         _check_count("packet_bytes", self.packet_bytes)
         _check_count("burst_pkts", self.burst_pkts)
 
@@ -221,7 +226,7 @@ class NetworkChange:
         check_change(self.kind, self.value)
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     flow: _FlowState
     bits: float
@@ -231,7 +236,7 @@ class Packet:
     pclass: int = 0  # 0 = best effort, 1 = priority
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowCounters:
     sent: int = 0
     delivered: int = 0
@@ -268,6 +273,11 @@ class _Block:
 
 
 class _FlowState:
+    __slots__ = (
+        "cfg", "configured", "is_media", "epoch", "block", "tokens_bits", "tokens_at_ms",
+        "totals", "mark", "window_delay_ms", "last_delay_ms", "active",
+    )
+
     def __init__(self, cfg):
         self.cfg = cfg  # live: derived from the ledger, or edited by the timeline
         self.configured = replace(cfg)
@@ -295,6 +305,7 @@ class SimWorld:
         queue: QueueConfig,
         seed: int = 0,
         timeline: Tuple[NetworkChange, ...] = (),
+        trace: bool = False,
     ):
         self.clock = 0.0
         self.rng = random.Random(seed)
@@ -306,13 +317,17 @@ class SimWorld:
         self.flows: Dict[str, _FlowState] = {}
         # Heap of (at_ms, seq, fn, args); advance() calls fn(self, *args).
         # Entries hold plain functions and data, never the world itself.
+        # The hot paths push their entries themselves; every entry takes the
+        # next seq, so equal times run in the order they were scheduled.
         self._events: List[Tuple[float, int, Callable[..., None], tuple]] = []
-        self._seq = 0
+        self._seq = count(1)
         self._qp: deque = deque()
         self._qb: deque = deque()
         self._avg_queue = 0.0
         self._busy = False
-        # (time_ms, flow_id, outcome, delay_ms or None), written by _record.
+        # (time_ms, flow_id, outcome, delay_ms or None), written by _record
+        # when tracing; only export_trace_csv reads it.
+        self.trace = trace
         self.log: List[Tuple[float, str, str, Optional[float]]] = []
         self.notifications: List[NetworkChange] = []
         # Applied QoS mechanisms by (flow_id, ActionId), oldest first, each
@@ -324,15 +339,14 @@ class SimWorld:
     # ---------------- event machinery ----------------
 
     def _schedule(self, at_ms: float, fn: Callable[..., None], *args) -> None:
-        self._seq += 1
-        heapq.heappush(self._events, (at_ms, self._seq, fn, args))
+        heappush(self._events, (at_ms, next(self._seq), fn, args))
 
     def advance(self, until_ms: float) -> None:
         if until_ms < self.clock:
             raise ValueError("cannot advance backwards")
         events = self._events
         while events and events[0][0] <= until_ms:
-            at, _, fn, args = heapq.heappop(events)
+            at, _, fn, args = heappop(events)
             self.clock = at
             fn(self, *args)
         self.clock = until_ms
@@ -488,7 +502,7 @@ class SimWorld:
         for _ in range(cfg.burst_pkts):
             self._emit_one(st)
         at = self.clock + cfg.burst_pkts * cfg.packet_interval_ms
-        self._schedule(at, SimWorld._emit, st, epoch)
+        heappush(self._events, (at, next(self._seq), SimWorld._emit, (st, epoch)))
 
     def _emit_one(self, st: _FlowState) -> None:
         cfg = st.cfg
@@ -539,7 +553,7 @@ class SimWorld:
 
     def offer_packet(self, pkt: Packet) -> str:
         """Run the queue discipline for one packet; returns the outcome."""
-        occ = self.occupancy
+        occ = len(self._qp) + len(self._qb)
         red = self.queue.red
         params = red[pkt.pclass]
         if red[0] is not None:
@@ -562,12 +576,12 @@ class SimWorld:
             self._qp.append(pkt)
         else:
             self._qb.append(pkt)
-        self._kick()
+        if not self._busy:
+            self._kick()
         return "enqueued"
 
     def _kick(self) -> None:
-        if self._busy:
-            return
+        """Start transmitting the next queued packet; the link is idle."""
         if self._qp:
             pkt = self._qp.popleft()
         elif self._qb:
@@ -575,21 +589,24 @@ class SimWorld:
         else:
             return
         self._busy = True
-        service_ms = pkt.bits / self.link.capacity_kbps
-        self._schedule(self.clock + service_ms, SimWorld._tx_done, pkt)
+        at = self.clock + pkt.bits / self.link.capacity_kbps
+        heappush(self._events, (at, next(self._seq), SimWorld._tx_done, (pkt,)))
 
     def _tx_done(self, pkt: Packet) -> None:
         self._busy = False
-        if self.link.loss_rate > 0 and self.rng.random() < self.link.loss_rate:
+        link = self.link
+        if link.loss_rate > 0 and self.rng.random() < link.loss_rate:
             self._drop(pkt, "dropped_link")
         else:
-            self._schedule(self.clock + self.link.latency_ms, SimWorld._deliver, pkt)
+            at = self.clock + link.latency_ms
+            heappush(self._events, (at, next(self._seq), SimWorld._deliver, (pkt,)))
         self._kick()
 
     # ---------------- terminal events ----------------
 
     def _record(self, st: _FlowState, outcome: str, delay: Optional[float] = None) -> None:
-        """Count one packet outcome in the flow's totals, and log it.
+        """Count one packet outcome in the flow's totals, and log it when
+        tracing.
 
         `outcome` names the FlowCounters field to bump; a given delay is
         added to the totals' and the window's delay sums. Parity packets
@@ -600,7 +617,8 @@ class SimWorld:
         if delay is not None:
             totals.delay_sum_ms += delay
             st.window_delay_ms += delay
-        self.log.append((self.clock, st.cfg.flow_id, outcome, delay))
+        if self.trace:
+            self.log.append((self.clock, st.cfg.flow_id, outcome, delay))
 
     def _drop(self, pkt: Packet, reason: str) -> None:
         if not pkt.parity:
@@ -679,14 +697,25 @@ class SimWorld:
                 )
 
     def export_trace_csv(self, path) -> None:
-        """The packet outcome log, one row per recorded outcome."""
+        """The packet outcome log, one row per recorded outcome, written as
+        csv.writer writes it; raises ValueError unless the world traces."""
+        if not self.trace:
+            raise ValueError("the packet log is kept only by a world built with trace=True")
+        ids = {fid: _csv_field(fid) for fid in self.flows}
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["time_ms", "flow_id", "event", "delay_ms"])
-            for at, fid, event, delay in self.log:
-                writer.writerow(
-                    [f"{at:.6f}", fid, event, "" if delay is None else f"{delay:.6f}"]
-                )
+            fh.write("time_ms,flow_id,event,delay_ms\r\n")
+            fh.writelines(
+                f"{at:.6f},{ids[fid]},{event},\r\n" if delay is None
+                else f"{at:.6f},{ids[fid]},{event},{delay:.6f}\r\n"
+                for at, fid, event, delay in self.log
+            )
+
+
+def _csv_field(value: str) -> str:
+    """The value as csv.writer writes it inside a row, quoted if need be."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([value, ""])
+    return buf.getvalue()[:-len(",\r\n")]
 
 
 def _clamp_red(params: Optional[REDParams], capacity: int) -> Optional[REDParams]:

@@ -3,6 +3,7 @@ import csv
 import gc
 import json
 import os
+import tracemalloc
 import weakref
 
 import pytest
@@ -137,6 +138,30 @@ BAD_SCENARIOS = {
             d["link"].update(capacity_kbps=50.0),
             *(c["flow"].update(service="guaranteed") for c in d["calls"]),
         ],
+    ),
+    # JSON's NaN and Infinity: each hung the run or reported a false result.
+    "infinite-duration": _edited("table1-s1", lambda d: d.update(duration_s=float("inf"))),
+    "infinite-background-rate": _edited(
+        "table4-red-1k", lambda d: d["background"].update(rate_kbps=float("inf"))
+    ),
+    "nan-call-rate": _edited(
+        "table1-s1", lambda d: d["calls"][0]["flow"].update(rate_kbps=float("nan"))
+    ),
+    "nan-packet-interval": _edited(
+        "table1-s1", lambda d: d["calls"][0]["flow"].update(packet_interval_ms=float("nan"))
+    ),
+    "infinite-latency": _edited(
+        "table1-s1", lambda d: d["link"].update(latency_ms=float("inf"))
+    ),
+    "nan-reserved": _edited(
+        "fig5-s3-guaranteed",
+        lambda d: d["calls"][0]["flow"].update(reserved_kbps=float("nan")),
+    ),
+    "nan-delay-max": _edited(
+        "table1-s1", lambda d: d.update(constraints={"delay_max_ms": float("nan")})
+    ),
+    "infinite-weight": _edited(
+        "fig7-multicall", lambda d: d["calls"][0].update(weight=float("inf"))
     ),
 }
 
@@ -404,6 +429,35 @@ class TestWorldRelease:
         refs = [weakref.ref(block) for block in blocks.values()]
         del world, pending, blocks
         assert all(ref() is None for ref in refs)
+
+
+class TestPacketLog:
+    """Only a run that writes trace.csv keeps the packet log, and no other
+    output depends on it."""
+
+    @pytest.mark.parametrize(
+        "preset, mode", [("table4-red-10k", "control"), ("fig5-s4-guaranteed", "baseline")]
+    )
+    def test_outputs_equal_with_and_without_log(self, preset, mode, tmp_path):
+        untraced = harness.run(load_scenario(preset), seed=0, mode=mode)
+        traced = harness.run(load_scenario(preset), seed=0, mode=mode, out_dir=str(tmp_path))
+        assert untraced.world.log == [] and traced.world.log
+        assert untraced.summary == traced.summary
+        assert untraced.timeseries == traced.timeseries
+        kb_json = [None if art.kb is None else art.kb.to_json() for art in (untraced, traced)]
+        assert kb_json[0] == kb_json[1]
+        assert (kb_json[0] is None) == (mode == "baseline")
+
+    def test_untraced_run_memory(self):
+        scenario = load_scenario("table4-red-10k")
+        tracemalloc.start()
+        try:
+            harness.run(scenario, seed=0, mode="control")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The packet log alone peaked near 9.5 MB here.
+        assert peak < 1_000_000
 
 
 class TestArtifacts:

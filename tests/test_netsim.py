@@ -1,4 +1,7 @@
 """Network-simulation unit tests: queueing, RED, FEC, service classes."""
+import csv
+import io
+
 import pytest
 
 from voipqos import netsim
@@ -27,11 +30,11 @@ def _world(latency=10.0, loss=0.0, capacity=1000.0, buffer_pkts=100, seed=0, **k
 
 class TestDeterminism:
     def _run(self, seed):
-        world = _world(
-            loss=0.1,
-            buffer_pkts=100,
-            red=(REDParams(10, 50, 0.2), None),
+        world = SimWorld(
+            LinkConfig(10.0, 0.1, 1000.0),
+            QueueConfig(capacity_pkts=100, red=(REDParams(10, 50, 0.2), None)),
             seed=seed,
+            trace=True,
         )
         world.add_media_flow(MediaFlow("m"))
         world.add_background_flow(BackgroundFlow("bg", rate_kbps=900.0))
@@ -366,3 +369,33 @@ class TestMeasurement:
         world.advance(100.0)
         with pytest.raises(ValueError):
             world.advance(50.0)
+
+
+class TestPacketLog:
+    def test_trace_csv_is_what_csv_writer_writes(self, tmp_path):
+        # Flow ids that csv.writer must quote.
+        world = SimWorld(
+            LinkConfig(5.0, 0.1, 1000.0), QueueConfig(capacity_pkts=5), seed=1, trace=True
+        )
+        world.add_media_flow(MediaFlow("a,b", burst_pkts=8, fec=FecConfig(2)))
+        world.add_background_flow(BackgroundFlow('q"x', rate_kbps=300.0))
+        world.advance(2_000.0)
+        events = {event for _, _, event, _ in world.log}
+        assert {"sent", "delivered", "dropped_link", "dropped_queue", "recovered"} <= events
+        expected = io.StringIO()
+        writer = csv.writer(expected)
+        writer.writerow(["time_ms", "flow_id", "event", "delay_ms"])
+        for at, fid, event, delay in world.log:
+            writer.writerow([f"{at:.6f}", fid, event, "" if delay is None else f"{delay:.6f}"])
+        path = tmp_path / "trace.csv"
+        world.export_trace_csv(path)
+        assert path.read_bytes() == expected.getvalue().encode()
+
+    def test_untraced_world_keeps_no_log(self, tmp_path):
+        world = _world(loss=0.1)
+        world.add_media_flow(MediaFlow("m"))
+        world.advance(2_000.0)
+        assert world.totals("m").sent > 0 and world.log == []
+        with pytest.raises(ValueError):
+            world.export_trace_csv(tmp_path / "trace.csv")
+        assert not (tmp_path / "trace.csv").exists()
