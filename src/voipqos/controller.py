@@ -5,7 +5,8 @@ changes (d1), single-call QoS actions (d2) and multi-call coordination
 (d3).  Constraint violations start an episode that walks the knowledge
 base's candidate actions until the call recovers, acquiring measured
 outcomes along the way and, with learning enabled, re-ranking the case
-afterwards.
+afterwards.  Time is the world's clock: states, transitions and episodes
+are stamped with `world.clock`, and a finished episode stays its `Episode`.
 """
 from __future__ import annotations
 
@@ -55,7 +56,6 @@ def detect_case(
 @dataclass
 class CallState:
     state_id: int
-    call_id: str
     opened_at_ms: float
     entering: str  # "start" | "d1" | "d2" | "d3" | "goal"
     closed_at_ms: Optional[float] = None
@@ -79,6 +79,7 @@ class CallState:
 
 @dataclass
 class Episode:
+    call_id: str
     case: ScenarioCase
     started_ms: float
     tried: List[ActionId] = field(default_factory=list)
@@ -139,7 +140,7 @@ class Controller:
         self.learning = learning
         self.calls: Dict[str, Call] = {}
         self.transitions: List[TransitionRecord] = []
-        self.episodes: List[dict] = []
+        self.episodes: List[Episode] = []
         self._state_seq = 0
         self._cooldown_left = 0
         # One entry per action application: did the triggering sample
@@ -151,20 +152,19 @@ class Controller:
     def add_call(self, call_id: str, flow_id: str, weight: float = 1.0) -> Call:
         call = Call(call_id, flow_id, weight)
         self.calls[call_id] = call
-        self._open_state(call, "start", self.world.clock)
+        self._open_state(call, "start")
         return call
 
     def close_call(self, call_id: str) -> None:
         call = self.calls[call_id]
         if call.closed:
             return
-        now = self.world.clock
         for action in actions_mod.active_actions(self.world, call.flow_id):
             self._stop(call, action, "d2")
         if call.episode is not None:
             self._finish_episode(call, satisfied=False)
-        self._open_state(call, "goal", now)
-        call.current_state.closed_at_ms = now
+        self._open_state(call, "goal")
+        call.current_state.closed_at_ms = self.world.clock
         call.closed = True
 
     def active_calls(self) -> List[Call]:
@@ -172,41 +172,41 @@ class Controller:
 
     # ---------------- state bookkeeping ----------------
 
-    def _open_state(self, call: Call, entering: str, now: float) -> None:
+    def _open_state(self, call: Call, entering: str) -> None:
         if call.states:
-            call.current_state.closed_at_ms = now
+            call.current_state.closed_at_ms = self.world.clock
         self._state_seq += 1
         call.states.append(
-            CallState(self._state_seq, call.call_id, now, entering, opening_sample=call.sample)
+            CallState(self._state_seq, self.world.clock, entering, opening_sample=call.sample)
         )
 
-    def _record(self, call: Call, kind: str, cause: str, now: float) -> None:
-        self.transitions.append(TransitionRecord(kind, cause, now, call.call_id))
+    def _record(self, call: Call, kind: str, cause: str) -> None:
+        self.transitions.append(TransitionRecord(kind, cause, self.world.clock, call.call_id))
 
     # ---------------- per-window loop ----------------
 
-    def on_window(self, now_ms: float) -> None:
-        """One control iteration; the world must already be advanced to now."""
+    def on_window(self) -> None:
+        """One control iteration, run once the world is at the window's end."""
         changes = self.world.pop_notifications()
         calls = self.active_calls()
         for call in calls:
             sample = self.world.measure(call.flow_id)
             if sample is not None:
                 call.sample = sample
-            self._observe(call, changes, now_ms)
+            self._observe(call, changes)
         if self._cooldown_left > 0:
             self._cooldown_left -= 1
         multi = [c for c in calls if c.sample is not None]
         if len(multi) >= 2 and self._cooldown_left == 0:
             ok, _ = check_global(multi, self.kb.constraints)
             if not ok:
-                self.coordinate(multi, now_ms)
+                self.coordinate(multi)
                 self._cooldown_left = COORDINATE_COOLDOWN_WINDOWS
                 return
         for call in calls:
-            self.step_call(call, now_ms)
+            self.step_call(call)
 
-    def _observe(self, call: Call, changes, now_ms: float) -> None:
+    def _observe(self, call: Call, changes) -> None:
         """Fold the window's sample into the current state, then open one d1
         state on a network change, a category change or a drift from the
         opening sample sustained for SIGNIFICANT_WINDOWS windows."""
@@ -231,13 +231,13 @@ class Controller:
             cause = "heuristic-drift"
         else:
             return
-        self._record(call, "d1", cause, now_ms)
-        self._open_state(call, "d1", now_ms)
+        self._record(call, "d1", cause)
+        self._open_state(call, "d1")
         call.current_state.add_sample(sample)
 
     # ---------------- single-call control ----------------
 
-    def step_call(self, call: Call, now_ms: float) -> None:
+    def step_call(self, call: Call) -> None:
         sample = call.sample
         if sample is None:
             return
@@ -250,18 +250,16 @@ class Controller:
         if violated:
             if ep is None:
                 case = detect_case((sample.delay_ms, sample.loss), constraints)
-                ep = call.episode = Episode(case, now_ms)
+                ep = call.episode = Episode(call.call_id, case, self.world.clock)
             elif ep.exhausted:
                 return
             entry = kb_mod.select_next(self.kb, ep.case, ep.tried)
-            self._try_apply(call, ep, entry, now_ms, kind="d2")
+            self._try_apply(call, ep, entry, kind="d2")
         else:
             if ep is not None:
                 self._finish_episode(call, satisfied=True)
 
-    def _try_apply(
-        self, call: Call, ep: Episode, entry, now_ms: float, kind: str
-    ) -> None:
+    def _try_apply(self, call: Call, ep: Episode, entry, kind: str) -> None:
         while entry is not None:
             action = entry.action
             try:
@@ -278,10 +276,10 @@ class Controller:
                 and not satisfies(call.sample, self.kb.constraints)
             )
             self.transitions.append(record)
-            self._open_state(call, kind, now_ms)
+            self._open_state(call, kind)
             return
         ep.exhausted = True
-        self._record(call, kind, "episode-exhausted", now_ms)
+        self._record(call, kind, "episode-exhausted")
 
     def _apply(self, call: Call, action: ActionId, kind: str) -> TransitionRecord:
         # Applying a mechanism implicitly retires a conflicting active one.
@@ -296,28 +294,16 @@ class Controller:
 
     def _finish_episode(self, call: Call, satisfied: bool) -> None:
         ep = call.episode
-        now = self.world.clock
         if satisfied:
-            ep.satisfied_ms = now
+            ep.satisfied_ms = self.world.clock
             if ep.last_action is not None and not ep.exhausted and self.learning:
                 kb_mod.refine(self.kb, ep.case, ep.last_action)
-        self.episodes.append(
-            {
-                "call_id": call.call_id,
-                "case": ep.case.value,
-                "started_ms": ep.started_ms,
-                "satisfied_ms": ep.satisfied_ms,
-                "actions": [a.name for a in ep.tried],
-                "final_action": ep.last_action.name if ep.last_action else None,
-                "exhausted": ep.exhausted,
-                "satisfied": satisfied,
-            }
-        )
+        self.episodes.append(ep)
         call.episode = None
 
     # ---------------- multi-call coordination ----------------
 
-    def coordinate(self, calls: List[Call], now_ms: float) -> None:
+    def coordinate(self, calls: List[Call]) -> None:
         """Global-constraint recovery: free the mechanisms of calls within
         their constraints and point the knowledge base's best candidates at
         the calls outside them. Every call must have a sample."""
@@ -331,15 +317,15 @@ class Controller:
             if active:
                 for action in active:
                     self._stop(call, action, "d3")
-                self._open_state(call, "d3", now_ms)
+                self._open_state(call, "d3")
         for call in degraded:
             sample = call.sample
             case = detect_case((sample.delay_ms, sample.loss), constraints)
             if call.episode is None:
-                call.episode = Episode(case, now_ms)
+                call.episode = Episode(call.call_id, case, self.world.clock)
             ep = call.episode
             entry = kb_mod.select_next(self.kb, case, ep.tried)
-            self._try_apply(call, ep, entry, now_ms, kind="d3")
+            self._try_apply(call, ep, entry, kind="d3")
 
 
 def _rel_change(ref: float, value: float) -> float:

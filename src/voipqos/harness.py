@@ -10,7 +10,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import actions as actions_mod
 from . import netsim
-from .controller import Controller, check_global, validate_trace
+from .controller import Controller, Episode, check_global, validate_trace
 from .knowledge import KnowledgeBase, ScenarioCase
 from .metrics import (
     Constraints,
@@ -94,7 +94,8 @@ class Scenario:
         """
         try:
             self._check_fields()
-            _netsim_configs(self)
+            _, _, media, background = _netsim_configs(self)
+            self._check_emission_gaps(media, background)
             self.get_constraints()
         except (TypeError, ValueError) as exc:
             raise ScenarioError(f"{self.name}: {exc}") from exc
@@ -129,6 +130,24 @@ class Scenario:
             if not 0 < call.weight < math.inf:
                 raise ScenarioError(
                     f"{self.name}: call {call.call_id} weight must be finite and > 0"
+                )
+
+    def _check_emission_gaps(
+        self, media: List[MediaFlow], background: List[BackgroundFlow]
+    ) -> None:
+        """Raise unless every emission gap moves the clock: the clock never
+        passes the run's end, where floats are spaced widest, so a gap of
+        at least that spacing always lands later."""
+        resolution = math.ulp(self.duration_s * 1000.0)
+        gaps = [(f.flow_id, f.burst_pkts * f.packet_interval_ms) for f in media]
+        rates = [e.value for e in self.timeline if e.kind == netsim.SET_BACKGROUND_RATE]
+        for bg in background:
+            gaps += [(bg.flow_id, bg.packet_bits / r) for r in [bg.rate_kbps, *rates] if r > 0]
+        for flow_id, gap in gaps:
+            if not gap >= resolution:
+                raise ScenarioError(
+                    f"{self.name}: {flow_id} emits every {gap:g} ms, finer than "
+                    f"the clock's {resolution:g} ms step at duration_s"
                 )
 
     def get_constraints(self) -> Constraints:
@@ -546,7 +565,7 @@ def _run_windows(
             world.pop_notifications()
             flows = [(c.call_id, world.measure(_flow_id(c.call_id))) for c in scenario.calls]
         else:
-            controller.on_window(t)
+            controller.on_window()
             live = controller.active_calls()
             flows = [(c.call_id, c.sample) for c in live]
         for call_id, sample in flows:
@@ -578,7 +597,7 @@ def _summary(
     world: SimWorld,
     timeseries: List[Tuple[float, str, float, float, float]],
     constraints: Constraints,
-    episodes: List[dict],
+    episodes: List[Episode],
 ) -> dict:
     windows_of: Dict[str, List[HeuristicSample]] = {c.call_id: [] for c in scenario.calls}
     for _, call_id, delay_ms, loss, mos in timeseries:
@@ -612,9 +631,18 @@ def _summary(
         }
     ep_out = []
     for ep in episodes:
-        entry = dict(ep)
-        if ep["satisfied_ms"] is not None:
-            entry["time_to_satisfaction_s"] = (ep["satisfied_ms"] - ep["started_ms"]) / 1000.0
+        entry = {
+            "call_id": ep.call_id,
+            "case": ep.case.value,
+            "started_ms": ep.started_ms,
+            "satisfied_ms": ep.satisfied_ms,
+            "actions": [a.name for a in ep.tried],
+            "final_action": ep.last_action.name if ep.last_action else None,
+            "exhausted": ep.exhausted,
+            "satisfied": ep.satisfied_ms is not None,
+        }
+        if ep.satisfied_ms is not None:
+            entry["time_to_satisfaction_s"] = (ep.satisfied_ms - ep.started_ms) / 1000.0
         ep_out.append(entry)
     return {
         "scenario": scenario.name,
@@ -650,7 +678,7 @@ def write_outputs(artifacts: RunArtifacts, out_dir: str) -> List[str]:
                     writer.writerow(
                         [
                             s.state_id,
-                            s.call_id,
+                            call.call_id,
                             s.entering,
                             f"{s.opened_at_ms:.3f}",
                             "" if s.closed_at_ms is None else f"{s.closed_at_ms:.3f}",

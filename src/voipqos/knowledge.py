@@ -173,10 +173,7 @@ def _selection_key(entry: ActionEntry, constraints: Constraints):
 
 def select_one_of(kb: KnowledgeBase, case: ScenarioCase) -> Optional[ActionEntry]:
     """Best entry for the case; None when the case list is empty."""
-    entries = kb.entries(case)
-    if not entries:
-        return None
-    return min(entries, key=lambda e: _selection_key(e, kb.constraints))
+    return select_next(kb, case, ())
 
 
 def select_next(

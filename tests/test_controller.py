@@ -87,9 +87,9 @@ class TestEpisodeLoop:
         episodes = art.controller.episodes
         assert len(episodes) >= 1
         first = episodes[0]
-        assert first["case"] == "case2"
-        assert first["satisfied"]
-        assert first["final_action"] is not None
+        assert first.case is ScenarioCase.CASE2
+        assert first.satisfied_ms is not None
+        assert first.last_action is not None
 
     def test_network_change_opens_d1_state(self):
         scenario = Scenario(
@@ -167,7 +167,7 @@ class TestValidator:
     def test_detects_unknown_interior_transition(self):
         ctrl = self._controller()
         call = ctrl.calls["c"]
-        call.states.insert(1, type(call.states[0])(99, "c", 1000.0, "jump"))
+        call.states.insert(1, type(call.states[0])(99, 1000.0, "jump"))
         assert any("interior" in e for e in validate_trace(ctrl))
 
     def test_detects_apply_while_satisfied(self):

@@ -6,13 +6,19 @@ output change.
 """
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 from voipqos import cli, harness
+from voipqos.knowledge import KnowledgeError
 
-GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden.json"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+GOLDEN = BENCH / "golden.json"
+sys.path.insert(0, str(BENCH))
+
+from workloads import churn_json  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +47,18 @@ def test_preset_digests(golden, preset, mode):
 def test_calibrate_digests(golden):
     art = harness.run(None, seed=0, mode="calibrate")
     assert _digests(art) == golden["preset-sweep"]["calibrate/s0"]["digests"]
+
+
+@pytest.mark.parametrize("index", range(8))
+def test_churn_outcomes(golden, index):
+    # Generated control-churn scenarios: even indices have one call, odd
+    # ones two, and those raise the KnowledgeError that was recorded.
+    scenario = harness.scenario_from_json(json.loads(churn_json(index)))
+    try:
+        got = {"digests": _digests(harness.run(scenario, seed=index, mode="control"))}
+    except KnowledgeError as exc:
+        got = {"raises": f"{type(exc).__name__}: {exc}"}
+    assert got == golden["control-churn"][f"churn-{index}"]
 
 
 def test_cli_artifact_digests(golden, tmp_path):

@@ -163,6 +163,18 @@ BAD_SCENARIOS = {
     "infinite-weight": _edited(
         "fig7-multicall", lambda d: d["calls"][0].update(weight=float("inf"))
     ),
+    # Finite gaps between emissions too small to move the clock: the event
+    # loop ran forever at one clock value.
+    "tiny-packet-interval": _edited(
+        "table1-s1", lambda d: d["calls"][0]["flow"].update(packet_interval_ms=1e-300)
+    ),
+    "huge-background-rate": _edited(
+        "table4-red-1k", lambda d: d["background"].update(rate_kbps=1e300)
+    ),
+    "huge-timeline-background-rate": _edited(
+        "table7-singlecall",
+        lambda d: d["timeline"][3].update(kind=netsim.SET_BACKGROUND_RATE, value=1e300),
+    ),
 }
 
 
