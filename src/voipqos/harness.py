@@ -1,12 +1,24 @@
-"""Scenario configuration, run orchestration and artifact emission."""
+"""Scenario parsing, run orchestration and artifact emission.
+
+A scenario is parsed once. `scenario_from_json`, the one maker of a
+`Scenario`, builds the netsim configs a scenario object describes, each
+checking its own fields, and `Scenario.validate` then runs the checks that
+span several of them. The presets and the calibration worlds are scenario
+objects too, so they are checked by the code that checks a file.
+`build_world` only instantiates a `SimWorld` from the configs, and a world
+never writes to them, so one `Scenario` can be run any number of times.
+`run` drives the 5 s window loop, with or without the controller, and
+`write_outputs` writes a run's artifacts.
+"""
 from __future__ import annotations
 
 import csv
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, fields
-from typing import Dict, List, Optional, Tuple
+from dataclasses import asdict, dataclass, fields, replace
+from types import MappingProxyType
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from . import actions as actions_mod
 from . import netsim
@@ -40,153 +52,213 @@ class ScenarioError(Exception):
     pass
 
 
-@dataclass
-class FlowSpec:
-    rate_kbps: float = 26.0
-    packet_interval_ms: float = 20.0
-    burst_pkts: int = 1
-    service: str = netsim.BEST_EFFORT
-    reserved_kbps: float = 0.0
-    fec_block_k: int = 0  # 0 = no FEC
+class Call(NamedTuple):
+    """One call of a scenario: its media flow, whose start_ms and end_ms
+    are the call's interval (end_ms None: to the scenario's end), and its
+    weight in the calls' global means."""
 
-
-@dataclass
-class CallSpec:
     call_id: str
-    flow: FlowSpec = field(default_factory=FlowSpec)
-    weight: float = 1.0
-    start_s: float = 0.0
-    end_s: Optional[float] = None
+    flow: MediaFlow
+    weight: float
 
 
-@dataclass
-class TimelineEntry:
-    at_s: float
-    kind: str
-    value: float
-
-
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
+    """A parsed scenario: the configs its world is built from, and what the
+    run needs besides. Made by `scenario_from_json` alone."""
+
     name: str
     duration_s: float
-    link: Dict[str, float] = field(
-        default_factory=lambda: {"latency_ms": 6.0, "loss_rate": 0.0, "capacity_kbps": 1000.0}
-    )
-    queue: Dict[str, object] = field(
-        default_factory=lambda: {"capacity_pkts": 100, "discipline": "tail_drop"}
-    )
-    calls: List[CallSpec] = field(default_factory=list)
-    background: Optional[Dict[str, float]] = None
-    timeline: List[TimelineEntry] = field(default_factory=list)
-    learning: bool = True
-    constraints: Optional[Dict[str, float]] = None
-    version: int = SCHEMA_VERSION
+    link: LinkConfig
+    queue: QueueConfig
+    calls: Tuple[Call, ...]
+    background: Optional[BackgroundFlow]
+    timeline: Tuple[NetworkChange, ...]
+    learning: bool
+    constraints: Constraints
 
     def validate(self) -> None:
         """Raise ScenarioError unless the scenario can run.
 
-        Builds the link, queue and flow configs the scenario describes, so
-        every input their constructors reject is rejected here. Each
-        timeline entry gets the check a NetworkChange runs, without being
-        built: building the timeline costs as much as parsing a long
-        scenario. A wrongly typed field is reported as a ScenarioError too.
+        Each config checked its own fields when it was built; these are the
+        checks that span several of them. A wrongly typed field is reported
+        as a ScenarioError too.
         """
         try:
-            self._check_fields()
-            _, _, media, background = _netsim_configs(self)
-            self._check_emission_gaps(media, background)
-            self.get_constraints()
+            # Written so that NaN fails.
+            if not 0 < self.duration_s < math.inf:
+                raise ValueError("duration_s must be finite and > 0")
+            if not isinstance(self.learning, bool):
+                raise ValueError(f"learning must be true or false, not {self.learning!r}")
+            end_ms = self.duration_s * 1000.0
+            ids = [call.call_id for call in self.calls]
+            if len(set(ids)) != len(ids):
+                raise ValueError("duplicate call_id")
+            if GLOBAL_ROW_ID in ids:
+                raise ValueError(f"call_id {GLOBAL_ROW_ID!r} is reserved")
+            for call_id, flow, weight in self.calls:
+                call_end_ms = end_ms if flow.end_ms is None else flow.end_ms
+                if not 0 <= flow.start_ms < call_end_ms <= end_ms:
+                    raise ValueError(f"call {call_id} interval outside duration")
+                if not 0 < weight < math.inf:
+                    raise ValueError(f"call {call_id} weight must be finite and > 0")
+            # Every media flow is admitted when the world is built.
+            reserved = sum(
+                c.flow.reserved_kbps for c in self.calls if c.flow.service == netsim.GUARANTEED
+            )
+            if reserved > self.link.capacity_kbps:
+                raise ValueError(
+                    f"guaranteed calls reserve {reserved:g} kbps, more than the link's "
+                    f"{self.link.capacity_kbps:g} kbps"
+                )
+            at = [change.at_ms for change in self.timeline]
+            if at != sorted(at):
+                raise ValueError("timeline must be sorted by at_s")
+            for at_ms in at:
+                if not 0 <= at_ms <= end_ms:
+                    raise ValueError(
+                        f"timeline at_s {at_ms / 1000.0!r} is outside [0, duration_s]"
+                    )
+            # Every emission gap must move the clock: the clock never passes
+            # the run's end, where floats are spaced widest, so a gap of at
+            # least that spacing always lands later.
+            resolution = math.ulp(end_ms)
+            gaps = [(c.flow.flow_id, c.flow.burst_pkts * c.flow.packet_interval_ms)
+                    for c in self.calls]
+            bg = self.background
+            if bg is not None:
+                rates = [c.value for c in self.timeline if c.kind == netsim.SET_BACKGROUND_RATE]
+                gaps += [(bg.flow_id, bg.packet_bits / r) for r in [bg.rate_kbps, *rates] if r > 0]
+            for flow_id, gap in gaps:
+                if not gap >= resolution:
+                    raise ValueError(
+                        f"{flow_id} emits every {gap:g} ms, finer than the clock's "
+                        f"{resolution:g} ms step at duration_s"
+                    )
         except (TypeError, ValueError) as exc:
             raise ScenarioError(f"{self.name}: {exc}") from exc
 
-    def _check_fields(self) -> None:
-        """What no config built from the scenario checks; a wrongly typed
-        field raises TypeError."""
-        if self.version != SCHEMA_VERSION:
-            raise ScenarioError(f"{self.name}: unsupported version {self.version!r}")
-        # Written so that NaN fails.
-        if not 0 < self.duration_s < math.inf:
-            raise ScenarioError(f"{self.name}: duration_s must be finite and > 0")
-        at = [e.at_s for e in self.timeline]
-        if at != sorted(at):
-            raise ScenarioError(f"{self.name}: timeline must be sorted by at_s")
-        for entry in self.timeline:
-            if not 0 <= entry.at_s <= self.duration_s:
-                raise ScenarioError(
-                    f"{self.name}: timeline at_s {entry.at_s!r} is outside [0, duration_s]"
-                )
-            netsim.check_change(entry.kind, entry.value)
-        ids = [call.call_id for call in self.calls]
-        if len(set(ids)) != len(ids):
-            raise ScenarioError(f"{self.name}: duplicate call_id")
-        if GLOBAL_ROW_ID in ids:
-            raise ScenarioError(f"{self.name}: call_id {GLOBAL_ROW_ID!r} is reserved")
-        for call in self.calls:
-            if not 0 <= call.start_s < _end_s(call, self) <= self.duration_s:
-                raise ScenarioError(
-                    f"{self.name}: call {call.call_id} interval outside duration"
-                )
-            if not 0 < call.weight < math.inf:
-                raise ScenarioError(
-                    f"{self.name}: call {call.call_id} weight must be finite and > 0"
-                )
 
-    def _check_emission_gaps(
-        self, media: List[MediaFlow], background: List[BackgroundFlow]
-    ) -> None:
-        """Raise unless every emission gap moves the clock: the clock never
-        passes the run's end, where floats are spaced widest, so a gap of
-        at least that spacing always lands later."""
-        resolution = math.ulp(self.duration_s * 1000.0)
-        gaps = [(f.flow_id, f.burst_pkts * f.packet_interval_ms) for f in media]
-        rates = [e.value for e in self.timeline if e.kind == netsim.SET_BACKGROUND_RATE]
-        for bg in background:
-            gaps += [(bg.flow_id, bg.packet_bits / r) for r in [bg.rate_kbps, *rates] if r > 0]
-        for flow_id, gap in gaps:
-            if not gap >= resolution:
-                raise ScenarioError(
-                    f"{self.name}: {flow_id} emits every {gap:g} ms, finer than "
-                    f"the clock's {resolution:g} ms step at duration_s"
-                )
-
-    def get_constraints(self) -> Constraints:
-        if self.constraints is None:
-            return DEFAULT_CONSTRAINTS
-        return Constraints(**self.constraints)
-
-
-def scenario_to_json(scenario: Scenario) -> dict:
-    return asdict(scenario)
+# A scenario object's keys: the Scenario's fields and the schema version.
+_FIELDS = {"version", *(f.name for f in fields(Scenario))}
 
 
 def scenario_from_json(data: dict) -> Scenario:
+    """The scenario a scenario object describes, its configs built and the
+    whole validated; raises ScenarioError on any input that cannot run."""
     if not isinstance(data, dict):
         raise ScenarioError(f"a scenario is a JSON object, not {type(data).__name__}")
-    unknown = sorted(set(data) - {f.name for f in fields(Scenario)})
+    unknown = sorted(set(data) - _FIELDS)
     if unknown:
         raise ScenarioError(f"unknown scenario field(s): {', '.join(unknown)}")
+    if data.get("version", SCHEMA_VERSION) != SCHEMA_VERSION:
+        raise ScenarioError(f"unsupported version {data['version']!r}")
+    background = data.get("background")
+    constraints = data.get("constraints")
+    timeline = data.get("timeline", ())
     try:
         scenario = Scenario(
             name=data["name"],
             duration_s=data["duration_s"],
-            link=dict(data.get("link", {})) or Scenario("_", 1).link,
-            queue=dict(data.get("queue", {})) or Scenario("_", 1).queue,
-            # An unknown call or flow key is a TypeError, so never dropped.
-            calls=[
-                CallSpec(**{**c, "flow": FlowSpec(**c.get("flow", {}))})
-                for c in data.get("calls", [])
-            ],
-            background=data.get("background"),
-            timeline=[TimelineEntry(**t) for t in data.get("timeline", [])],
+            # An unknown key of an object is a TypeError, so never dropped.
+            link=LinkConfig(**data.get("link", {})),
+            queue=_queue_config(**data.get("queue", {})),
+            calls=tuple(_call(**c) for c in data.get("calls", ())),
+            background=None if background is None else BackgroundFlow(
+                "bg", **{"rate_kbps": 0.0, **background}
+            ),
+            # Built inline: a long timeline is most of a scenario's parse.
+            timeline=tuple(
+                NetworkChange(e["at_s"] * 1000.0, e["kind"], e["value"]) for e in timeline
+            ),
             learning=data.get("learning", True),
-            constraints=data.get("constraints"),
-            version=data.get("version", SCHEMA_VERSION),
+            constraints=DEFAULT_CONSTRAINTS if constraints is None else Constraints(**constraints),
         )
+        # Each entry has at_s, kind and value, so a fourth key is unknown.
+        if any(len(e) != 3 for e in timeline):
+            raise ValueError("a timeline entry has exactly the keys at_s, kind and value")
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"invalid scenario field: {exc}") from exc
     scenario.validate()
     return scenario
+
+
+def _queue_config(
+    capacity_pkts: int = 100, discipline: str = "tail_drop", red: Optional[dict] = None
+) -> QueueConfig:
+    """A queue object's config: "tail_drop" has no RED curve, "red" drops
+    best-effort packets early."""
+    if discipline not in ("tail_drop", "red"):
+        raise ValueError(f"unknown queue discipline {discipline!r}")
+    if (discipline == "red") != (red is not None):
+        raise ValueError("the red discipline needs red parameters, and only it takes them")
+    return QueueConfig(capacity_pkts, (None if red is None else REDParams(**red), None))
+
+
+def _call(
+    call_id: str,
+    flow: Mapping[str, object] = MappingProxyType({}),
+    weight: float = 1.0,
+    start_s: float = 0.0,
+    end_s: Optional[float] = None,
+) -> Call:
+    """A call object's call. Its flow object holds MediaFlow fields, and
+    fec_block_k for the FEC block size (0: none); a guaranteed flow's
+    reserved_kbps of 0 is its default reservation, 1.25 x its rate."""
+    params = {"fec_block_k": 0, **flow}
+    block_k = params.pop("fec_block_k")
+    media = MediaFlow(
+        f"flow-{call_id}",
+        **params,
+        fec=FecConfig(block_k) if block_k else None,
+        start_ms=start_s * 1000.0,
+        end_ms=None if end_s is None else end_s * 1000.0,
+    )
+    if media.service == netsim.GUARANTEED and media.reserved_kbps == 0:
+        reserved = media.rate_kbps * actions_mod.GUARANTEED_RESERVATION_FACTOR
+        media = replace(media, reserved_kbps=reserved)
+    return Call(call_id, media, weight)
+
+
+def scenario_to_json(scenario: Scenario) -> dict:
+    """The scenario object that scenario_from_json parses into this scenario."""
+    red = scenario.queue.red[0]
+    queue = {"capacity_pkts": scenario.queue.capacity_pkts, "discipline": "tail_drop"}
+    if red is not None:
+        queue.update(discipline="red", red=asdict(red))
+    bg = scenario.background
+    return {
+        "version": SCHEMA_VERSION,
+        "name": scenario.name,
+        "duration_s": scenario.duration_s,
+        "link": asdict(scenario.link),
+        "queue": queue,
+        "calls": [
+            {
+                "call_id": call_id,
+                "flow": {
+                    "rate_kbps": flow.rate_kbps,
+                    "packet_interval_ms": flow.packet_interval_ms,
+                    "burst_pkts": flow.burst_pkts,
+                    "service": flow.service,
+                    "reserved_kbps": flow.reserved_kbps,
+                    "fec_block_k": 0 if flow.fec is None else flow.fec.block_k,
+                },
+                "weight": weight,
+                "start_s": flow.start_ms / 1000.0,
+                "end_s": None if flow.end_ms is None else flow.end_ms / 1000.0,
+            }
+            for call_id, flow, weight in scenario.calls
+        ],
+        "background": None if bg is None else {
+            "rate_kbps": bg.rate_kbps, "packet_bytes": bg.packet_bytes, "burst_pkts": bg.burst_pkts
+        },
+        "timeline": [
+            {"at_s": c.at_ms / 1000.0, "kind": c.kind, "value": c.value} for c in scenario.timeline
+        ],
+        "learning": scenario.learning,
+        "constraints": asdict(scenario.constraints),
+    }
 
 
 def write_scenario(scenario: Scenario, path) -> None:
@@ -196,7 +268,7 @@ def write_scenario(scenario: Scenario, path) -> None:
 
 def load_scenario(path_or_preset: str) -> Scenario:
     if path_or_preset in PRESETS:
-        return PRESETS[path_or_preset]()
+        return scenario_from_json(PRESETS[path_or_preset])
     if not os.path.exists(path_or_preset):
         raise ScenarioError(
             f"{path_or_preset!r} is neither a preset ({', '.join(sorted(PRESETS))}) "
@@ -211,125 +283,110 @@ def load_scenario(path_or_preset: str) -> Scenario:
 
 
 # ---------------- presets ----------------
+# Scenario objects, as a scenario file holds them.
 
-def _table1(name: str, loss: float, buffer_pkts: int, service: str = "best_effort") -> Scenario:
-    return Scenario(
-        name=name,
-        duration_s=30.0,
-        link={"latency_ms": 100.0, "loss_rate": loss, "capacity_kbps": 100.0},
-        queue={"capacity_pkts": buffer_pkts, "discipline": "tail_drop"},
-        calls=[
-            CallSpec(
-                "call-1",
-                FlowSpec(burst_pkts=150, service=service, reserved_kbps=32.5),
-            )
+def _change(at_s: float, kind: str, value: float) -> dict:
+    return {"at_s": at_s, "kind": kind, "value": value}
+
+
+def _table1(name: str, loss: float, buffer_pkts: int, service: str = "best_effort") -> dict:
+    return {
+        "name": name,
+        "duration_s": 30.0,
+        "link": {"latency_ms": 100.0, "loss_rate": loss, "capacity_kbps": 100.0},
+        "queue": {"capacity_pkts": buffer_pkts},
+        "calls": [
+            {
+                "call_id": "call-1",
+                "flow": {"burst_pkts": 150, "service": service, "reserved_kbps": 32.5},
+            }
         ],
-        learning=False,
-    )
+        "learning": False,
+    }
 
 
-def _table4(name: str, bg_kbps: float) -> Scenario:
-    return Scenario(
-        name=name,
-        duration_s=30.0,
-        link={"latency_ms": 6.0, "loss_rate": 0.0, "capacity_kbps": 1000.0},
-        queue={
+def _table4(name: str, bg_kbps: float) -> dict:
+    return {
+        "name": name,
+        "duration_s": 30.0,
+        "link": {"latency_ms": 6.0, "loss_rate": 0.0, "capacity_kbps": 1000.0},
+        "queue": {
             "capacity_pkts": 150,
             "discipline": "red",
             "red": {"min_th": 50, "max_th": 100, "max_p": 0.1, "ewma_weight": 0.002},
         },
-        calls=[CallSpec("call-1", FlowSpec())],
-        background={"rate_kbps": bg_kbps, "packet_bytes": 100, "burst_pkts": 1},
-        learning=False,
-    )
-
-
-def _table7_singlecall() -> Scenario:
-    return Scenario(
-        name="table7-singlecall",
-        duration_s=600.0,
-        link={"latency_ms": 6.0, "loss_rate": 0.0, "capacity_kbps": 400.0},
-        queue={"capacity_pkts": 120, "discipline": "tail_drop"},
-        calls=[CallSpec("call-1", FlowSpec())],
-        background={"rate_kbps": 0.0, "packet_bytes": 100, "burst_pkts": 1},
-        timeline=[
-            TimelineEntry(30.0, netsim.SET_LATENCY, 50.0),
-            TimelineEntry(90.0, netsim.SET_LATENCY, 65.0),
-            TimelineEntry(150.0, netsim.SET_LATENCY, 120.0),
-            TimelineEntry(210.0, netsim.SET_BACKGROUND_RATE, 380.0),
-            TimelineEntry(390.0, netsim.SET_BACKGROUND_RATE, 80.0),
-            TimelineEntry(400.0, netsim.SET_LOSS_RATE, 0.065),
-        ],
-        learning=True,
-    )
-
-
-def _fig7_multicall() -> Scenario:
-    return Scenario(
-        name="fig7-multicall",
-        duration_s=400.0,
-        link={"latency_ms": 30.0, "loss_rate": 0.0, "capacity_kbps": 500.0},
-        queue={"capacity_pkts": 40, "discipline": "tail_drop"},
-        calls=[
-            CallSpec("call-1", FlowSpec()),
-            CallSpec("call-2", FlowSpec()),
-        ],
-        background={"rate_kbps": 0.0, "packet_bytes": 100, "burst_pkts": 1},
-        timeline=[TimelineEntry(60.0, netsim.SET_BACKGROUND_RATE, 515.0)],
-        learning=True,
-    )
-
-
-def _fig10_learning() -> Scenario:
-    return Scenario(
-        name="fig10-learning",
-        duration_s=700.0,
-        link={"latency_ms": 20.0, "loss_rate": 0.0, "capacity_kbps": 1000.0},
-        queue={"capacity_pkts": 100, "discipline": "tail_drop"},
-        calls=[
-            CallSpec("call-1", FlowSpec(), start_s=0.0, end_s=340.0),
-            CallSpec("call-2", FlowSpec(), start_s=350.0, end_s=690.0),
-        ],
-        timeline=[
-            TimelineEntry(30.0, netsim.SET_LOSS_RATE, 0.06),
-            TimelineEntry(330.0, netsim.SET_LOSS_RATE, 0.0),
-            TimelineEntry(380.0, netsim.SET_LOSS_RATE, 0.06),
-        ],
-        learning=True,
-    )
-
-
-def _video_loss_sweep() -> Scenario:
-    return Scenario(
-        name="video-loss-sweep",
-        duration_s=360.0,
-        link={"latency_ms": 20.0, "loss_rate": 0.0, "capacity_kbps": 2000.0},
-        queue={"capacity_pkts": 100, "discipline": "tail_drop"},
-        calls=[CallSpec("call-1", FlowSpec(rate_kbps=512.0))],
-        timeline=[
-            TimelineEntry(60.0, netsim.SET_LOSS_RATE, 0.01),
-            TimelineEntry(120.0, netsim.SET_LOSS_RATE, 0.03),
-            TimelineEntry(180.0, netsim.SET_LOSS_RATE, 0.06),
-        ],
-        learning=True,
-    )
+        "calls": [{"call_id": "call-1"}],
+        "background": {"rate_kbps": bg_kbps, "packet_bytes": 100, "burst_pkts": 1},
+        "learning": False,
+    }
 
 
 PRESETS = {
-    "table1-s1": lambda: _table1("table1-s1", 0.0, 200),
-    "table1-s2": lambda: _table1("table1-s2", 0.0, 20),
-    "table1-s3": lambda: _table1("table1-s3", 0.30, 200),
-    "table1-s4": lambda: _table1("table1-s4", 0.30, 20),
-    "fig5-s3-controlled": lambda: _table1("fig5-s3-controlled", 0.30, 200, "controlled_load"),
-    "fig5-s3-guaranteed": lambda: _table1("fig5-s3-guaranteed", 0.30, 200, "guaranteed"),
-    "fig5-s4-controlled": lambda: _table1("fig5-s4-controlled", 0.30, 20, "controlled_load"),
-    "fig5-s4-guaranteed": lambda: _table1("fig5-s4-guaranteed", 0.30, 20, "guaranteed"),
-    "table4-red-1k": lambda: _table4("table4-red-1k", 900.0),
-    "table4-red-10k": lambda: _table4("table4-red-10k", 1080.0),
-    "table7-singlecall": _table7_singlecall,
-    "fig7-multicall": _fig7_multicall,
-    "fig10-learning": _fig10_learning,
-    "video-loss-sweep": _video_loss_sweep,
+    preset["name"]: preset
+    for preset in (
+        _table1("table1-s1", 0.0, 200),
+        _table1("table1-s2", 0.0, 20),
+        _table1("table1-s3", 0.30, 200),
+        _table1("table1-s4", 0.30, 20),
+        _table1("fig5-s3-controlled", 0.30, 200, "controlled_load"),
+        _table1("fig5-s3-guaranteed", 0.30, 200, "guaranteed"),
+        _table1("fig5-s4-controlled", 0.30, 20, "controlled_load"),
+        _table1("fig5-s4-guaranteed", 0.30, 20, "guaranteed"),
+        _table4("table4-red-1k", 900.0),
+        _table4("table4-red-10k", 1080.0),
+        {
+            "name": "table7-singlecall",
+            "duration_s": 600.0,
+            "link": {"latency_ms": 6.0, "loss_rate": 0.0, "capacity_kbps": 400.0},
+            "queue": {"capacity_pkts": 120},
+            "calls": [{"call_id": "call-1"}],
+            "background": {"rate_kbps": 0.0, "packet_bytes": 100, "burst_pkts": 1},
+            "timeline": [
+                _change(30.0, netsim.SET_LATENCY, 50.0),
+                _change(90.0, netsim.SET_LATENCY, 65.0),
+                _change(150.0, netsim.SET_LATENCY, 120.0),
+                _change(210.0, netsim.SET_BACKGROUND_RATE, 380.0),
+                _change(390.0, netsim.SET_BACKGROUND_RATE, 80.0),
+                _change(400.0, netsim.SET_LOSS_RATE, 0.065),
+            ],
+        },
+        {
+            "name": "fig7-multicall",
+            "duration_s": 400.0,
+            "link": {"latency_ms": 30.0, "loss_rate": 0.0, "capacity_kbps": 500.0},
+            "queue": {"capacity_pkts": 40},
+            "calls": [{"call_id": "call-1"}, {"call_id": "call-2"}],
+            "background": {"rate_kbps": 0.0, "packet_bytes": 100, "burst_pkts": 1},
+            "timeline": [_change(60.0, netsim.SET_BACKGROUND_RATE, 515.0)],
+        },
+        {
+            "name": "fig10-learning",
+            "duration_s": 700.0,
+            "link": {"latency_ms": 20.0, "loss_rate": 0.0, "capacity_kbps": 1000.0},
+            "queue": {"capacity_pkts": 100},
+            "calls": [
+                {"call_id": "call-1", "start_s": 0.0, "end_s": 340.0},
+                {"call_id": "call-2", "start_s": 350.0, "end_s": 690.0},
+            ],
+            "timeline": [
+                _change(30.0, netsim.SET_LOSS_RATE, 0.06),
+                _change(330.0, netsim.SET_LOSS_RATE, 0.0),
+                _change(380.0, netsim.SET_LOSS_RATE, 0.06),
+            ],
+        },
+        {
+            "name": "video-loss-sweep",
+            "duration_s": 360.0,
+            "link": {"latency_ms": 20.0, "loss_rate": 0.0, "capacity_kbps": 2000.0},
+            "queue": {"capacity_pkts": 100},
+            "calls": [{"call_id": "call-1", "flow": {"rate_kbps": 512.0}}],
+            "timeline": [
+                _change(60.0, netsim.SET_LOSS_RATE, 0.01),
+                _change(120.0, netsim.SET_LOSS_RATE, 0.03),
+                _change(180.0, netsim.SET_LOSS_RATE, 0.06),
+            ],
+        },
+    )
 }
 
 
@@ -338,124 +395,41 @@ PRESETS = {
 def build_world(scenario: Scenario, seed: int, trace: bool = False) -> SimWorld:
     """The scenario's world; only a traced world keeps the packet log that
     trace.csv is written from."""
-    scenario.validate()
-    link, queue, media, background = _netsim_configs(scenario)
-    timeline = tuple(
-        NetworkChange(e.at_s * 1000.0, e.kind, e.value) for e in scenario.timeline
+    world = SimWorld(
+        scenario.link, scenario.queue, seed=seed, timeline=scenario.timeline, trace=trace
     )
-    world = SimWorld(link, queue, seed=seed, timeline=timeline, trace=trace)
-    for flow in media:
-        world.add_media_flow(flow)
-    for flow in background:
-        world.add_background_flow(flow)
-    return world
-
-
-def _netsim_configs(scenario: Scenario) -> tuple:
-    """The link, queue, media flows and background flows a scenario
-    describes; raises the constructors' ValueError (or TypeError for an
-    unknown field) on bad input."""
-    link = LinkConfig(**scenario.link)
-    queue = _queue_config(scenario.queue)
-    media = [_media_flow(call, scenario) for call in scenario.calls]
-    # Every media flow is admitted when the world is built.
-    reserved = sum(f.reserved_kbps for f in media if f.service == netsim.GUARANTEED)
-    if reserved > link.capacity_kbps:
-        raise ValueError(
-            f"guaranteed calls reserve {reserved:g} kbps, more than the link's "
-            f"{link.capacity_kbps:g} kbps"
-        )
-    background = []
+    for call in scenario.calls:
+        world.add_media_flow(call.flow)
     if scenario.background is not None:
-        bg = _known_fields(
-            scenario.background, "background", ("rate_kbps", "packet_bytes", "burst_pkts")
-        )
-        background.append(BackgroundFlow("bg", **{"rate_kbps": 0.0, **bg}))
-    return link, queue, media, background
-
-
-def _known_fields(obj: dict, what: str, allowed: Tuple[str, ...]) -> dict:
-    """The object itself; raises ValueError if it has a key not allowed."""
-    unknown = sorted(set(obj) - set(allowed))
-    if unknown:
-        raise ValueError(f"unknown {what} field(s): {', '.join(unknown)}")
-    return obj
-
-
-def _queue_config(queue: Dict[str, object]) -> QueueConfig:
-    """The queue a scenario's queue object describes: "tail_drop" has no
-    RED curve, "red" drops best-effort packets early."""
-    _known_fields(queue, "queue", ("capacity_pkts", "discipline", "red"))
-    discipline = queue.get("discipline", "tail_drop")
-    red = queue.get("red")
-    if discipline not in ("tail_drop", "red"):
-        raise ValueError(f"unknown queue discipline {discipline!r}")
-    if (discipline == "red") != (red is not None):
-        raise ValueError("the red discipline needs red parameters, and only it takes them")
-    table = (None, None) if red is None else (REDParams(**red), None)  # type: ignore[arg-type]
-    return QueueConfig(queue.get("capacity_pkts", 100), table)  # type: ignore[arg-type]
-
-
-def _flow_id(call_id: str) -> str:
-    return f"flow-{call_id}"
-
-
-def _media_flow(call: CallSpec, scenario: Scenario) -> MediaFlow:
-    f = call.flow
-    service = f.service
-    reserved = f.reserved_kbps
-    if service == "guaranteed" and reserved <= 0:
-        reserved = f.rate_kbps * actions_mod.GUARANTEED_RESERVATION_FACTOR
-    return MediaFlow(
-        flow_id=_flow_id(call.call_id),
-        rate_kbps=f.rate_kbps,
-        packet_interval_ms=f.packet_interval_ms,
-        burst_pkts=f.burst_pkts,
-        service=service,
-        reserved_kbps=reserved,
-        fec=FecConfig(f.fec_block_k) if f.fec_block_k else None,
-        start_ms=call.start_s * 1000.0,
-        end_ms=None if call.end_s is None else call.end_s * 1000.0,
-    )
+        world.add_background_flow(scenario.background)
+    return world
 
 
 # ---------------- calibration (analysis phase) ----------------
 
-def _calibration_scenario(case: ScenarioCase) -> Scenario:
-    if case == ScenarioCase.CASE1:
-        return Scenario(
-            name="calib-case1",
-            duration_s=40.0,
-            link={"latency_ms": 30.0, "loss_rate": 0.0, "capacity_kbps": 1000.0},
-            queue={"capacity_pkts": 100, "discipline": "tail_drop"},
-            calls=[CallSpec("cal", FlowSpec())],
-        )
-    if case == ScenarioCase.CASE2:
-        # Loss from the call's own bursts overflowing a small buffer.
-        return Scenario(
-            name="calib-case2",
-            duration_s=40.0,
-            link={"latency_ms": 20.0, "loss_rate": 0.0, "capacity_kbps": 500.0},
-            queue={"capacity_pkts": 25, "discipline": "tail_drop"},
-            calls=[CallSpec("cal", FlowSpec(burst_pkts=30))],
-        )
-    if case == ScenarioCase.CASE3:
-        # Delay from a standing queue under slight oversubscription.
-        return Scenario(
-            name="calib-case3",
-            duration_s=40.0,
-            link={"latency_ms": 100.0, "loss_rate": 0.0, "capacity_kbps": 400.0},
-            queue={"capacity_pkts": 200, "discipline": "tail_drop"},
-            calls=[CallSpec("cal", FlowSpec())],
-            background={"rate_kbps": 380.0, "packet_bytes": 100, "burst_pkts": 1},
-        )
-    return Scenario(
-        name="calib-case4",
-        duration_s=40.0,
-        link={"latency_ms": 190.0, "loss_rate": 0.08, "capacity_kbps": 500.0},
-        queue={"capacity_pkts": 25, "discipline": "tail_drop"},
-        calls=[CallSpec("cal", FlowSpec(burst_pkts=30))],
-    )
+def _calibration(name: str, latency_ms: float, loss: float, capacity_kbps: float,
+                 buffer_pkts: int, burst_pkts: int = 1) -> dict:
+    return {
+        "name": name,
+        "duration_s": 40.0,
+        "link": {"latency_ms": latency_ms, "loss_rate": loss, "capacity_kbps": capacity_kbps},
+        "queue": {"capacity_pkts": buffer_pkts},
+        "calls": [{"call_id": "cal", "flow": {"burst_pkts": burst_pkts}}],
+    }
+
+
+# The analysis-phase world of each case, as a scenario object.
+_CALIBRATION = {
+    ScenarioCase.CASE1: _calibration("calib-case1", 30.0, 0.0, 1000.0, 100),
+    # Loss from the call's own bursts overflowing a small buffer.
+    ScenarioCase.CASE2: _calibration("calib-case2", 20.0, 0.0, 500.0, 25, burst_pkts=30),
+    # Delay from a standing queue under slight oversubscription.
+    ScenarioCase.CASE3: {
+        **_calibration("calib-case3", 100.0, 0.0, 400.0, 200),
+        "background": {"rate_kbps": 380.0, "packet_bytes": 100, "burst_pkts": 1},
+    },
+    ScenarioCase.CASE4: _calibration("calib-case4", 190.0, 0.08, 500.0, 25, burst_pkts=30),
+}
 
 
 def calibrate(seed: int = 0) -> KnowledgeBase:
@@ -463,23 +437,23 @@ def calibrate(seed: int = 0) -> KnowledgeBase:
     kb = KnowledgeBase()
     for case_name, action_list in actions_mod.CASE_ORDER.items():
         case = ScenarioCase(case_name)
-        scenario = _calibration_scenario(case)
+        scenario = scenario_from_json(_CALIBRATION[case])
+        flow_id = scenario.calls[0].flow.flow_id
         for action in action_list:
             world = build_world(scenario, seed)
-            flow_id = _flow_id(scenario.calls[0].call_id)
             world.advance(10_000.0)
             world.measure(flow_id)  # discard warmup window
             try:
                 actions_mod.apply_action(world, flow_id, action)
             except actions_mod.ActionFailedError:
-                kb.add_entry(case, action, scenario.link["latency_ms"], 1.0)
+                kb.add_entry(case, action, scenario.link.latency_ms, 1.0)
                 continue
             world.advance(15_000.0)
             world.measure(flow_id)  # discard settling window
             world.advance(35_000.0)
             sample = world.measure(flow_id)
             if sample is None:
-                kb.add_entry(case, action, scenario.link["latency_ms"], 0.0)
+                kb.add_entry(case, action, scenario.link.latency_ms, 0.0)
             else:
                 kb.add_entry(case, action, sample.delay_ms, sample.loss)
     return kb
@@ -531,7 +505,7 @@ def _run_windows(
 ) -> RunArtifacts:
     """The 5 s window loop; baseline mode runs it without a controller."""
     world = build_world(scenario, seed, trace=trace)
-    constraints = scenario.get_constraints()
+    constraints = scenario.constraints
     controller = kb = None
     if mode == "control":
         kb = default_kb()
@@ -551,19 +525,21 @@ def _run_windows(
             t = end_ms
         if controller is not None:
             for call in scenario.calls:
-                if t_prev <= call.start_s * 1000.0 < t:
-                    controller.add_call(call.call_id, _flow_id(call.call_id), call.weight)
+                if t_prev <= call.flow.start_ms < t:
+                    controller.add_call(call.call_id, call.flow.flow_id, call.weight)
         world.advance(t)
         for call in scenario.calls:
-            if t_prev < _end_s(call, scenario) * 1000.0 <= t:
+            # A call without end_s runs to the scenario's end.
+            call_end_ms = end_ms if call.flow.end_ms is None else call.flow.end_ms
+            if t_prev < call_end_ms <= t:
                 # Closing first stops the call's mechanisms, so end_flow
                 # releases whatever reservation the restored flow holds.
                 if controller is not None:
                     controller.close_call(call.call_id)
-                world.end_flow(_flow_id(call.call_id))
+                world.end_flow(call.flow.flow_id)
         if controller is None:
             world.pop_notifications()
-            flows = [(c.call_id, world.measure(_flow_id(c.call_id))) for c in scenario.calls]
+            flows = [(c.call_id, world.measure(c.flow.flow_id)) for c in scenario.calls]
         else:
             controller.on_window()
             live = controller.active_calls()
@@ -588,10 +564,6 @@ def _run_windows(
     )
 
 
-def _end_s(call: CallSpec, scenario: Scenario) -> float:
-    return call.end_s if call.end_s is not None else scenario.duration_s
-
-
 def _summary(
     scenario: Scenario,
     world: SimWorld,
@@ -606,7 +578,7 @@ def _summary(
     per_call = {}
     all_ok = bool(scenario.calls)
     for call in scenario.calls:
-        totals = world.totals(_flow_id(call.call_id))
+        totals = world.totals(call.flow.flow_id)
         resolved = totals.delivered + totals.dropped
         avg_loss = (totals.dropped - totals.recovered) / resolved if resolved else 0.0
         avg_delay = totals.delay_sum_ms / totals.delay_n if totals.delay_n else 0.0

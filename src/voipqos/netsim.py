@@ -154,8 +154,8 @@ class MediaFlow:
         # Written so that NaN fails every check.
         if not (0 < self.rate_kbps < math.inf and 0 < self.packet_interval_ms < math.inf):
             raise ValueError("rate_kbps and packet_interval_ms must be finite and > 0")
-        if not math.isfinite(self.reserved_kbps):
-            raise ValueError("reserved_kbps must be finite")
+        if not 0 <= self.reserved_kbps < math.inf:
+            raise ValueError("reserved_kbps must be finite and >= 0")
         _check_count("burst_pkts", self.burst_pkts)
         if self.service not in SERVICES:
             raise ValueError(f"unknown service class {self.service!r}")
@@ -203,27 +203,26 @@ CHANGE_RANGES = {
 }
 
 
-def check_change(kind: str, value: float) -> None:
-    """Raise ValueError unless a network change of this kind may take the value."""
-    if kind not in CHANGE_RANGES:
-        raise ValueError(f"unknown network change kind: {kind}")
-    low, high = CHANGE_RANGES[kind]
-    if not (low <= value <= high and math.isfinite(value)):
-        raise ValueError(
-            f"{kind} value {value!r} is not a finite number in [{low:g}, {high:g}]"
-        )
-    if kind == SET_BUFFER_SIZE and value != int(value):
-        raise ValueError(f"{kind} value {value!r} is not a whole number of packets")
-
-
-@dataclass(frozen=True)
+# Read, never written, by the world and the controller. Slotted rather than
+# frozen: a scenario's parse builds one per timeline entry, and a frozen
+# dataclass is slower to build.
+@dataclass(slots=True)
 class NetworkChange:
     at_ms: float
     kind: str
     value: float
 
     def __post_init__(self) -> None:
-        check_change(self.kind, self.value)
+        kind, value = self.kind, self.value
+        if kind not in CHANGE_RANGES:
+            raise ValueError(f"unknown network change kind: {kind}")
+        low, high = CHANGE_RANGES[kind]
+        if not (low <= value <= high and math.isfinite(value)):
+            raise ValueError(
+                f"{kind} value {value!r} is not a finite number in [{low:g}, {high:g}]"
+            )
+        if kind == SET_BUFFER_SIZE and value != int(value):
+            raise ValueError(f"{kind} value {value!r} is not a whole number of packets")
 
 
 @dataclass(slots=True)
@@ -279,8 +278,10 @@ class _FlowState:
     )
 
     def __init__(self, cfg):
-        self.cfg = cfg  # live: derived from the ledger, or edited by the timeline
-        self.configured = replace(cfg)
+        # The caller's config, never written; `cfg` is the live copy, derived
+        # from the ledger or edited by the timeline.
+        self.configured = cfg
+        self.cfg = replace(cfg)
         self.is_media = isinstance(cfg, MediaFlow)
         # A scheduled _emit runs only while its epoch is the flow's.
         self.epoch = 0

@@ -10,12 +10,7 @@ from voipqos.controller import (
     detect_case,
     validate_trace,
 )
-from voipqos.harness import (
-    CallSpec,
-    FlowSpec,
-    Scenario,
-    TimelineEntry,
-)
+from voipqos.harness import scenario_from_json
 from voipqos.knowledge import ScenarioCase
 from voipqos.metrics import HeuristicSample
 from voipqos import netsim
@@ -75,14 +70,14 @@ def _control_run(scenario, seed=0, learning=True):
 
 class TestEpisodeLoop:
     def test_link_loss_violation_starts_and_closes_episode(self):
-        scenario = Scenario(
-            name="loss-step",
-            duration_s=120.0,
-            link={"latency_ms": 20.0, "loss_rate": 0.0, "capacity_kbps": 1000.0},
-            queue={"capacity_pkts": 100, "discipline": "tail_drop"},
-            calls=[CallSpec("c", FlowSpec())],
-            timeline=[TimelineEntry(20.0, netsim.SET_LOSS_RATE, 0.07)],
-        )
+        scenario = scenario_from_json({
+            "name": "loss-step",
+            "duration_s": 120.0,
+            "link": {"latency_ms": 20.0, "loss_rate": 0.0, "capacity_kbps": 1000.0},
+            "queue": {"capacity_pkts": 100, "discipline": "tail_drop"},
+            "calls": [{"call_id": "c"}],
+            "timeline": [{"at_s": 20.0, "kind": netsim.SET_LOSS_RATE, "value": 0.07}],
+        })
         art = _control_run(scenario)
         episodes = art.controller.episodes
         assert len(episodes) >= 1
@@ -92,14 +87,14 @@ class TestEpisodeLoop:
         assert first.last_action is not None
 
     def test_network_change_opens_d1_state(self):
-        scenario = Scenario(
-            name="latency-step",
-            duration_s=60.0,
-            link={"latency_ms": 10.0, "loss_rate": 0.0, "capacity_kbps": 1000.0},
-            queue={"capacity_pkts": 100, "discipline": "tail_drop"},
-            calls=[CallSpec("c", FlowSpec())],
-            timeline=[TimelineEntry(20.0, netsim.SET_LATENCY, 60.0)],
-        )
+        scenario = scenario_from_json({
+            "name": "latency-step",
+            "duration_s": 60.0,
+            "link": {"latency_ms": 10.0, "loss_rate": 0.0, "capacity_kbps": 1000.0},
+            "queue": {"capacity_pkts": 100, "discipline": "tail_drop"},
+            "calls": [{"call_id": "c"}],
+            "timeline": [{"at_s": 20.0, "kind": netsim.SET_LATENCY, "value": 60.0}],
+        })
         art = _control_run(scenario)
         call = art.controller.calls["c"]
         kinds = [s.entering for s in call.states]
@@ -110,13 +105,13 @@ class TestEpisodeLoop:
         assert any("set_latency" in t.cause for t in d1)
 
     def test_healthy_call_gets_no_actions(self):
-        scenario = Scenario(
-            name="clean",
-            duration_s=60.0,
-            link={"latency_ms": 20.0, "loss_rate": 0.0, "capacity_kbps": 1000.0},
-            queue={"capacity_pkts": 100, "discipline": "tail_drop"},
-            calls=[CallSpec("c", FlowSpec())],
-        )
+        scenario = scenario_from_json({
+            "name": "clean",
+            "duration_s": 60.0,
+            "link": {"latency_ms": 20.0, "loss_rate": 0.0, "capacity_kbps": 1000.0},
+            "queue": {"capacity_pkts": 100, "discipline": "tail_drop"},
+            "calls": [{"call_id": "c"}],
+        })
         art = _control_run(scenario)
         assert art.controller.episodes == []
         assert [s.entering for s in art.controller.calls["c"].states] == [
@@ -125,14 +120,14 @@ class TestEpisodeLoop:
         ]
 
     def test_learning_off_keeps_ranking(self):
-        scenario = Scenario(
-            name="loss-step",
-            duration_s=200.0,
-            link={"latency_ms": 20.0, "loss_rate": 0.0, "capacity_kbps": 1000.0},
-            queue={"capacity_pkts": 100, "discipline": "tail_drop"},
-            calls=[CallSpec("c", FlowSpec())],
-            timeline=[TimelineEntry(20.0, netsim.SET_LOSS_RATE, 0.07)],
-        )
+        scenario = scenario_from_json({
+            "name": "loss-step",
+            "duration_s": 200.0,
+            "link": {"latency_ms": 20.0, "loss_rate": 0.0, "capacity_kbps": 1000.0},
+            "queue": {"capacity_pkts": 100, "discipline": "tail_drop"},
+            "calls": [{"call_id": "c"}],
+            "timeline": [{"at_s": 20.0, "kind": netsim.SET_LOSS_RATE, "value": 0.07}],
+        })
         art = _control_run(scenario, learning=False)
         shipped = harness.default_kb()
         got = [e.action for e in art.kb.entries(ScenarioCase.CASE2)]
@@ -142,13 +137,13 @@ class TestEpisodeLoop:
 
 class TestValidator:
     def _controller(self):
-        scenario = Scenario(
-            name="clean",
-            duration_s=30.0,
-            link={"latency_ms": 20.0, "loss_rate": 0.0, "capacity_kbps": 1000.0},
-            queue={"capacity_pkts": 100, "discipline": "tail_drop"},
-            calls=[CallSpec("c", FlowSpec())],
-        )
+        scenario = scenario_from_json({
+            "name": "clean",
+            "duration_s": 30.0,
+            "link": {"latency_ms": 20.0, "loss_rate": 0.0, "capacity_kbps": 1000.0},
+            "queue": {"capacity_pkts": 100, "discipline": "tail_drop"},
+            "calls": [{"call_id": "c"}],
+        })
         return _control_run(scenario).controller
 
     def test_clean_run_validates(self):

@@ -11,12 +11,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from voipqos import cli, harness, netsim
 from voipqos.harness import (
-    CallSpec,
-    FlowSpec,
     PRESETS,
-    Scenario,
     ScenarioError,
-    TimelineEntry,
     load_scenario,
     scenario_from_json,
     scenario_to_json,
@@ -175,6 +171,16 @@ BAD_SCENARIOS = {
         "table7-singlecall",
         lambda d: d["timeline"][3].update(kind=netsim.SET_BACKGROUND_RATE, value=1e300),
     ),
+    # A string is truthy: "off" ran with learning on.
+    "string-learning": _edited("table1-s1", lambda d: d.update(learning="off")),
+    # A guaranteed call silently got the default reservation instead.
+    "negative-reserved": _edited(
+        "fig5-s3-guaranteed", lambda d: d["calls"][0]["flow"].update(reserved_kbps=-5)
+    ),
+    # A timeline entry has exactly at_s, kind and value.
+    "unknown-timeline-key": _edited(
+        "table7-singlecall", lambda d: d["timeline"][0].update(at=30.0)
+    ),
 }
 
 
@@ -207,11 +213,11 @@ class TestScenarioSerialization:
 
     def test_call_outside_duration_rejected(self):
         with pytest.raises(ScenarioError):
-            Scenario(
-                name="bad",
-                duration_s=10.0,
-                calls=[CallSpec("c", FlowSpec(), start_s=5.0, end_s=20.0)],
-            ).validate()
+            scenario_from_json({
+                "name": "bad",
+                "duration_s": 10.0,
+                "calls": [{"call_id": "c", "start_s": 5.0, "end_s": 20.0}],
+            })
 
     def test_bad_field_reported_as_scenario_error(self):
         with pytest.raises(ScenarioError):
@@ -276,7 +282,9 @@ class TestRuns:
     def test_last_window_ends_at_duration(self):
         # 32 s is not a multiple of the 5 s window: the last window ends at
         # 32 s, not 35 s, in both modes.
-        scenario = Scenario(name="short", duration_s=32.0, calls=[CallSpec("c")])
+        scenario = scenario_from_json(
+            {"name": "short", "duration_s": 32.0, "calls": [{"call_id": "c"}]}
+        )
         art = harness.run(scenario, seed=0, mode="baseline")
         assert [row[0] for row in art.timeseries] == [5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 32.0]
         art = harness.run(scenario, seed=0, mode="control")
@@ -284,9 +292,11 @@ class TestRuns:
 
     def test_call_starting_inside_the_last_window_runs(self):
         # Call b starts at 7 s, inside the last 5 s window of a 10 s run.
-        scenario = Scenario(
-            name="late", duration_s=10.0, calls=[CallSpec("a"), CallSpec("b", start_s=7.0)]
-        )
+        scenario = scenario_from_json({
+            "name": "late",
+            "duration_s": 10.0,
+            "calls": [{"call_id": "a"}, {"call_id": "b", "start_s": 7.0}],
+        })
         art = harness.run(scenario, seed=0, mode="control")
         assert sorted(art.controller.calls) == ["a", "b"]
         assert all(call.closed for call in art.controller.calls.values())
@@ -296,7 +306,9 @@ class TestRuns:
     def test_call_ends_when_duration_is_a_hair_past_a_window(self):
         # 10.000000000000002 s leaves a last window shorter than the loop's
         # tolerance; the run still ends every call at the scenario's end.
-        scenario = Scenario(name="hair", duration_s=10.000000000000002, calls=[CallSpec("a")])
+        scenario = scenario_from_json(
+            {"name": "hair", "duration_s": 10.000000000000002, "calls": [{"call_id": "a"}]}
+        )
         art = harness.run(scenario, seed=0, mode="baseline")
         assert not art.world.flows["flow-a"].active
         assert art.timeseries[-1][0] == scenario.duration_s
@@ -384,8 +396,9 @@ _BREAKS = {
 @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(_SCENARIO, st.one_of(st.none(), st.sampled_from(sorted(_BREAKS))))
 def test_generated_scenario_loads_valid_or_fails_early(data, edit):
-    """Generated scenario JSON either raises ScenarioError at load or runs
-    a baseline to the end with every packet accounted for.
+    """Generated scenario JSON either raises ScenarioError at load or
+    round-trips through scenario_to_json and runs a baseline to the end
+    with every packet accounted for.
 
     Control mode stays covered by the golden pool in bench/golden.json:
     two-call control runs can still raise the known KnowledgeError of
@@ -397,6 +410,7 @@ def test_generated_scenario_loads_valid_or_fails_early(data, edit):
         scenario = scenario_from_json(data)
     except ScenarioError:
         return
+    assert scenario_from_json(json.loads(json.dumps(scenario_to_json(scenario)))) == scenario
     art = harness.run(scenario, seed=0, mode="baseline")
     art.world.check_conservation()
     assert art.world.reserved_kbps <= art.world.link.capacity_kbps
