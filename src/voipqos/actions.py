@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from . import netsim
 from .netsim import AdmissionRefusedError, Effect, FecConfig, REDParams, SimWorld
@@ -48,11 +48,11 @@ class ActionId:
         # Canonical parameter order so identity survives serialization.
         object.__setattr__(self, "params", tuple(sorted(self.params)))
 
-    def param(self, name: str, default: Optional[float] = None) -> Optional[float]:
+    def param(self, name: str) -> float:
         for key, value in self.params:
             if key == name:
                 return value
-        return default
+        raise KeyError(f"{self.name} has no parameter {name!r}")
 
     @property
     def name(self) -> str:
@@ -145,21 +145,17 @@ def apply_action(
 def _effect(action: ActionId, rate_kbps: float) -> Effect:
     """What the action changes, for a flow sending rate_kbps."""
     if action.kind in (INCREASE_BUFFER, DECREASE_BUFFER):
-        step = int(action.param("step_pkts", BUFFER_STEP_PKTS))
+        step = int(action.param("step_pkts"))
         return Effect(step_pkts=step if action.kind == INCREASE_BUFFER else -step)
     if action.kind in (ENABLE_RED, ENABLE_WRED):
-        params = REDParams(
-            action.param("min_th", 50.0),
-            action.param("max_th", 100.0),
-            action.param("max_p", 0.1),
-        )
+        params = REDParams(action.param("min_th"), action.param("max_th"), action.param("max_p"))
         lax = None
         if action.kind == ENABLE_WRED:
             # Priority class gets a laxer drop curve than best effort.
             lax = REDParams(params.min_th * 1.2, params.max_th * 1.2, params.max_p / 2)
         return Effect(red=(params, lax))
     if action.kind == ENABLE_FEC:
-        fec = FecConfig(int(action.param("block_k", 4)), int(action.param("parity", 1)))
+        fec = FecConfig(int(action.param("block_k")), int(action.param("parity")))
         return Effect(flow={"fec": fec})
     if action.kind == GUARANTEED_LOAD:
         reserved = rate_kbps * GUARANTEED_RESERVATION_FACTOR

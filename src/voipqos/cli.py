@@ -17,8 +17,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="execute one scenario run")
     run_p.add_argument(
         "--scenario",
-        required=True,
-        help="preset name or path to a scenario JSON file",
+        help="preset name or path to a scenario JSON file (control and baseline modes)",
     )
     run_p.add_argument("--seed", type=int, default=0)
     run_p.add_argument(
@@ -36,13 +35,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.command == "presets":
         for name in sorted(harness.PRESETS):
             print(name)
         return 0
+    # Calibration measures its own analysis-phase worlds.
+    if (args.mode == "calibrate") != (args.scenario is None):
+        parser.error("--scenario is required, except with --mode calibrate, which takes none")
     try:
-        scenario = harness.load_scenario(args.scenario)
+        scenario = None if args.scenario is None else harness.load_scenario(args.scenario)
     except harness.ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

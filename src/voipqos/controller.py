@@ -24,6 +24,7 @@ from .metrics import (
     QualityCategory,
     WindowStats,
     classify,
+    left_sum,
     satisfies,
     update_window,
 )
@@ -117,11 +118,11 @@ def check_global(
     sampled = [c for c in calls if c.sample is not None]
     if not sampled:
         return True, {}
-    wsum = sum(c.weight for c in sampled)
+    wsum = left_sum(c.weight for c in sampled)
     means = {
-        "delay_ms": sum(c.weight * c.sample.delay_ms for c in sampled) / wsum,
-        "loss": sum(c.weight * c.sample.loss for c in sampled) / wsum,
-        "mos": sum(c.weight * c.sample.mos for c in sampled) / wsum,
+        "delay_ms": left_sum(c.weight * c.sample.delay_ms for c in sampled) / wsum,
+        "loss": left_sum(c.weight * c.sample.loss for c in sampled) / wsum,
+        "mos": left_sum(c.weight * c.sample.mos for c in sampled) / wsum,
     }
     return constraints.met_by(means["delay_ms"], means["loss"], means["mos"]), means
 

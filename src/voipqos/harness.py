@@ -29,6 +29,7 @@ from .metrics import (
     DEFAULT_CONSTRAINTS,
     HeuristicSample,
     estimate_mos,
+    left_sum,
     satisfies,
 )
 from .netsim import (
@@ -88,6 +89,8 @@ class Scenario:
             # Written so that NaN fails.
             if not 0 < self.duration_s < math.inf:
                 raise ValueError("duration_s must be finite and > 0")
+            if not isinstance(self.name, str):
+                raise ValueError(f"name must be text, not {type(self.name).__name__}")
             if not isinstance(self.learning, bool):
                 raise ValueError(f"learning must be true or false, not {self.learning!r}")
             end_ms = self.duration_s * 1000.0
@@ -103,7 +106,7 @@ class Scenario:
                 if not 0 < weight < math.inf:
                     raise ValueError(f"call {call_id} weight must be finite and > 0")
             # Every media flow is admitted when the world is built.
-            reserved = sum(
+            reserved = left_sum(
                 c.flow.reserved_kbps for c in self.calls if c.flow.service == netsim.GUARANTEED
             )
             if reserved > self.link.capacity_kbps:
@@ -205,6 +208,8 @@ def _call(
     """A call object's call. Its flow object holds MediaFlow fields, and
     fec_block_k for the FEC block size (0: none); a guaranteed flow's
     reserved_kbps of 0 is its default reservation, 1.25 x its rate."""
+    if not isinstance(call_id, str):
+        raise ValueError(f"call_id must be text, not {call_id!r}")
     params = {"fec_block_k": 0, **flow}
     block_k = params.pop("fec_block_k")
     media = MediaFlow(
@@ -584,7 +589,7 @@ def _summary(
         avg_delay = totals.delay_sum_ms / totals.delay_n if totals.delay_n else 0.0
         windows = windows_of[call.call_id]
         ok_windows = sum(1 for s in windows if satisfies(s, constraints))
-        avg_mos = sum(s.mos for s in windows) / len(windows) if windows else estimate_mos(
+        avg_mos = left_sum(s.mos for s in windows) / len(windows) if windows else estimate_mos(
             avg_delay, min(1.0, avg_loss)
         )
         call_ok = constraints.met_by(avg_delay, avg_loss, avg_mos)

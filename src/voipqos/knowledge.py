@@ -4,9 +4,10 @@ Action outcomes are predicted by an (estimated delay, estimated loss)
 pair.  Pairs are ordered through a scalar penalty that is 1.0 per metric
 exactly at its constraint threshold; selection picks the minimum-penalty
 entry, falling back to rank and then action name on ties.  Acquisition
-overwrites an estimate with a measured outcome; refinement re-ranks a
-case after an episode in which the finally successful action had been
-ranked behind actions that measured worse.
+overwrites an estimate with a measured outcome.  Refinement makes one
+move after an episode that ended with an action succeeding: the
+best-ranked action ahead of it that measures worse gives up its rank,
+by a swap, or by deletion when the two conflict.
 """
 from __future__ import annotations
 
@@ -60,19 +61,19 @@ class ActionEntry:
     def category(self) -> QualityCategory:
         return h_category(self.h_delay_ms, self.h_loss)
 
-    def penalty(self, constraints: Constraints = DEFAULT_CONSTRAINTS) -> float:
-        return penalty(self.h, constraints)
-
 
 class KnowledgeError(Exception):
     pass
 
 
 class KnowledgeBase:
-    """Per-case ranked action lists with tombstoned deletions."""
+    """Per-case ranked action lists with tombstoned deletions.
 
-    def __init__(self, constraints: Constraints = DEFAULT_CONSTRAINTS):
-        self.constraints = constraints
+    `constraints` orders the penalties; a run sets it to its scenario's.
+    """
+
+    def __init__(self):
+        self.constraints: Constraints = DEFAULT_CONSTRAINTS
         self._cases: Dict[ScenarioCase, List[ActionEntry]] = {
             case: [] for case in ScenarioCase
         }
@@ -139,8 +140,8 @@ class KnowledgeBase:
         }
 
     @classmethod
-    def from_json(cls, data: dict, constraints: Constraints = DEFAULT_CONSTRAINTS):
-        kb = cls(constraints)
+    def from_json(cls, data: dict):
+        kb = cls()
         for case_name, entries in data["cases"].items():
             case = ScenarioCase(case_name)
             for item in entries:
@@ -167,10 +168,6 @@ def action_from_json(data: dict) -> ActionId:
 
 # ---------------- selection ----------------
 
-def _selection_key(entry: ActionEntry, constraints: Constraints):
-    return (entry.penalty(constraints), entry.rank, entry.action.name)
-
-
 def select_one_of(kb: KnowledgeBase, case: ScenarioCase) -> Optional[ActionEntry]:
     """Best entry for the case; None when the case list is empty."""
     return select_next(kb, case, ())
@@ -181,10 +178,11 @@ def select_next(
 ) -> Optional[ActionEntry]:
     """Best entry not yet tried this episode; None when exhausted."""
     tried_set = set(tried)
-    remaining = [e for e in kb.entries(case) if e.action not in tried_set]
-    if not remaining:
-        return None
-    return min(remaining, key=lambda e: _selection_key(e, kb.constraints))
+    return min(
+        (e for e in kb.entries(case) if e.action not in tried_set),
+        key=lambda e: (penalty(e.h, kb.constraints), e.rank, e.action.name),
+        default=None,
+    )
 
 
 # ---------------- learning ----------------
@@ -209,39 +207,25 @@ def refine(
 ) -> None:
     """Re-rank a case after an episode that ended with a_current succeeding.
 
-    Every action that the pre-episode ranking preferred over a_current
-    but whose estimate now measures worse is either swapped with
-    a_current (non-conflicting) or deleted with a_current taking its
-    rank (conflicting).  Candidates are visited best pre-episode rank
-    first, and a step only fires while the candidate still outranks
-    a_current, so a_current's rank never worsens.
+    One move: the best-ranked action ahead of a_current whose estimate
+    measures worse swaps ranks with it, or, when conflict_fn says the two
+    conflict, is deleted and a_current takes its rank.  Nothing else moves,
+    so a_current's rank never worsens; the revision counts the moves.
     """
     current = kb.entry(case, a_current)
-    pre_ranks = {e.action: e.rank for e in kb.entries(case)}
-    ahead = sorted(
-        (e for e in kb.entries(case) if pre_ranks[e.action] < pre_ranks[a_current]),
-        key=lambda e: pre_ranks[e.action],
+    bar = penalty(current.h, kb.constraints)
+    other = next(
+        (e for e in kb.entries(case)
+         if e.rank < current.rank and penalty(e.h, kb.constraints) > bar),
+        None,
     )
-    changed = False
-    for other in ahead:
-        if other.deleted:
-            continue
-        if penalty(other.h, kb.constraints) <= penalty(current.h, kb.constraints):
-            continue
-        if other.rank >= current.rank:
-            continue
-        if conflict_fn(other.action, current.action):
-            current.rank = other.rank
-            other.deleted = True
-        else:
-            other.rank, current.rank = current.rank, other.rank
-        changed = True
-    _recompact(kb, case)
-    if changed:
-        kb.revision += 1
-
-
-def _recompact(kb: KnowledgeBase, case: ScenarioCase) -> None:
+    if other is None:
+        return
+    if conflict_fn(other.action, current.action):
+        current.rank = other.rank
+        other.deleted = True
+    else:
+        other.rank, current.rank = current.rank, other.rank
+    kb.revision += 1
     for i, entry in enumerate(kb.entries(case), start=1):
         entry.rank = i
-    kb._check(case)

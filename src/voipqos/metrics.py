@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import IntEnum
+from typing import Iterable
 
 
 class QualityCategory(IntEnum):
@@ -160,3 +161,12 @@ def update_window(
 def satisfies(sample: HeuristicSample, constraints: Constraints) -> bool:
     """True iff the sample is within every local constraint."""
     return constraints.met_by(sample.delay_ms, sample.loss, sample.mos)
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """The values added left to right, as sum() adds floats before Python
+    3.12, whose sum() compensates rounding; results match on every version."""
+    total = 0
+    for value in values:
+        total += value
+    return total

@@ -29,7 +29,7 @@ from heapq import heappop, heappush
 from itertools import chain, count
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
-from .metrics import HeuristicSample
+from .metrics import HeuristicSample, left_sum
 
 BEST_EFFORT = "best_effort"
 CONTROLLED_LOAD = "controlled_load"
@@ -360,7 +360,7 @@ class SimWorld:
         return self._reserved_except(None)
 
     def _reserved_except(self, flow_id: Optional[str]) -> float:
-        return sum(
+        return left_sum(
             st.cfg.reserved_kbps
             for fid, st in self.flows.items()
             if fid != flow_id and st.active and st.is_media and st.cfg.service == GUARANTEED

@@ -86,6 +86,12 @@ class TestNaming:
     def test_parameterized_name_is_stable(self):
         assert enable_fec().name == "enable_fec(block_k=4,parity=1)"
 
+    def test_missing_param_names_the_action(self):
+        # The constructors are the one home of each parameter's value.
+        assert enable_fec().param("parity") == 1.0
+        with pytest.raises(KeyError, match="enable_fec"):
+            actions.ActionId(actions.ENABLE_FEC).param("block_k")
+
 
 class TestCaseOrder:
     def test_shipped_orderings(self):

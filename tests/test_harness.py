@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from voipqos import cli, harness, netsim
+from voipqos.actions import default_knowledge
 from voipqos.harness import (
     PRESETS,
     ScenarioError,
@@ -18,6 +19,7 @@ from voipqos.harness import (
     scenario_to_json,
     write_scenario,
 )
+from voipqos.knowledge import penalty
 
 
 def _edited(preset: str, edit):
@@ -181,6 +183,25 @@ BAD_SCENARIOS = {
     "unknown-timeline-key": _edited(
         "table7-singlecall", lambda d: d["timeline"][0].update(at=30.0)
     ),
+    # 0.1 + 0.2 + 0.3 > 0.6 when added left to right, as the world admits
+    # them; a compensated sum let the scenario load, then crash in build_world.
+    "reservation-sum-rounding": _edited(
+        "fig7-multicall",
+        lambda d: d.update(
+            link={**d["link"], "capacity_kbps": 0.6},
+            calls=[
+                {"call_id": f"call-{i}", "flow": {"service": "guaranteed", "reserved_kbps": r}}
+                for i, r in enumerate((0.1, 0.2, 0.3), start=1)
+            ],
+        ),
+    ),
+    # Flow ids flow-1 and flow-1: the run died with a duplicate flow id.
+    "numeric-call-id": _edited(
+        "fig7-multicall",
+        lambda d: [d["calls"][0].update(call_id=1), d["calls"][1].update(call_id="1")],
+    ),
+    # Ran, and the summary reported the list as the scenario.
+    "list-name": _edited("table1-s1", lambda d: d.update(name=["x"])),
 }
 
 
@@ -537,7 +558,7 @@ class TestCalibration:
         # run-time learning walk cannot show improvement.
         kb = harness.calibrate(seed=0)
         entries = kb.entries(harness.ScenarioCase.CASE2)
-        pens = {e.action.kind: e.penalty() for e in entries}
+        pens = {e.action.kind: penalty(e.h) for e in entries}
         assert pens["increase_buffer"] == min(pens.values())
         assert pens["enable_fec"] == max(pens.values())
 
@@ -562,6 +583,21 @@ class TestCli:
     def test_unrunnable_scenario_exit_code(self, case, tmp_path, capsys):
         assert cli.main(["run", "--scenario", _write_bad(case, tmp_path)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_calibrate_needs_no_scenario(self, tmp_path, capsys):
+        assert cli.main(["run", "--mode", "calibrate", "--out", str(tmp_path)]) == 0
+        kb = json.loads((tmp_path / "kb.json").read_text())
+        assert kb["cases"] == default_knowledge()["cases"]
+
+    def test_calibrate_rejects_a_scenario(self):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--mode", "calibrate", "--scenario", "table1-s1"])
+        assert exc.value.code == 2
+
+    def test_run_needs_a_scenario(self):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run"])
+        assert exc.value.code == 2
 
     def test_control_failure_exit_code(self, capsys):
         # 30% link loss cannot be brought inside constraints; the control

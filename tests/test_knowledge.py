@@ -265,29 +265,50 @@ def test_refine_matches_reference_exhaustively(n):
                     st.integers(min_value=0, max_value=n - 1),
                 )
             ),
-            st.integers(min_value=0, max_value=n - 1),
+            # Steps of (entry to re-estimate, its new penalty, entry to refine),
+            # the entries indexing the live ones in rank order.
+            st.lists(
+                st.tuples(
+                    st.integers(min_value=0, max_value=n - 1),
+                    st.floats(min_value=0.0, max_value=5.0),
+                    st.integers(min_value=0, max_value=n - 1),
+                ),
+                min_size=1,
+                max_size=5,
+            ),
         )
     )
 )
 def test_refine_invariants_random(case):
-    n, pens, raw_pairs, cur_i = case
+    # Refines in sequence on one knowledge base, so later steps meet
+    # tombstones and ranks that earlier steps permuted.
+    n, pens, raw_pairs, steps = case
     names = [f"x{i}" for i in range(n)]
     conflict_pairs = frozenset(
         frozenset((names[i], names[j])) for i, j in raw_pairs if i != j
     )
-    current = names[cur_i]
     kb = KnowledgeBase()
     for name, pen in zip(names, pens):
         kb.add_entry(CASE, ActionId(name), pen * 180.0, 0.0)
-    before_rank = kb.entry(CASE, ActionId(current)).rank
 
     def conflict_fn(x, y):
         return frozenset((x.kind, y.kind)) in conflict_pairs
 
-    refine(kb, CASE, ActionId(current), conflict_fn=conflict_fn)
-    entries = kb.entries(CASE)
-    ranks = {e.action.kind: e.rank for e in entries}
-    assert ranks[current] <= before_rank
-    assert sorted(ranks.values()) == list(range(1, len(ranks) + 1))
-    # Refinement only ever removes entries, never invents them.
-    assert set(ranks) | {t.action.kind for t in kb.tombstones(CASE)} == set(names)
+    for estimate_i, pen, current_i in steps:
+        live = [e.action.kind for e in kb.entries(CASE)]
+        acquire(kb, CASE, ActionId(live[estimate_i % len(live)]), (pen * 180.0, 0.0))
+        current = live[current_i % len(live)]
+        penalties = {e.action.kind: penalty(e.h) for e in kb.entries(CASE)}
+        before_rank = kb.entry(CASE, ActionId(current)).rank
+        revision = kb.revision
+
+        refine(kb, CASE, ActionId(current), conflict_fn=conflict_fn)
+        ranks = {e.action.kind: e.rank for e in kb.entries(CASE)}
+        assert ranks == _reference_refine(live, penalties, conflict_pairs, current)
+        assert ranks[current] <= before_rank
+        assert sorted(ranks.values()) == list(range(1, len(ranks) + 1))
+        # The revision counts a move, and a move always changes the ranks.
+        unchanged = ranks == {name: i for i, name in enumerate(live, start=1)}
+        assert kb.revision == revision + (not unchanged)
+        # Refinement only ever removes entries, never invents them.
+        assert set(ranks) | {t.action.kind for t in kb.tombstones(CASE)} == set(names)

@@ -15,6 +15,7 @@ from voipqos.metrics import (
     categorize_mos,
     classify,
     estimate_mos,
+    left_sum,
     mos_from_rating,
     rating_factor,
     satisfies,
@@ -197,3 +198,10 @@ class TestConstraints:
     def test_rejects_nonpositive_thresholds(self):
         with pytest.raises(ValueError):
             Constraints(delay_max_ms=0.0)
+
+
+def test_left_sum_adds_left_to_right():
+    # Python 3.12's compensated sum() gives 1.0 here; outputs pin the
+    # left-to-right result on every Python version.
+    assert left_sum([0.1] * 10) == 0.9999999999999999
+    assert left_sum([]) == 0
