@@ -11,10 +11,8 @@ from .metrics import (  # noqa: F401
     Constraints,
     HeuristicSample,
     QualityCategory,
-    WindowStats,
     classify,
     estimate_mos,
-    update_window,
 )
 from .knowledge import KnowledgeBase, ScenarioCase, penalty  # noqa: F401
 from .netsim import LinkConfig, MediaFlow, QueueConfig, SimWorld  # noqa: F401

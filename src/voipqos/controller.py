@@ -7,6 +7,9 @@ base's candidate actions until the call recovers, acquiring measured
 outcomes along the way and, with learning enabled, re-ranking the case
 afterwards.  Time is the world's clock: states, transitions and episodes
 are stamped with `world.clock`, and a finished episode stays its `Episode`.
+The controller owns the run's constraints, which every check and every
+knowledge-base ordering reads, the calls' weighted means of the last
+window, and the end of each call's flow; a state owns its g.
 """
 from __future__ import annotations
 
@@ -22,11 +25,9 @@ from .metrics import (
     DEFAULT_CONSTRAINTS,
     HeuristicSample,
     QualityCategory,
-    WindowStats,
     classify,
     left_sum,
     satisfies,
-    update_window,
 )
 from .netsim import SimWorld
 
@@ -60,7 +61,10 @@ class CallState:
     opened_at_ms: float
     entering: str  # "start" | "d1" | "d2" | "d3" | "goal"
     closed_at_ms: Optional[float] = None
-    g: WindowStats = field(default_factory=WindowStats)
+    # g: the running means of the samples folded into the state.
+    avg_delay_ms: float = 0.0
+    avg_loss: float = 0.0
+    samples: int = 0
     sample: Optional[HeuristicSample] = None
     opening_sample: Optional[HeuristicSample] = None
     # Consecutive windows whose sample drifted from the opening sample.
@@ -73,8 +77,11 @@ class CallState:
         return classify(self.opening_sample)
 
     def add_sample(self, sample: HeuristicSample) -> None:
-        """Fold a window's sample into the state."""
-        self.g = update_window(self.g, sample.delay_ms, sample.loss)
+        """Fold a window's sample into the state's g."""
+        n = self.samples
+        self.avg_delay_ms = (self.avg_delay_ms * n + sample.delay_ms) / (n + 1)
+        self.avg_loss = (self.avg_loss * n + sample.loss) / (n + 1)
+        self.samples = n + 1
         self.sample = sample
 
 
@@ -128,18 +135,23 @@ def check_global(
 
 
 class Controller:
-    """Runs the closed loop for one SimWorld and its calls."""
+    """Runs the closed loop for one SimWorld and its calls within the run's constraints."""
 
     def __init__(
         self,
         world: SimWorld,
         kb: KnowledgeBase,
+        constraints: Constraints = DEFAULT_CONSTRAINTS,
         learning: bool = True,
     ):
         self.world = world
         self.kb = kb
+        self.constraints = constraints
         self.learning = learning
         self.calls: Dict[str, Call] = {}
+        # The active calls' weighted means at the last window; empty unless
+        # two or more calls were active and one had a sample.
+        self.means: Dict[str, float] = {}
         self.transitions: List[TransitionRecord] = []
         self.episodes: List[Episode] = []
         self._state_seq = 0
@@ -157,6 +169,7 @@ class Controller:
         return call
 
     def close_call(self, call_id: str) -> None:
+        """Stop the call's mechanisms, end its episode and its flow."""
         call = self.calls[call_id]
         if call.closed:
             return
@@ -167,6 +180,7 @@ class Controller:
         self._open_state(call, "goal")
         call.current_state.closed_at_ms = self.world.clock
         call.closed = True
+        self.world.end_flow(call.flow_id)
 
     def active_calls(self) -> List[Call]:
         return [c for c in self.calls.values() if not c.closed]
@@ -197,13 +211,12 @@ class Controller:
             self._observe(call, changes)
         if self._cooldown_left > 0:
             self._cooldown_left -= 1
+        ok, self.means = check_global(calls, self.constraints) if len(calls) >= 2 else (True, {})
         multi = [c for c in calls if c.sample is not None]
-        if len(multi) >= 2 and self._cooldown_left == 0:
-            ok, _ = check_global(multi, self.kb.constraints)
-            if not ok:
-                self.coordinate(multi)
-                self._cooldown_left = COORDINATE_COOLDOWN_WINDOWS
-                return
+        if not ok and len(multi) >= 2 and self._cooldown_left == 0:
+            self.coordinate(multi)
+            self._cooldown_left = COORDINATE_COOLDOWN_WINDOWS
+            return
         for call in calls:
             self.step_call(call)
 
@@ -243,7 +256,7 @@ class Controller:
         if sample is None:
             return
         ep = call.episode
-        constraints = self.kb.constraints
+        constraints = self.constraints
         violated = not satisfies(sample, constraints)
         if ep is not None and ep.settling:
             kb_mod.acquire(self.kb, ep.case, ep.last_action, (sample.delay_ms, sample.loss))
@@ -254,7 +267,7 @@ class Controller:
                 ep = call.episode = Episode(call.call_id, case, self.world.clock)
             elif ep.exhausted:
                 return
-            entry = kb_mod.select_next(self.kb, ep.case, ep.tried)
+            entry = kb_mod.select_next(self.kb, ep.case, ep.tried, constraints)
             self._try_apply(call, ep, entry, kind="d2")
         else:
             if ep is not None:
@@ -267,14 +280,14 @@ class Controller:
                 record = self._apply(call, action, kind)
             except ActionFailedError:
                 ep.tried.append(action)
-                entry = kb_mod.select_next(self.kb, ep.case, ep.tried)
+                entry = kb_mod.select_next(self.kb, ep.case, ep.tried, self.constraints)
                 continue
             ep.tried.append(action)
             ep.last_action = action
             ep.settling = True
             self.apply_checks.append(
                 call.sample is not None
-                and not satisfies(call.sample, self.kb.constraints)
+                and not satisfies(call.sample, self.constraints)
             )
             self.transitions.append(record)
             self._open_state(call, kind)
@@ -298,7 +311,7 @@ class Controller:
         if satisfied:
             ep.satisfied_ms = self.world.clock
             if ep.last_action is not None and not ep.exhausted and self.learning:
-                kb_mod.refine(self.kb, ep.case, ep.last_action)
+                kb_mod.refine(self.kb, ep.case, ep.last_action, self.constraints)
         self.episodes.append(ep)
         call.episode = None
 
@@ -308,7 +321,7 @@ class Controller:
         """Global-constraint recovery: free the mechanisms of calls within
         their constraints and point the knowledge base's best candidates at
         the calls outside them. Every call must have a sample."""
-        constraints = self.kb.constraints
+        constraints = self.constraints
         accepted = [c for c in calls if satisfies(c.sample, constraints)]
         degraded = [c for c in calls if not satisfies(c.sample, constraints)]
         if not degraded:
@@ -325,7 +338,7 @@ class Controller:
             if call.episode is None:
                 call.episode = Episode(call.call_id, case, self.world.clock)
             ep = call.episode
-            entry = kb_mod.select_next(self.kb, case, ep.tried)
+            entry = kb_mod.select_next(self.kb, case, ep.tried, constraints)
             self._try_apply(call, ep, entry, kind="d3")
 
 

@@ -22,7 +22,7 @@ from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from . import actions as actions_mod
 from . import netsim
-from .controller import Controller, Episode, check_global, validate_trace
+from .controller import Controller, Episode, validate_trace
 from .knowledge import KnowledgeBase, ScenarioCase
 from .metrics import (
     Constraints,
@@ -111,8 +111,8 @@ class Scenario:
             )
             if reserved > self.link.capacity_kbps:
                 raise ValueError(
-                    f"guaranteed calls reserve {reserved:g} kbps, more than the link's "
-                    f"{self.link.capacity_kbps:g} kbps"
+                    f"guaranteed calls reserve {reserved!r} kbps, more than the link's "
+                    f"{self.link.capacity_kbps!r} kbps"
                 )
             at = [change.at_ms for change in self.timeline]
             if at != sorted(at):
@@ -510,13 +510,11 @@ def _run_windows(
 ) -> RunArtifacts:
     """The 5 s window loop; baseline mode runs it without a controller."""
     world = build_world(scenario, seed, trace=trace)
-    constraints = scenario.constraints
     controller = kb = None
     if mode == "control":
         kb = default_kb()
-        kb.constraints = constraints
         learn = scenario.learning if learning is None else learning
-        controller = Controller(world, kb, learning=learn)
+        controller = Controller(world, kb, scenario.constraints, learning=learn)
     timeseries = []
     t = 0.0
     end_ms = scenario.duration_s * 1000.0
@@ -537,31 +535,28 @@ def _run_windows(
             # A call without end_s runs to the scenario's end.
             call_end_ms = end_ms if call.flow.end_ms is None else call.flow.end_ms
             if t_prev < call_end_ms <= t:
-                # Closing first stops the call's mechanisms, so end_flow
-                # releases whatever reservation the restored flow holds.
                 if controller is not None:
                     controller.close_call(call.call_id)
-                world.end_flow(call.flow.flow_id)
+                else:
+                    world.end_flow(call.flow.flow_id)
         if controller is None:
             world.pop_notifications()
             flows = [(c.call_id, world.measure(c.flow.flow_id)) for c in scenario.calls]
         else:
             controller.on_window()
-            live = controller.active_calls()
-            flows = [(c.call_id, c.sample) for c in live]
+            flows = [(c.call_id, c.sample) for c in controller.active_calls()]
         for call_id, sample in flows:
             if sample is not None:
                 row = (t / 1000.0, call_id, sample.delay_ms, sample.loss, sample.mos)
                 timeseries.append(row)
-        if controller is not None and len(live) >= 2:
-            _, means = check_global(live, constraints)
-            if means:
-                timeseries.append(
-                    (t / 1000.0, GLOBAL_ROW_ID, means["delay_ms"], means["loss"], means["mos"])
-                )
+        means = {} if controller is None else controller.means
+        if means:
+            timeseries.append(
+                (t / 1000.0, GLOBAL_ROW_ID, means["delay_ms"], means["loss"], means["mos"])
+            )
     # Validation keeps end_s <= duration_s, so every call has ended here.
     episodes = [] if controller is None else controller.episodes
-    summary = _summary(scenario, world, timeseries, constraints, episodes)
+    summary = _summary(scenario, world, timeseries, episodes)
     if controller is not None:
         summary["trace_errors"] = validate_trace(controller)
     return RunArtifacts(
@@ -573,9 +568,9 @@ def _summary(
     scenario: Scenario,
     world: SimWorld,
     timeseries: List[Tuple[float, str, float, float, float]],
-    constraints: Constraints,
     episodes: List[Episode],
 ) -> dict:
+    constraints = scenario.constraints
     windows_of: Dict[str, List[HeuristicSample]] = {c.call_id: [] for c in scenario.calls}
     for _, call_id, delay_ms, loss, mos in timeseries:
         if call_id in windows_of:  # not a GLOBAL_ROW_ID row
@@ -659,8 +654,8 @@ def write_outputs(artifacts: RunArtifacts, out_dir: str) -> List[str]:
                             s.entering,
                             f"{s.opened_at_ms:.3f}",
                             "" if s.closed_at_ms is None else f"{s.closed_at_ms:.3f}",
-                            f"{s.g.avg_delay_ms:.3f}",
-                            f"{s.g.avg_loss:.6f}",
+                            f"{s.avg_delay_ms:.3f}",
+                            f"{s.avg_loss:.6f}",
                             "" if s.sample is None else f"{s.sample.mos:.3f}",
                             "" if s.category is None else s.category.name,
                         ]

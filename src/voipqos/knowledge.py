@@ -2,12 +2,13 @@
 
 Action outcomes are predicted by an (estimated delay, estimated loss)
 pair.  Pairs are ordered through a scalar penalty that is 1.0 per metric
-exactly at its constraint threshold; selection picks the minimum-penalty
-entry, falling back to rank and then action name on ties.  Acquisition
-overwrites an estimate with a measured outcome.  Refinement makes one
-move after an episode that ended with an action succeeding: the
-best-ranked action ahead of it that measures worse gives up its rank,
-by a swap, or by deletion when the two conflict.
+exactly at its threshold in the constraints the caller passes, a run's
+own; selection picks the minimum-penalty entry, falling back to rank and
+then action name on ties.  Acquisition overwrites an estimate with a
+measured outcome.  Refinement makes one move after an episode that ended
+with an action succeeding: the best-ranked action ahead of it that
+measures worse gives up its rank, by a swap, or by deletion when the two
+conflict.
 """
 from __future__ import annotations
 
@@ -67,13 +68,9 @@ class KnowledgeError(Exception):
 
 
 class KnowledgeBase:
-    """Per-case ranked action lists with tombstoned deletions.
-
-    `constraints` orders the penalties; a run sets it to its scenario's.
-    """
+    """Per-case ranked action lists with tombstoned deletions."""
 
     def __init__(self):
-        self.constraints: Constraints = DEFAULT_CONSTRAINTS
         self._cases: Dict[ScenarioCase, List[ActionEntry]] = {
             case: [] for case in ScenarioCase
         }
@@ -168,19 +165,24 @@ def action_from_json(data: dict) -> ActionId:
 
 # ---------------- selection ----------------
 
-def select_one_of(kb: KnowledgeBase, case: ScenarioCase) -> Optional[ActionEntry]:
+def select_one_of(
+    kb: KnowledgeBase, case: ScenarioCase, constraints: Constraints = DEFAULT_CONSTRAINTS
+) -> Optional[ActionEntry]:
     """Best entry for the case; None when the case list is empty."""
-    return select_next(kb, case, ())
+    return select_next(kb, case, (), constraints)
 
 
 def select_next(
-    kb: KnowledgeBase, case: ScenarioCase, tried: Iterable[ActionId]
+    kb: KnowledgeBase,
+    case: ScenarioCase,
+    tried: Iterable[ActionId],
+    constraints: Constraints = DEFAULT_CONSTRAINTS,
 ) -> Optional[ActionEntry]:
     """Best entry not yet tried this episode; None when exhausted."""
     tried_set = set(tried)
     return min(
         (e for e in kb.entries(case) if e.action not in tried_set),
-        key=lambda e: (penalty(e.h, kb.constraints), e.rank, e.action.name),
+        key=lambda e: (penalty(e.h, constraints), e.rank, e.action.name),
         default=None,
     )
 
@@ -203,6 +205,7 @@ def refine(
     kb: KnowledgeBase,
     case: ScenarioCase,
     a_current: ActionId,
+    constraints: Constraints = DEFAULT_CONSTRAINTS,
     conflict_fn=conflicts,
 ) -> None:
     """Re-rank a case after an episode that ended with a_current succeeding.
@@ -213,10 +216,10 @@ def refine(
     so a_current's rank never worsens; the revision counts the moves.
     """
     current = kb.entry(case, a_current)
-    bar = penalty(current.h, kb.constraints)
+    bar = penalty(current.h, constraints)
     other = next(
         (e for e in kb.entries(case)
-         if e.rank < current.rank and penalty(e.h, kb.constraints) > bar),
+         if e.rank < current.rank and penalty(e.h, constraints) > bar),
         None,
     )
     if other is None:

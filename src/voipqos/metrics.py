@@ -1,8 +1,8 @@
-"""Call-quality metrics: E-model rating, quality bands, windowed averages."""
+"""Call-quality metrics: E-model rating, quality bands, samples and constraints."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable
 
@@ -129,32 +129,6 @@ def classify(sample: HeuristicSample) -> QualityCategory:
         categorize_delay(sample.delay_ms),
         categorize_loss(sample.loss),
         categorize_mos(sample.mos),
-    )
-
-
-@dataclass(frozen=True)
-class WindowStats:
-    """Running mean of per-interval delay and loss measurements."""
-
-    avg_delay_ms: float = 0.0
-    avg_loss: float = 0.0
-    samples: int = 0
-
-
-def update_window(
-    stats: WindowStats, interval_delay_ms: float, interval_loss: float
-) -> WindowStats:
-    """Fold one interval measurement into the running averages."""
-    if interval_delay_ms < 0:
-        raise ValueError(f"interval_delay_ms must be >= 0, got {interval_delay_ms}")
-    if not 0.0 <= interval_loss <= 1.0:
-        raise ValueError(f"interval_loss must be in [0, 1], got {interval_loss}")
-    n = stats.samples
-    return replace(
-        stats,
-        avg_delay_ms=(stats.avg_delay_ms * n + interval_delay_ms) / (n + 1),
-        avg_loss=(stats.avg_loss * n + interval_loss) / (n + 1),
-        samples=n + 1,
     )
 
 

@@ -136,7 +136,7 @@ class FecConfig:
             raise ValueError("only single-parity FEC is supported")
 
 
-@dataclass
+@dataclass(frozen=True)
 class MediaFlow:
     """A voice (or video-profile) media flow."""
 
@@ -165,7 +165,7 @@ class MediaFlow:
         return self.rate_kbps * self.packet_interval_ms
 
 
-@dataclass
+@dataclass(frozen=True)
 class BackgroundFlow:
     """CBR cross traffic sharing the bottleneck."""
 
@@ -278,10 +278,10 @@ class _FlowState:
     )
 
     def __init__(self, cfg):
-        # The caller's config, never written; `cfg` is the live copy, derived
-        # from the ledger or edited by the timeline.
+        # The caller's config; `cfg` is the live one, derived from the ledger
+        # or replaced by the timeline.
         self.configured = cfg
-        self.cfg = replace(cfg)
+        self.cfg = cfg
         self.is_media = isinstance(cfg, MediaFlow)
         # A scheduled _emit runs only while its epoch is the flow's.
         self.epoch = 0
@@ -467,19 +467,15 @@ class SimWorld:
 
     def _do_change(self, change: NetworkChange) -> None:
         if change.kind == SET_LATENCY:
-            self.link = LinkConfig(
-                change.value, self.link.loss_rate, self.link.capacity_kbps
-            )
+            self.link = replace(self.link, latency_ms=change.value)
         elif change.kind == SET_LOSS_RATE:
-            self.link = LinkConfig(
-                self.link.latency_ms, change.value, self.link.capacity_kbps
-            )
+            self.link = replace(self.link, loss_rate=change.value)
         elif change.kind == SET_BUFFER_SIZE:
             self.set_buffer(int(change.value))
         elif change.kind == SET_BACKGROUND_RATE:
             for st in self.flows.values():
                 if not st.is_media:
-                    st.cfg.rate_kbps = change.value
+                    st.cfg = replace(st.cfg, rate_kbps=change.value)
                     st.epoch += 1
                     if change.value > 0 and st.active:
                         at = self.clock + st.cfg.packet_interval_ms

@@ -2,6 +2,7 @@
 import pytest
 
 from voipqos import harness
+from voipqos.actions import enable_red, increase_buffer
 from voipqos.controller import (
     COORDINATE_COOLDOWN_WINDOWS,
     Call,
@@ -11,8 +12,8 @@ from voipqos.controller import (
     validate_trace,
 )
 from voipqos.harness import scenario_from_json
-from voipqos.knowledge import ScenarioCase
-from voipqos.metrics import HeuristicSample
+from voipqos.knowledge import KnowledgeBase, ScenarioCase, select_one_of
+from voipqos.metrics import Constraints, HeuristicSample
 from voipqos import netsim
 
 
@@ -62,6 +63,28 @@ class TestCheckGlobal:
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(ValueError):
             Call("a", "flow-a", weight=0.0)
+
+
+class TestRunConstraints:
+    def test_selection_follows_the_controllers_constraints(self):
+        # Penalties 0.56 and 0.6 under the default constraints, 2.0 and 0.6
+        # under a 50 ms delay bound.
+        tight = Constraints(delay_max_ms=50.0)
+        kb = KnowledgeBase()
+        kb.add_entry(ScenarioCase.CASE2, increase_buffer(), 100.0, 0.0)
+        kb.add_entry(ScenarioCase.CASE2, enable_red(), 0.0, 0.03)
+        assert select_one_of(kb, ScenarioCase.CASE2).action == increase_buffer()
+        assert select_one_of(kb, ScenarioCase.CASE2, tight).action == enable_red()
+        world = harness.build_world(
+            scenario_from_json({"name": "one", "duration_s": 30.0, "calls": [{"call_id": "c"}]}),
+            seed=0,
+        )
+        ctrl = Controller(world, kb, tight)
+        call = ctrl.add_call("c", "flow-c")
+        call.sample = HeuristicSample.from_measurement(20.0, 0.1)
+        ctrl.step_call(call)
+        assert call.episode.case is ScenarioCase.CASE2
+        assert call.episode.tried == [enable_red()]
 
 
 def _control_run(scenario, seed=0, learning=True):

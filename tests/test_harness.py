@@ -1,8 +1,10 @@
 """Harness tests: scenario serialization, runs, artifact files, CLI."""
 import csv
+import dataclasses
 import gc
 import json
 import os
+import re
 import tracemalloc
 import weakref
 
@@ -19,7 +21,7 @@ from voipqos.harness import (
     scenario_to_json,
     write_scenario,
 )
-from voipqos.knowledge import penalty
+from voipqos.knowledge import ScenarioCase, penalty
 
 
 def _edited(preset: str, edit):
@@ -249,6 +251,21 @@ class TestScenarioSerialization:
         with pytest.raises(ScenarioError):
             load_scenario(_write_bad(case, tmp_path))
 
+    def test_reservation_overflow_names_two_different_numbers(self):
+        with pytest.raises(ScenarioError) as exc:
+            scenario_from_json(BAD_SCENARIOS["reservation-sum-rounding"]())
+        reserved, capacity = re.search(
+            r"reserve (\S+) kbps, more than the link's (\S+) kbps", str(exc.value)
+        ).groups()
+        assert float(reserved) > float(capacity)
+
+    def test_parsed_flows_are_frozen(self):
+        scenario = load_scenario("table7-singlecall")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            scenario.calls[0].flow.rate_kbps = 64.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            scenario.background.rate_kbps = 64.0
+
 
 class TestRuns:
     def test_baseline_summary_consistent_with_world_totals(self):
@@ -419,10 +436,12 @@ _BREAKS = {
 def test_generated_scenario_loads_valid_or_fails_early(data, edit):
     """Generated scenario JSON either raises ScenarioError at load or
     round-trips through scenario_to_json and runs a baseline to the end
-    with every packet accounted for.
+    with every packet accounted for; a scenario of at most one call also
+    runs in control mode with a sound trace, every packet accounted for and
+    contiguous knowledge-base ranks.
 
-    Control mode stays covered by the golden pool in bench/golden.json:
-    two-call control runs can still raise the known KnowledgeError of
+    Two-call control runs stay covered by the golden pool in
+    bench/golden.json: they can still raise the known KnowledgeError of
     multi-call coordination, which is not a scenario fault.
     """
     if edit is not None:
@@ -436,6 +455,13 @@ def test_generated_scenario_loads_valid_or_fails_early(data, edit):
     art.world.check_conservation()
     assert art.world.reserved_kbps <= art.world.link.capacity_kbps
     assert not any(flow.active for flow in art.world.flows.values() if flow.is_media)
+    if len(scenario.calls) <= 1:
+        art = harness.run(scenario, seed=0, mode="control")
+        assert art.summary["trace_errors"] == []
+        art.world.check_conservation()
+        for case in ScenarioCase:
+            ranks = [e.rank for e in art.kb.entries(case)]
+            assert ranks == list(range(1, len(ranks) + 1))
 
 
 class TestWorldRelease:

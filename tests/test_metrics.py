@@ -1,15 +1,15 @@
-"""Quality-metric unit tests: rating, MOS bands, windowed averages."""
+"""Quality-metric unit tests: rating, MOS bands, a state's running means."""
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
+from voipqos.controller import CallState
 from voipqos.metrics import (
     Constraints,
     DEFAULT_CONSTRAINTS,
     HeuristicSample,
     QualityCategory,
-    WindowStats,
     categorize_delay,
     categorize_loss,
     categorize_mos,
@@ -19,7 +19,6 @@ from voipqos.metrics import (
     mos_from_rating,
     rating_factor,
     satisfies,
-    update_window,
 )
 
 
@@ -145,16 +144,23 @@ class TestSample:
             HeuristicSample(delay, loss, mos)
 
 
-class TestWindowStats:
+def _state_of(samples) -> CallState:
+    """A state with the (delay, loss) samples folded into its g."""
+    state = CallState(1, 0.0, "start")
+    for d, p in samples:
+        state.add_sample(HeuristicSample.from_measurement(d, p))
+    return state
+
+
+class TestCallStateMeans:
     def test_running_mean_matches_direct_mean(self):
-        stats = WindowStats()
         delays = [10.0, 30.0, 20.0, 40.0, 0.0]
         losses = [0.0, 0.1, 0.05, 0.2, 0.0]
-        for d, p in zip(delays, losses):
-            stats = update_window(stats, d, p)
-        assert stats.samples == len(delays)
-        assert abs(stats.avg_delay_ms - sum(delays) / len(delays)) <= 1e-9
-        assert abs(stats.avg_loss - sum(losses) / len(losses)) <= 1e-9
+        state = _state_of(zip(delays, losses))
+        assert state.samples == len(delays)
+        assert abs(state.avg_delay_ms - sum(delays) / len(delays)) <= 1e-9
+        assert abs(state.avg_loss - sum(losses) / len(losses)) <= 1e-9
+        assert state.sample == HeuristicSample.from_measurement(0.0, 0.0)
 
     @given(
         st.lists(
@@ -167,19 +173,12 @@ class TestWindowStats:
         )
     )
     def test_running_mean_property(self, samples):
-        stats = WindowStats()
-        for d, p in samples:
-            stats = update_window(stats, d, p)
+        state = _state_of(samples)
         direct_d = sum(d for d, _ in samples) / len(samples)
         direct_p = sum(p for _, p in samples) / len(samples)
-        assert math.isclose(stats.avg_delay_ms, direct_d, rel_tol=1e-9, abs_tol=1e-9)
-        assert math.isclose(stats.avg_loss, direct_p, rel_tol=1e-9, abs_tol=1e-9)
-
-    def test_rejects_bad_interval(self):
-        with pytest.raises(ValueError):
-            update_window(WindowStats(), -1.0, 0.0)
-        with pytest.raises(ValueError):
-            update_window(WindowStats(), 0.0, 2.0)
+        assert state.samples == len(samples)
+        assert math.isclose(state.avg_delay_ms, direct_d, rel_tol=1e-9, abs_tol=1e-9)
+        assert math.isclose(state.avg_loss, direct_p, rel_tol=1e-9, abs_tol=1e-9)
 
 
 class TestConstraints:
