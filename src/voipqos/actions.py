@@ -132,7 +132,7 @@ def apply_action(
     """Apply one QoS mechanism on behalf of the given call's flow; a flow
     already in the action's service class gets no ledger entry."""
     st = world.flows[flow_id]
-    in_class = st.is_media and st.cfg.service == SERVICE_OF.get(action.kind)
+    in_class = st.cfg.service == SERVICE_OF.get(action.kind)
     if (flow_id, action) in world.mechanisms or in_class:
         return TransitionRecord(kind, action.name, world.clock, flow_id, noop=True)
     try:

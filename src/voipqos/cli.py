@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import harness
@@ -46,7 +47,10 @@ def main(argv=None) -> int:
         parser.error("--scenario is required, except with --mode calibrate, which takes none")
     try:
         scenario = None if args.scenario is None else harness.load_scenario(args.scenario)
-    except harness.ScenarioError as exc:
+        # Made before the run, so that an unusable --out fails at once.
+        if args.out is not None:
+            os.makedirs(args.out, exist_ok=True)
+    except (harness.ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     learning = None if args.learning is None else args.learning == "on"

@@ -154,6 +154,10 @@ def scenario_from_json(data: dict) -> Scenario:
     unknown = sorted(set(data) - _FIELDS)
     if unknown:
         raise ScenarioError(f"unknown scenario field(s): {', '.join(unknown)}")
+    # JSON's true and false would pass as 1 and 0; a timeline's are caught below.
+    path = _boolean_path({k: v for k, v in data.items() if k not in ("learning", "timeline")})
+    if path is not None:
+        raise ScenarioError(f"{path[1:]} is true or false, not a number or text")
     if data.get("version", SCHEMA_VERSION) != SCHEMA_VERSION:
         raise ScenarioError(f"unsupported version {data['version']!r}")
     background = data.get("background")
@@ -178,12 +182,25 @@ def scenario_from_json(data: dict) -> Scenario:
             constraints=DEFAULT_CONSTRAINTS if constraints is None else Constraints(**constraints),
         )
         # Each entry has at_s, kind and value, so a fourth key is unknown.
-        if any(len(e) != 3 for e in timeline):
-            raise ValueError("a timeline entry has exactly the keys at_s, kind and value")
+        if any(
+            len(e) != 3 or type(e["at_s"]) is bool or type(e["value"]) is bool for e in timeline
+        ):
+            raise ValueError("a timeline entry has exactly the keys at_s, kind and number value")
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"invalid scenario field: {exc}") from exc
     scenario.validate()
     return scenario
+
+
+def _boolean_path(value) -> Optional[str]:
+    """The ".key" and "[index]" path to a JSON container's first boolean, or None."""
+    for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+        path = "" if item is True or item is False else (
+            _boolean_path(item) if isinstance(item, (dict, list)) else None
+        )
+        if path is not None:
+            return (f".{key}" if isinstance(key, str) else f"[{key}]") + path
+    return None
 
 
 def _queue_config(
@@ -404,9 +421,9 @@ def build_world(scenario: Scenario, seed: int, trace: bool = False) -> SimWorld:
         scenario.link, scenario.queue, seed=seed, timeline=scenario.timeline, trace=trace
     )
     for call in scenario.calls:
-        world.add_media_flow(call.flow)
+        world.add_flow(call.flow)
     if scenario.background is not None:
-        world.add_background_flow(scenario.background)
+        world.add_flow(scenario.background)
     return world
 
 

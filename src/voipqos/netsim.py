@@ -1,21 +1,23 @@
 """Deterministic discrete-event simulation of a shared-bottleneck VoIP path.
 
 All flows (media calls plus CBR background) traverse one queue and one
-link.  The queue has a strict-priority class used by the IntServ-style
-service classes and a per-class RED table (RED: a curve for best effort;
-WRED: a laxer one for priority too).  Media flows can run single-parity
-FEC.  The live queue and media flows are derived from their configured
-values and the applied mechanisms' ledger, `SimWorld.mechanisms`, whose
-one writer is `SimWorld.set_mechanism`.  Guaranteed reservations are
-summed from the live flows.  A scripted timeline of network changes
-drives impairments; every run with the same (seed, config) produces the
-same event history.
+link by one packet path: a flow's kind is its config's type, and a
+BackgroundFlow reads to the path as a best-effort flow without FEC.  The
+queue has a strict-priority class used by the IntServ-style service
+classes and a per-class RED table (RED: a curve for best effort; WRED: a
+laxer one for priority too).  Media flows can run single-parity FEC.  The
+live queue and media flows are derived from their configured values and
+the applied mechanisms' ledger, `SimWorld.mechanisms`, whose one writer
+is `SimWorld.set_mechanism`.  Guaranteed reservations are summed from the
+live flows.  A scripted timeline of network changes drives impairments;
+every run with the same (seed, config) produces the same event history.
 
 Each packet carries its flow and, under FEC, its block; a flow holds only
-its open block.  A flow's totals are its one set of packet counters: a
-measurement window is the totals since the last sample, plus the window's
-own delay sum.  The packet log, one row per packet outcome, is kept only by
-a world built with `trace=True`, the one reader being `export_trace_csv`.
+its open block, and the world the one packet on the wire.  A flow's totals
+are its one set of packet counters: a measurement window is the totals
+since the last sample, plus the window's own delay sum.  The packet log,
+one row per packet outcome, is kept only by a world built with
+`trace=True`, the one reader being `export_trace_csv`.
 """
 from __future__ import annotations
 
@@ -173,6 +175,11 @@ class BackgroundFlow:
     rate_kbps: float
     packet_bytes: int = 100
     burst_pkts: int = 1
+    # What the packet path reads of a MediaFlow, as constants, not fields.
+    service = BEST_EFFORT
+    fec = None
+    start_ms = 0.0
+    end_ms = None
 
     def __post_init__(self) -> None:
         # A rate of 0 is a silent flow that a timeline change may start.
@@ -273,7 +280,7 @@ class _Block:
 
 class _FlowState:
     __slots__ = (
-        "cfg", "configured", "is_media", "epoch", "block", "tokens_bits", "tokens_at_ms",
+        "cfg", "configured", "epoch", "block", "tokens_bits", "tokens_at_ms",
         "totals", "mark", "window_delay_ms", "last_delay_ms", "active",
     )
 
@@ -282,7 +289,6 @@ class _FlowState:
         # or replaced by the timeline.
         self.configured = cfg
         self.cfg = cfg
-        self.is_media = isinstance(cfg, MediaFlow)
         # A scheduled _emit runs only while its epoch is the flow's.
         self.epoch = 0
         self.block: Optional[_Block] = None  # the open FEC block
@@ -325,7 +331,7 @@ class SimWorld:
         self._qp: deque = deque()
         self._qb: deque = deque()
         self._avg_queue = 0.0
-        self._busy = False
+        self._tx: Optional[Packet] = None
         # (time_ms, flow_id, outcome, delay_ms or None), written by _record
         # when tracing; only export_trace_csv reads it.
         self.trace = trace
@@ -363,10 +369,11 @@ class SimWorld:
         return left_sum(
             st.cfg.reserved_kbps
             for fid, st in self.flows.items()
-            if fid != flow_id and st.active and st.is_media and st.cfg.service == GUARANTEED
+            if fid != flow_id and st.active and st.cfg.service == GUARANTEED
         )
 
-    def add_media_flow(self, cfg: MediaFlow) -> None:
+    def add_flow(self, cfg: MediaFlow | BackgroundFlow) -> None:
+        """Add a media or background flow; one of rate 0 sends nothing yet."""
         if cfg.flow_id in self.flows:
             raise ValueError(f"duplicate flow id {cfg.flow_id}")
         st = _FlowState(cfg)
@@ -375,15 +382,8 @@ class SimWorld:
             st.tokens_bits = BUCKET_DEPTH_PKTS * cfg.packet_bits
             st.tokens_at_ms = cfg.start_ms
         self.flows[cfg.flow_id] = st
-        self._schedule(cfg.start_ms, SimWorld._emit, st, st.epoch)
-
-    def add_background_flow(self, cfg: BackgroundFlow) -> None:
-        if cfg.flow_id in self.flows:
-            raise ValueError(f"duplicate flow id {cfg.flow_id}")
-        st = _FlowState(cfg)
-        self.flows[cfg.flow_id] = st
         if cfg.rate_kbps > 0:
-            self._schedule(0.0, SimWorld._emit, st, st.epoch)
+            self._schedule(cfg.start_ms, SimWorld._emit, st, st.epoch)
 
     def end_flow(self, flow_id: str) -> None:
         st = self.flows[flow_id]
@@ -413,7 +413,7 @@ class SimWorld:
         served best effort.
         """
         st = self.flows[flow_id]
-        if not st.is_media:
+        if isinstance(st.cfg, BackgroundFlow):
             raise ValueError("QoS mechanisms act on behalf of media flows")
         ledger = dict(self.mechanisms)
         if effect is None:
@@ -474,7 +474,7 @@ class SimWorld:
             self.set_buffer(int(change.value))
         elif change.kind == SET_BACKGROUND_RATE:
             for st in self.flows.values():
-                if not st.is_media:
+                if isinstance(st.cfg, BackgroundFlow):
                     st.cfg = replace(st.cfg, rate_kbps=change.value)
                     st.epoch += 1
                     if change.value > 0 and st.active:
@@ -494,62 +494,53 @@ class SimWorld:
         if epoch != st.epoch:
             return
         cfg = st.cfg
-        if st.is_media and cfg.end_ms is not None and self.clock >= cfg.end_ms:
+        if cfg.end_ms is not None and self.clock >= cfg.end_ms:
             return
+        # Nothing in a burst replaces st.cfg, so the burst reads it once.
+        fec, bits, now = cfg.fec, cfg.packet_bits, self.clock
         for _ in range(cfg.burst_pkts):
-            self._emit_one(st)
-        at = self.clock + cfg.burst_pkts * cfg.packet_interval_ms
+            pkt = Packet(st, bits, now)
+            if fec is not None:
+                if st.block is None:
+                    st.block = _Block()
+                pkt.block = block = st.block
+                block.sent += 1
+            self._record(st, "sent")
+            self._offer(st, pkt)
+            if fec is not None and block.sent >= fec.block_k:
+                st.block = None
+                self._offer(st, Packet(st, bits, now, parity=True, block=block))
+        at = now + cfg.burst_pkts * cfg.packet_interval_ms
         heappush(self._events, (at, next(self._seq), SimWorld._emit, (st, epoch)))
-
-    def _emit_one(self, st: _FlowState) -> None:
-        cfg = st.cfg
-        pkt = Packet(st, cfg.packet_bits, self.clock)
-        fec = cfg.fec if st.is_media else None
-        if fec is not None:
-            if st.block is None:
-                st.block = _Block()
-            pkt.block = block = st.block
-            block.sent += 1
-        self._record(st, "sent")
-        self._offer(st, pkt)
-        if fec is not None and block.sent >= fec.block_k:
-            st.block = None
-            self._offer(st, Packet(st, cfg.packet_bits, self.clock, parity=True, block=block))
 
     # ---------------- policing and queueing ----------------
 
     def _offer(self, st: _FlowState, pkt: Packet) -> None:
         cfg = st.cfg
-        if st.is_media:
-            if cfg.service == CONTROLLED_LOAD:
+        if cfg.service == CONTROLLED_LOAD:
+            pkt.pclass = 1
+        elif cfg.service == GUARANTEED:
+            # Refill the token bucket for the time since its last refill.
+            depth = BUCKET_DEPTH_PKTS * cfg.packet_bits
+            elapsed = self.clock - st.tokens_at_ms
+            st.tokens_bits = min(depth, st.tokens_bits + cfg.reserved_kbps * elapsed)
+            st.tokens_at_ms = self.clock
+            if st.tokens_bits >= pkt.bits:
+                st.tokens_bits -= pkt.bits
                 pkt.pclass = 1
-            elif cfg.service == GUARANTEED:
-                self._refill_tokens(st)
-                if st.tokens_bits >= pkt.bits:
-                    st.tokens_bits -= pkt.bits
-                    pkt.pclass = 1
-                else:
-                    # Non-conforming traffic is policed under congestion,
-                    # otherwise demoted to best effort.
-                    if self.occupancy >= self.queue.capacity_pkts // 2:
-                        self._drop(pkt, "dropped_policer")
-                        return
-                    pkt.pclass = 0
+            elif self.occupancy >= self.queue.capacity_pkts // 2:
+                # Non-conforming traffic is policed under congestion,
+                # otherwise sent best effort, the new packet's class 0.
+                self._drop(pkt, "dropped_policer")
+                return
         self.offer_packet(pkt)
-
-    def _refill_tokens(self, st: _FlowState) -> None:
-        cfg = st.cfg
-        depth = BUCKET_DEPTH_PKTS * cfg.packet_bits
-        elapsed = self.clock - st.tokens_at_ms
-        st.tokens_bits = min(depth, st.tokens_bits + cfg.reserved_kbps * elapsed)
-        st.tokens_at_ms = self.clock
 
     @property
     def occupancy(self) -> int:
         return len(self._qp) + len(self._qb)
 
-    def offer_packet(self, pkt: Packet) -> str:
-        """Run the queue discipline for one packet; returns the outcome."""
+    def offer_packet(self, pkt: Packet) -> None:
+        """Run the queue discipline for one packet: drop it or queue it."""
         occ = len(self._qp) + len(self._qb)
         red = self.queue.red
         params = red[pkt.pclass]
@@ -563,19 +554,18 @@ class SimWorld:
                 self._drop(self._qb.pop(), "dropped_queue")
             else:
                 self._drop(pkt, "dropped_queue")
-                return "dropped_queue"
+                return
         if params is not None:
             p = red_drop_probability(params, self._avg_queue)
             if p >= 1.0 or (p > 0.0 and self.rng.random() < p):
                 self._drop(pkt, "dropped_queue")
-                return "dropped_queue"
+                return
         if pkt.pclass == 1:
             self._qp.append(pkt)
         else:
             self._qb.append(pkt)
-        if not self._busy:
+        if self._tx is None:
             self._kick()
-        return "enqueued"
 
     def _kick(self) -> None:
         """Start transmitting the next queued packet; the link is idle."""
@@ -585,12 +575,12 @@ class SimWorld:
             pkt = self._qb.popleft()
         else:
             return
-        self._busy = True
+        self._tx = pkt
         at = self.clock + pkt.bits / self.link.capacity_kbps
-        heappush(self._events, (at, next(self._seq), SimWorld._tx_done, (pkt,)))
+        heappush(self._events, (at, next(self._seq), SimWorld._tx_done, ()))
 
-    def _tx_done(self, pkt: Packet) -> None:
-        self._busy = False
+    def _tx_done(self) -> None:
+        pkt, self._tx = self._tx, None
         link = self.link
         if link.loss_rate > 0 and self.rng.random() < link.loss_rate:
             self._drop(pkt, "dropped_link")
@@ -681,11 +671,13 @@ class SimWorld:
         """Each flow's in-flight count equals its packets still held.
 
         A counted packet is held while it waits in the queue, is in
-        transmission (a pending _tx_done) or propagates (a pending _deliver).
+        transmission (`_tx`) or propagates (a pending _deliver).
         """
-        pending = [args[0] for _, _, fn, args in self._events
-                   if fn is SimWorld._tx_done or fn is SimWorld._deliver]
-        held = Counter(p.flow for p in chain(self._qp, self._qb, pending) if not p.parity)
+        pending = [args[0] for _, _, fn, args in self._events if fn is SimWorld._deliver]
+        held = Counter(
+            p.flow for p in chain(self._qp, self._qb, [self._tx], pending)
+            if p is not None and not p.parity
+        )
         for fid, st in self.flows.items():
             if st.totals.in_flight != held[st]:
                 raise AssertionError(

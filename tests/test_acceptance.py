@@ -245,7 +245,7 @@ def test_09_loss_calibration():
         netsim.QueueConfig(capacity_pkts=1000),
         seed=7,
     )
-    world.add_media_flow(netsim.MediaFlow("m", packet_interval_ms=2.0))
+    world.add_flow(netsim.MediaFlow("m", packet_interval_ms=2.0))
     world.advance(40_000.0)
     t = world.totals("m")
     resolved = t.delivered + t.dropped

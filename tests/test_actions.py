@@ -45,7 +45,7 @@ CATALOG = [
 
 def _world(capacity=1000.0, buffer_pkts=100):
     world = SimWorld(LinkConfig(10.0, 0.0, capacity), QueueConfig(capacity_pkts=buffer_pkts))
-    world.add_media_flow(MediaFlow("m"))
+    world.add_flow(MediaFlow("m"))
     return world
 
 
@@ -170,7 +170,7 @@ class TestApplyStop:
 
     def test_refused_admission_leaves_flow_unchanged(self):
         world = SimWorld(LinkConfig(10.0, 0.0, 20.0), QueueConfig())
-        world.add_media_flow(MediaFlow("m", service=netsim.CONTROLLED_LOAD))
+        world.add_flow(MediaFlow("m", service=netsim.CONTROLLED_LOAD))
         with pytest.raises(ActionFailedError):
             actions.apply_action(world, "m", guaranteed_load())
         cfg = world.flows["m"].cfg
@@ -201,7 +201,7 @@ class TestApplyStop:
     @pytest.mark.parametrize("action", CATALOG, ids=lambda a: a.name)
     def test_background_flow_takes_no_mechanism(self, action):
         world = _world()
-        world.add_background_flow(netsim.BackgroundFlow("bg", 100.0))
+        world.add_flow(netsim.BackgroundFlow("bg", 100.0))
         with pytest.raises(ValueError, match="media flows"):
             actions.apply_action(world, "bg", action)
         assert world.mechanisms == {}
@@ -219,8 +219,8 @@ class TestDerivedQueue:
 
     def _two_flow_world(self):
         world = SimWorld(LinkConfig(10.0, 0.0, 1000.0), QueueConfig(capacity_pkts=40))
-        world.add_media_flow(MediaFlow("a"))
-        world.add_media_flow(MediaFlow("b"))
+        world.add_flow(MediaFlow("a"))
+        world.add_flow(MediaFlow("b"))
         return world
 
     def test_stopping_one_call_keeps_the_others_mechanisms(self):
@@ -248,7 +248,7 @@ class TestDerivedQueue:
             QueueConfig(capacity_pkts=40),
             timeline=(NetworkChange(1_000.0, netsim.SET_BUFFER_SIZE, 100),),
         )
-        world.add_media_flow(MediaFlow("m"))
+        world.add_flow(MediaFlow("m"))
         actions.apply_action(world, "m", increase_buffer())
         world.advance(2_000.0)
         assert world.queue.capacity_pkts == 115
@@ -268,8 +268,8 @@ def _contested_world():
     flow b. Both fit under guaranteed_load (32.5 kbps each), but a's
     configured reservation and b's guaranteed_load do not."""
     world = SimWorld(LinkConfig(10.0, 0.0, 70.0), QueueConfig())
-    world.add_media_flow(MediaFlow("a", service=netsim.GUARANTEED, reserved_kbps=40.0))
-    world.add_media_flow(MediaFlow("b"))
+    world.add_flow(MediaFlow("a", service=netsim.GUARANTEED, reserved_kbps=40.0))
+    world.add_flow(MediaFlow("b"))
     return world
 
 

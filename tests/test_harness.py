@@ -204,6 +204,24 @@ BAD_SCENARIOS = {
     ),
     # Ran, and the summary reported the list as the scenario.
     "list-name": _edited("table1-s1", lambda d: d.update(name=["x"])),
+    # JSON's true and false passed as 1 and 0: a 1-packet buffer, a 1 s run.
+    "boolean-queue-capacity": _edited(
+        "table1-s1", lambda d: d["queue"].update(capacity_pkts=True)
+    ),
+    "boolean-duration": _edited("table1-s1", lambda d: d.update(duration_s=True)),
+    "boolean-burst": _edited(
+        "table1-s1", lambda d: d["calls"][0]["flow"].update(burst_pkts=True)
+    ),
+    "boolean-weight": _edited("table1-s1", lambda d: d["calls"][0].update(weight=True)),
+    "boolean-latency": _edited("table1-s1", lambda d: d["link"].update(latency_ms=True)),
+    "boolean-call-start": _edited("table1-s1", lambda d: d["calls"][0].update(start_s=False)),
+    "boolean-version": _edited("table1-s1", lambda d: d.update(version=True)),
+    "boolean-timeline-value": _edited(
+        "table7-singlecall", lambda d: d["timeline"][0].update(value=True)
+    ),
+    "boolean-timeline-at": _edited(
+        "table7-singlecall", lambda d: d["timeline"][0].update(at_s=True)
+    ),
 }
 
 
@@ -454,7 +472,10 @@ def test_generated_scenario_loads_valid_or_fails_early(data, edit):
     art = harness.run(scenario, seed=0, mode="baseline")
     art.world.check_conservation()
     assert art.world.reserved_kbps <= art.world.link.capacity_kbps
-    assert not any(flow.active for flow in art.world.flows.values() if flow.is_media)
+    assert not any(
+        flow.active for flow in art.world.flows.values()
+        if isinstance(flow.cfg, netsim.MediaFlow)
+    )
     if len(scenario.calls) <= 1:
         art = harness.run(scenario, seed=0, mode="control")
         assert art.summary["trace_errors"] == []
@@ -492,12 +513,14 @@ class TestWorldRelease:
         # A block that held its lost packets would form a cycle with them.
         world = netsim.SimWorld(netsim.LinkConfig(20.0, 0.2, 1000.0), netsim.QueueConfig())
         fec = netsim.FecConfig(4)
-        world.add_media_flow(netsim.MediaFlow("m", packet_interval_ms=1.0, fec=fec))
+        world.add_flow(netsim.MediaFlow("m", packet_interval_ms=1.0, fec=fec))
         world.advance(1_000.5)
-        pending = [
-            args[0] for _, _, _, args in world._events if isinstance(args[0], netsim.Packet)
+        # The packets on the wire and propagating.
+        pending = [world._tx] + [
+            args[0] for _, _, _, args in world._events
+            if args and isinstance(args[0], netsim.Packet)
         ]
-        blocks = {id(p.block): p.block for p in pending if p.block is not None}
+        blocks = {id(p.block): p.block for p in pending if p is not None and p.block is not None}
         assert any(block.lost for block in blocks.values())
         refs = [weakref.ref(block) for block in blocks.values()]
         del world, pending, blocks
@@ -614,6 +637,16 @@ class TestCli:
         assert cli.main(["run", "--mode", "calibrate", "--out", str(tmp_path)]) == 0
         kb = json.loads((tmp_path / "kb.json").read_text())
         assert kb["cases"] == default_knowledge()["cases"]
+
+    @pytest.mark.parametrize("args", [["--scenario", "table1-s1"], ["--mode", "calibrate"]])
+    def test_out_naming_a_file_exit_code(self, args, tmp_path, capsys):
+        # Reported before the run, not as a traceback after it.
+        afile = tmp_path / "afile"
+        afile.write_text("kept")
+        assert cli.main(["run", *args, "--out", str(afile)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+        assert afile.read_text() == "kept"
 
     def test_calibrate_rejects_a_scenario(self):
         with pytest.raises(SystemExit) as exc:

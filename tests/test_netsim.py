@@ -3,6 +3,7 @@ import csv
 import io
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from voipqos import netsim
 from voipqos.netsim import (
@@ -36,8 +37,8 @@ class TestDeterminism:
             seed=seed,
             trace=True,
         )
-        world.add_media_flow(MediaFlow("m"))
-        world.add_background_flow(BackgroundFlow("bg", rate_kbps=900.0))
+        world.add_flow(MediaFlow("m"))
+        world.add_flow(BackgroundFlow("bg", rate_kbps=900.0))
         world.advance(20_000.0)
         return list(world.log)
 
@@ -51,13 +52,82 @@ class TestDeterminism:
 class TestConservation:
     def test_counts_balance_after_congested_run(self):
         world = _world(capacity=200.0, buffer_pkts=30)
-        world.add_media_flow(MediaFlow("m", burst_pkts=40))
-        world.add_background_flow(BackgroundFlow("bg", rate_kbps=150.0))
+        world.add_flow(MediaFlow("m", burst_pkts=40))
+        world.add_flow(BackgroundFlow("bg", rate_kbps=150.0))
         world.advance(30_000.0)
         world.check_conservation()
         t = world.totals("m")
         assert t.sent > 0 and t.delivered > 0 and t.dropped_queue > 0
         assert t.in_flight >= 0
+
+
+_CHANGES = st.one_of(
+    st.tuples(st.just(netsim.SET_LATENCY), st.sampled_from([0.0, 40.0, 150.0])),
+    st.tuples(st.just(netsim.SET_LOSS_RATE), st.sampled_from([0.0, 0.05, 0.4])),
+    st.tuples(st.just(netsim.SET_BUFFER_SIZE), st.integers(1, 80).map(float)),
+    st.tuples(st.just(netsim.SET_BACKGROUND_RATE), st.sampled_from([0.0, 300.0, 1200.0])),
+)
+
+
+@st.composite
+def _busy_worlds(draw):
+    """A world of 1-3 media flows, maybe background traffic, link loss and
+    timeline changes, with the sorted times to stop it at."""
+    capacity = draw(st.integers(2, 60))
+    red = (REDParams(1.0, float(capacity), 0.3), None) if draw(st.booleans()) else (None, None)
+    timeline = tuple(
+        NetworkChange(at, kind, value)
+        for at, (kind, value) in zip(
+            draw(st.lists(st.floats(0.0, 4_000.0), max_size=4)),
+            draw(st.lists(_CHANGES, min_size=4, max_size=4)),
+        )
+    )
+    world = SimWorld(
+        LinkConfig(draw(st.sampled_from([0.0, 15.0])), draw(st.sampled_from([0.0, 0.1])),
+                   draw(st.sampled_from([100.0, 400.0]))),
+        QueueConfig(capacity, red),
+        seed=draw(st.integers(0, 9)),
+        timeline=timeline,
+    )
+    for i in range(draw(st.integers(1, 3))):
+        service = draw(st.sampled_from(netsim.SERVICES))
+        start = draw(st.floats(0.0, 2_000.0))
+        length = draw(st.one_of(st.none(), st.floats(1.0, 3_000.0)))
+        block_k = draw(st.integers(0, 5))
+        world.add_flow(MediaFlow(
+            f"m{i}",
+            packet_interval_ms=draw(st.sampled_from([2.0, 20.0])),
+            service=service,
+            # Three 32.5 kbps reservations fit the slowest link.
+            reserved_kbps=32.5 if service == netsim.GUARANTEED else 0.0,
+            fec=FecConfig(block_k) if block_k else None,
+            burst_pkts=draw(st.integers(1, 20)),
+            start_ms=start,
+            end_ms=None if length is None else start + length,
+        ))
+    if draw(st.booleans()):
+        world.add_flow(BackgroundFlow("bg", rate_kbps=draw(st.sampled_from([0.0, 300.0]))))
+    return world, sorted(draw(st.lists(st.floats(0.0, 5_000.0), min_size=1, max_size=5)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_busy_worlds())
+def test_conservation_holds_at_any_instant(case):
+    # Each stop may fall mid-burst, mid-transmission or mid-block; a flow
+    # past its end is ended there, releasing its reservation.
+    world, stops = case
+    for stop in stops:
+        world.advance(stop)
+        world.check_conservation()
+        for fid, flow in world.flows.items():
+            assert flow.totals.in_flight >= 0
+            assert flow.totals.recovered <= flow.totals.dropped
+            if flow.cfg.end_ms is not None and flow.cfg.end_ms <= stop:
+                world.end_flow(fid)
+        assert world.reserved_kbps == sum(
+            flow.cfg.reserved_kbps for flow in world.flows.values()
+            if flow.active and flow.cfg.service == netsim.GUARANTEED
+        )
 
 
 class TestRed:
@@ -76,8 +146,8 @@ class TestRed:
             buffer_pkts=150,
             red=(REDParams(20, 60, 0.2), None),
         )
-        world.add_media_flow(MediaFlow("m"))
-        world.add_background_flow(BackgroundFlow("bg", rate_kbps=1100.0))
+        world.add_flow(MediaFlow("m"))
+        world.add_flow(BackgroundFlow("bg", rate_kbps=1100.0))
         world.advance(30_000.0)
         bg = world.totals("bg")
         assert bg.dropped_queue > 0
@@ -94,12 +164,16 @@ class TestRed:
         lax = REDParams(20, 30, 1.0, ewma_weight=0.001)
         world = _world(latency=0.0, capacity=100.0, red=(strict, lax))
         x = world.flows["x"] = netsim._FlowState(BackgroundFlow("x", rate_kbps=1.0))
-        for _ in range(15):
-            assert world.offer_packet(Packet(x, 800.0, 0.0, pclass=1)) == "enqueued"
+        for i in range(15):
+            world.offer_packet(Packet(x, 800.0, 0.0, pclass=1))
+            assert x.totals.dropped_queue == 0 and len(world._qp) == i
         assert world.occupancy == 14  # one packet is in transmission
-        assert world.offer_packet(Packet(x, 800.0, 0.0)) == "dropped_queue"
+        world.offer_packet(Packet(x, 800.0, 0.0))
+        assert x.totals.dropped_queue == 1 and world.occupancy == 14
         assert world._avg_queue == 14.0
-        assert world.offer_packet(Packet(x, 800.0, 0.0, pclass=1)) == "enqueued"
+        pri = Packet(x, 800.0, 0.0, pclass=1)
+        world.offer_packet(pri)
+        assert world._qp[-1] is pri and world.occupancy == 15
         assert world.flows["x"].totals.dropped_queue == 1
 
     @pytest.mark.parametrize(
@@ -137,7 +211,7 @@ class TestFec:
     def test_residual_loss_matches_oracle(self):
         p, k = 0.05, 4
         world = _world(latency=5.0, loss=p, capacity=10_000.0, buffer_pkts=1000, seed=11)
-        world.add_media_flow(
+        world.add_flow(
             MediaFlow("m", packet_interval_ms=2.0, fec=FecConfig(block_k=k))
         )
         world.advance(120_000.0)
@@ -154,10 +228,10 @@ class TestFec:
         # FEC exceeds the plain-link delay.
         p = 0.08
         plain = _world(latency=5.0, loss=p, capacity=10_000.0, seed=2)
-        plain.add_media_flow(MediaFlow("m", packet_interval_ms=2.0))
+        plain.add_flow(MediaFlow("m", packet_interval_ms=2.0))
         plain.advance(60_000.0)
         fec = _world(latency=5.0, loss=p, capacity=10_000.0, seed=2)
-        fec.add_media_flow(MediaFlow("m", packet_interval_ms=2.0, fec=FecConfig(4)))
+        fec.add_flow(MediaFlow("m", packet_interval_ms=2.0, fec=FecConfig(4)))
         fec.advance(60_000.0)
         d_plain = plain.totals("m").delay_sum_ms / plain.totals("m").delay_n
         d_fec = fec.totals("m").delay_sum_ms / fec.totals("m").delay_n
@@ -174,7 +248,7 @@ class TestBufferSizing:
     @staticmethod
     def _stats(buffer_pkts):
         world = _world(latency=0.0, capacity=100.0, buffer_pkts=buffer_pkts)
-        world.add_media_flow(MediaFlow("m", burst_pkts=150))
+        world.add_flow(MediaFlow("m", burst_pkts=150))
         world.advance(30_000.0)
         t = world.totals("m")
         return t.dropped_queue, t.delay_sum_ms / t.delay_n
@@ -195,8 +269,8 @@ class TestBufferSizing:
 class TestServiceClasses:
     def test_priority_class_preempts_best_effort(self):
         world = _world(latency=0.0, capacity=500.0, buffer_pkts=40)
-        world.add_media_flow(MediaFlow("m", service=netsim.CONTROLLED_LOAD))
-        world.add_background_flow(BackgroundFlow("bg", rate_kbps=600.0))
+        world.add_flow(MediaFlow("m", service=netsim.CONTROLLED_LOAD))
+        world.add_flow(BackgroundFlow("bg", rate_kbps=600.0))
         world.advance(30_000.0)
         m = world.totals("m")
         assert m.dropped == 0
@@ -211,8 +285,7 @@ class TestServiceClasses:
         assert world.occupancy == 5  # full: 1 in service + 4 queued + head slot
         dropped_before = world.flows["x"].totals.dropped_queue
         pri = Packet(x, 800.0, 0.0, pclass=1)
-        outcome = world.offer_packet(pri)
-        assert outcome == "enqueued"
+        world.offer_packet(pri)
         assert world.occupancy == 5  # one best-effort shed instead
         assert pri in world._qp
         assert world.flows["x"].totals.dropped_queue == dropped_before + 1
@@ -221,7 +294,7 @@ class TestServiceClasses:
         # A bursty source overruns its token bucket; non-conforming
         # packets are policed once the queue is half full.
         world = _world(latency=0.0, capacity=200.0, buffer_pkts=30)
-        world.add_media_flow(
+        world.add_flow(
             MediaFlow(
                 "m", burst_pkts=60, service=netsim.GUARANTEED, reserved_kbps=32.5
             )
@@ -232,14 +305,14 @@ class TestServiceClasses:
 
     def test_admission_control(self):
         world = _world(capacity=100.0)
-        world.add_media_flow(MediaFlow("a", service=netsim.GUARANTEED, reserved_kbps=80.0))
+        world.add_flow(MediaFlow("a", service=netsim.GUARANTEED, reserved_kbps=80.0))
         with pytest.raises(AdmissionRefusedError):
-            world.add_media_flow(
+            world.add_flow(
                 MediaFlow("b", service=netsim.GUARANTEED, reserved_kbps=30.0)
             )
         # Releasing the first reservation frees the headroom.
         world.end_flow("a")
-        world.add_media_flow(MediaFlow("b", service=netsim.GUARANTEED, reserved_kbps=30.0))
+        world.add_flow(MediaFlow("b", service=netsim.GUARANTEED, reserved_kbps=30.0))
 
 
 class TestNetworkChanges:
@@ -249,7 +322,7 @@ class TestNetworkChanges:
             QueueConfig(capacity_pkts=100),
             timeline=(NetworkChange(5_000.0, netsim.SET_LATENCY, 90.0),),
         )
-        world.add_media_flow(MediaFlow("m"))
+        world.add_flow(MediaFlow("m"))
         world.advance(4_000.0)
         early = world.measure("m")
         world.advance(10_000.0)
@@ -268,7 +341,7 @@ class TestNetworkChanges:
                 NetworkChange(6_000.0, netsim.SET_BACKGROUND_RATE, 400.0),
             ),
         )
-        world.add_background_flow(BackgroundFlow("bg", rate_kbps=400.0))
+        world.add_flow(BackgroundFlow("bg", rate_kbps=400.0))
         world.advance(4_000.0)
         sent_quiet = world.totals("bg").sent
         world.advance(5_900.0)
@@ -284,7 +357,7 @@ class TestNetworkChanges:
             QueueConfig(capacity_pkts=100),
             timeline=(NetworkChange(0.0, netsim.SET_BACKGROUND_RATE, 80.0),),
         )
-        world.add_background_flow(BackgroundFlow("bg", rate_kbps=80.0))
+        world.add_flow(BackgroundFlow("bg", rate_kbps=80.0))
         world.advance(10_000.0)
         assert world.totals("bg").sent == 1_000  # one 800-bit packet per 10 ms
 
@@ -296,8 +369,8 @@ class TestNetworkChanges:
             QueueConfig(capacity_pkts=100),
             timeline=(NetworkChange(2_000.0, netsim.SET_BACKGROUND_RATE, 400.0),),
         )
-        world.add_media_flow(MediaFlow("m", fec=FecConfig(4)))
-        world.add_background_flow(BackgroundFlow("bg", rate_kbps=200.0))
+        world.add_flow(MediaFlow("m", fec=FecConfig(4)))
+        world.add_flow(BackgroundFlow("bg", rate_kbps=200.0))
         world.advance(1_000.0)
         world.end_flow("m")
         world.end_flow("bg")
@@ -309,7 +382,7 @@ class TestNetworkChanges:
 
     def test_buffer_shrink_sheds_newest_first(self):
         world = _world(latency=0.0, capacity=100.0, buffer_pkts=50)
-        world.add_media_flow(MediaFlow("m", burst_pkts=40))
+        world.add_flow(MediaFlow("m", burst_pkts=40))
         world.advance(10.0)
         assert world.occupancy > 20
         world.set_buffer(20)
@@ -339,13 +412,13 @@ class TestNetworkChanges:
 class TestMeasurement:
     def test_empty_window_returns_none(self):
         world = _world()
-        world.add_media_flow(MediaFlow("m", start_ms=5_000.0))
+        world.add_flow(MediaFlow("m", start_ms=5_000.0))
         world.advance(1_000.0)
         assert world.measure("m") is None
 
     def test_window_resets_between_samples(self):
         world = _world(latency=5.0)
-        world.add_media_flow(MediaFlow("m"))
+        world.add_flow(MediaFlow("m"))
         world.advance(5_000.0)
         first = world.measure("m")
         assert first is not None and first.loss == 0.0
@@ -357,7 +430,7 @@ class TestMeasurement:
 
     def test_loss_counts_recoveries(self):
         world = _world(latency=5.0, loss=0.05, capacity=10_000.0, seed=5)
-        world.add_media_flow(MediaFlow("m", packet_interval_ms=2.0, fec=FecConfig(4)))
+        world.add_flow(MediaFlow("m", packet_interval_ms=2.0, fec=FecConfig(4)))
         world.advance(30_000.0)
         sample = world.measure("m")
         t = world.totals("m")
@@ -377,8 +450,8 @@ class TestPacketLog:
         world = SimWorld(
             LinkConfig(5.0, 0.1, 1000.0), QueueConfig(capacity_pkts=5), seed=1, trace=True
         )
-        world.add_media_flow(MediaFlow("a,b", burst_pkts=8, fec=FecConfig(2)))
-        world.add_background_flow(BackgroundFlow('q"x', rate_kbps=300.0))
+        world.add_flow(MediaFlow("a,b", burst_pkts=8, fec=FecConfig(2)))
+        world.add_flow(BackgroundFlow('q"x', rate_kbps=300.0))
         world.advance(2_000.0)
         events = {event for _, _, event, _ in world.log}
         assert {"sent", "delivered", "dropped_link", "dropped_queue", "recovered"} <= events
@@ -393,7 +466,7 @@ class TestPacketLog:
 
     def test_untraced_world_keeps_no_log(self, tmp_path):
         world = _world(loss=0.1)
-        world.add_media_flow(MediaFlow("m"))
+        world.add_flow(MediaFlow("m"))
         world.advance(2_000.0)
         assert world.totals("m").sent > 0 and world.log == []
         with pytest.raises(ValueError):
