@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import harness
@@ -45,18 +44,16 @@ def main(argv=None) -> int:
     # Calibration measures its own analysis-phase worlds.
     if (args.mode == "calibrate") != (args.scenario is None):
         parser.error("--scenario is required, except with --mode calibrate, which takes none")
+    learning = None if args.learning is None else args.learning == "on"
     try:
         scenario = None if args.scenario is None else harness.load_scenario(args.scenario)
-        # Made before the run, so that an unusable --out fails at once.
-        if args.out is not None:
-            os.makedirs(args.out, exist_ok=True)
+        # harness.run makes --out before any work, so an unusable one fails at once.
+        artifacts = harness.run(
+            scenario, seed=args.seed, mode=args.mode, learning=learning, out_dir=args.out
+        )
     except (harness.ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    learning = None if args.learning is None else args.learning == "on"
-    artifacts = harness.run(
-        scenario, seed=args.seed, mode=args.mode, learning=learning, out_dir=args.out
-    )
     print(json.dumps(artifacts.summary, indent=2, sort_keys=True))
     if args.mode == "control" and not artifacts.summary.get("constraints_met", False):
         return 2

@@ -505,16 +505,18 @@ def run(
     learning: Optional[bool] = None,
     out_dir: Optional[str] = None,
 ) -> RunArtifacts:
+    if mode not in ("calibrate", "baseline", "control"):
+        raise ValueError(f"unknown mode: {mode}")
+    # Made before any work, so that an unusable out_dir fails at once.
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
     if mode == "calibrate":
         kb = calibrate(seed)
         artifacts = RunArtifacts(scenario, {"revision": kb.revision}, [], kb=kb)
         if out_dir is not None:
-            os.makedirs(out_dir, exist_ok=True)
             with open(os.path.join(out_dir, "kb.json"), "w") as fh:
                 json.dump(kb.to_json(), fh, indent=2, sort_keys=True)
         return artifacts
-    if mode not in ("baseline", "control"):
-        raise ValueError(f"unknown mode: {mode}")
     # Only the artifacts in out_dir include trace.csv, the packet log.
     artifacts = _run_windows(scenario, seed, mode, learning, trace=out_dir is not None)
     if out_dir is not None:

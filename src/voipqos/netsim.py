@@ -12,6 +12,11 @@ is `SimWorld.set_mechanism`.  Guaranteed reservations are summed from the
 live flows.  A scripted timeline of network changes drives impairments;
 every run with the same (seed, config) produces the same event history.
 
+The event heap holds emissions and timeline changes, which `advance`
+calls, and the link's two per-packet events, the end of a transmission
+and a delivery, which `advance` runs itself.  The queue is empty whenever
+the link is idle, so a packet that finds the link idle goes on the wire.
+
 Each packet carries its flow and, under FEC, its block; a flow holds only
 its open block, and the world the one packet on the wire.  A flow's totals
 are its one set of packet counters: a measurement window is the totals
@@ -27,6 +32,7 @@ import math
 import random
 from collections import Counter, deque
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from heapq import heappop, heappush
 from itertools import chain, count
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
@@ -162,7 +168,7 @@ class MediaFlow:
         if self.service not in SERVICES:
             raise ValueError(f"unknown service class {self.service!r}")
 
-    @property
+    @cached_property
     def packet_bits(self) -> float:
         return self.rate_kbps * self.packet_interval_ms
 
@@ -188,14 +194,19 @@ class BackgroundFlow:
         _check_count("packet_bytes", self.packet_bytes)
         _check_count("burst_pkts", self.burst_pkts)
 
-    @property
+    @cached_property
     def packet_bits(self) -> float:
         return self.packet_bytes * 8.0
 
-    @property
+    @cached_property
     def packet_interval_ms(self) -> float:
         return self.packet_bits / self.rate_kbps
 
+
+# Heap markers of the link's two per-packet events, which advance runs
+# itself: the end of the transmission of `_tx`, and a packet's delivery.
+_TX_DONE = "tx_done"
+_DELIVER = "deliver"
 
 SET_LATENCY = "set_latency"
 SET_LOSS_RATE = "set_loss_rate"
@@ -322,11 +333,12 @@ class SimWorld:
         self.configured_red = queue.red
         self.queue = queue
         self.flows: Dict[str, _FlowState] = {}
-        # Heap of (at_ms, seq, fn, args); advance() calls fn(self, *args).
-        # Entries hold plain functions and data, never the world itself.
-        # The hot paths push their entries themselves; every entry takes the
-        # next seq, so equal times run in the order they were scheduled.
-        self._events: List[Tuple[float, int, Callable[..., None], tuple]] = []
+        # Heap of (at_ms, seq, fn, args), entries of plain data: advance()
+        # calls fn(self, *args), or runs the link event fn marks (_TX_DONE,
+        # or _DELIVER of packet args). The hot paths push their entries
+        # themselves; every entry takes the next seq, so equal times run in
+        # the order they were scheduled.
+        self._events: List[Tuple[float, int, object, object]] = []
         self._seq = count(1)
         self._qp: deque = deque()
         self._qb: deque = deque()
@@ -349,13 +361,45 @@ class SimWorld:
         heappush(self._events, (at_ms, next(self._seq), fn, args))
 
     def advance(self, until_ms: float) -> None:
-        if until_ms < self.clock:
+        # Written so that NaN fails the check.
+        if not until_ms >= self.clock:
             raise ValueError("cannot advance backwards")
-        events = self._events
+        events, seq, rng = self._events, self._seq, self.rng
         while events and events[0][0] <= until_ms:
             at, _, fn, args = heappop(events)
             self.clock = at
-            fn(self, *args)
+            if fn is _TX_DONE:
+                # Link loss, or propagation; then the next queued packet,
+                # priority first, goes on the wire.
+                pkt, link = self._tx, self.link
+                if link.loss_rate > 0 and rng.random() < link.loss_rate:
+                    self._drop(pkt, "dropped_link")
+                else:
+                    heappush(events, (at + link.latency_ms, next(seq), _DELIVER, pkt))
+                if self._qp:
+                    pkt = self._qp.popleft()
+                elif self._qb:
+                    pkt = self._qb.popleft()
+                else:
+                    self._tx = None
+                    continue
+                self._tx = pkt
+                heappush(events, (at + pkt.bits / link.capacity_kbps, next(seq), _TX_DONE, None))
+            elif fn is _DELIVER:
+                pkt = args
+                if not pkt.parity:
+                    st = pkt.flow
+                    delay = at - pkt.created_ms
+                    totals = st.totals
+                    totals.delivered += 1
+                    totals.delay_sum_ms += delay
+                    st.window_delay_ms += delay
+                    if self.trace:
+                        self.log.append((at, st.cfg.flow_id, "delivered", delay))
+                if pkt.block is not None:
+                    self._block_resolve(pkt, delivered=True)
+            else:
+                fn(self, *args)
         self.clock = until_ms
 
     # ---------------- flow management ----------------
@@ -497,7 +541,9 @@ class SimWorld:
         if cfg.end_ms is not None and self.clock >= cfg.end_ms:
             return
         # Nothing in a burst replaces st.cfg, so the burst reads it once.
-        fec, bits, now = cfg.fec, cfg.packet_bits, self.clock
+        fec, bits, now, totals = cfg.fec, cfg.packet_bits, self.clock, st.totals
+        # Only controlled-load and guaranteed packets are marked and policed.
+        offer = self.offer_packet if cfg.service == BEST_EFFORT else self._offer
         for _ in range(cfg.burst_pkts):
             pkt = Packet(st, bits, now)
             if fec is not None:
@@ -505,22 +551,27 @@ class SimWorld:
                     st.block = _Block()
                 pkt.block = block = st.block
                 block.sent += 1
-            self._record(st, "sent")
-            self._offer(st, pkt)
+            totals.sent += 1
+            if self.trace:
+                self.log.append((now, cfg.flow_id, "sent", None))
+            offer(pkt)
             if fec is not None and block.sent >= fec.block_k:
                 st.block = None
-                self._offer(st, Packet(st, bits, now, parity=True, block=block))
+                offer(Packet(st, bits, now, parity=True, block=block))
         at = now + cfg.burst_pkts * cfg.packet_interval_ms
         heappush(self._events, (at, next(self._seq), SimWorld._emit, (st, epoch)))
 
     # ---------------- policing and queueing ----------------
 
-    def _offer(self, st: _FlowState, pkt: Packet) -> None:
+    def _offer(self, pkt: Packet) -> None:
+        """Mark a controlled-load or guaranteed packet and police it, then
+        run the queue discipline for it."""
+        st = pkt.flow
         cfg = st.cfg
         if cfg.service == CONTROLLED_LOAD:
             pkt.pclass = 1
-        elif cfg.service == GUARANTEED:
-            # Refill the token bucket for the time since its last refill.
+        else:
+            # Guaranteed: refill the token bucket for the time since its last refill.
             depth = BUCKET_DEPTH_PKTS * cfg.packet_bits
             elapsed = self.clock - st.tokens_at_ms
             st.tokens_bits = min(depth, st.tokens_bits + cfg.reserved_kbps * elapsed)
@@ -540,18 +591,21 @@ class SimWorld:
         return len(self._qp) + len(self._qb)
 
     def offer_packet(self, pkt: Packet) -> None:
-        """Run the queue discipline for one packet: drop it or queue it."""
-        occ = len(self._qp) + len(self._qb)
-        red = self.queue.red
+        """Run the queue discipline for one packet: drop it, queue it, or,
+        on an idle link, whose queue is always empty, transmit it at once."""
+        qb = self._qb
+        occ = len(self._qp) + len(qb)
+        queue = self.queue
+        red = queue.red
         params = red[pkt.pclass]
         if red[0] is not None:
             w = red[0].ewma_weight
             self._avg_queue = (1.0 - w) * self._avg_queue + w * occ
-        if occ >= self.queue.capacity_pkts:
+        if occ >= queue.capacity_pkts:
             # A full buffer yields to priority traffic: the newest
             # best-effort packet is pushed out to make room.
-            if pkt.pclass == 1 and self._qb:
-                self._drop(self._qb.pop(), "dropped_queue")
+            if pkt.pclass == 1 and qb:
+                self._drop(qb.pop(), "dropped_queue")
             else:
                 self._drop(pkt, "dropped_queue")
                 return
@@ -560,40 +614,20 @@ class SimWorld:
             if p >= 1.0 or (p > 0.0 and self.rng.random() < p):
                 self._drop(pkt, "dropped_queue")
                 return
-        if pkt.pclass == 1:
+        if self._tx is None:
+            self._tx = pkt
+            at = self.clock + pkt.bits / self.link.capacity_kbps
+            heappush(self._events, (at, next(self._seq), _TX_DONE, None))
+        elif pkt.pclass == 1:
             self._qp.append(pkt)
         else:
-            self._qb.append(pkt)
-        if self._tx is None:
-            self._kick()
-
-    def _kick(self) -> None:
-        """Start transmitting the next queued packet; the link is idle."""
-        if self._qp:
-            pkt = self._qp.popleft()
-        elif self._qb:
-            pkt = self._qb.popleft()
-        else:
-            return
-        self._tx = pkt
-        at = self.clock + pkt.bits / self.link.capacity_kbps
-        heappush(self._events, (at, next(self._seq), SimWorld._tx_done, ()))
-
-    def _tx_done(self) -> None:
-        pkt, self._tx = self._tx, None
-        link = self.link
-        if link.loss_rate > 0 and self.rng.random() < link.loss_rate:
-            self._drop(pkt, "dropped_link")
-        else:
-            at = self.clock + link.latency_ms
-            heappush(self._events, (at, next(self._seq), SimWorld._deliver, (pkt,)))
-        self._kick()
+            qb.append(pkt)
 
     # ---------------- terminal events ----------------
 
     def _record(self, st: _FlowState, outcome: str, delay: Optional[float] = None) -> None:
-        """Count one packet outcome in the flow's totals, and log it when
-        tracing.
+        """Count one drop or recovery in the flow's totals, and log it when
+        tracing (`_emit` and `advance` count a sent and a delivered packet).
 
         `outcome` names the FlowCounters field to bump; a given delay is
         added to the totals' and the window's delay sums. Parity packets
@@ -612,12 +646,6 @@ class SimWorld:
             self._record(pkt.flow, reason)
         if pkt.block is not None:
             self._block_resolve(pkt, delivered=False)
-
-    def _deliver(self, pkt: Packet) -> None:
-        if not pkt.parity:
-            self._record(pkt.flow, "delivered", self.clock - pkt.created_ms)
-        if pkt.block is not None:
-            self._block_resolve(pkt, delivered=True)
 
     def _block_resolve(self, pkt: Packet, delivered: bool) -> None:
         """Resolve one packet of a block. The block's last resolution, once
@@ -671,9 +699,12 @@ class SimWorld:
         """Each flow's in-flight count equals its packets still held.
 
         A counted packet is held while it waits in the queue, is in
-        transmission (`_tx`) or propagates (a pending _deliver).
+        transmission (`_tx`) or propagates (a pending _DELIVER). The queue
+        is empty whenever the link is idle, as offer_packet assumes.
         """
-        pending = [args[0] for _, _, fn, args in self._events if fn is SimWorld._deliver]
+        if self._tx is None and self.occupancy:
+            raise AssertionError(f"{self.occupancy} packets queued on an idle link")
+        pending = [pkt for _, _, fn, pkt in self._events if fn is _DELIVER]
         held = Counter(
             p.flow for p in chain(self._qp, self._qb, [self._tx], pending)
             if p is not None and not p.parity

@@ -517,8 +517,7 @@ class TestWorldRelease:
         world.advance(1_000.5)
         # The packets on the wire and propagating.
         pending = [world._tx] + [
-            args[0] for _, _, _, args in world._events
-            if args and isinstance(args[0], netsim.Packet)
+            pkt for _, _, fn, pkt in world._events if fn is netsim._DELIVER
         ]
         blocks = {id(p.block): p.block for p in pending if p is not None and p.block is not None}
         assert any(block.lost for block in blocks.values())
@@ -610,6 +609,20 @@ class TestCalibration:
         pens = {e.action.kind: penalty(e.h) for e in entries}
         assert pens["increase_buffer"] == min(pens.values())
         assert pens["enable_fec"] == max(pens.values())
+
+
+class TestRunOutDir:
+    @pytest.mark.parametrize("mode", ["control", "calibrate"])
+    def test_out_dir_naming_a_file_fails_before_any_world(self, mode, tmp_path, monkeypatch):
+        def no_world(*args, **kwargs):
+            raise AssertionError("a world was built before out_dir was made")
+
+        monkeypatch.setattr(harness, "build_world", no_world)
+        afile = tmp_path / "afile"
+        afile.write_text("kept")
+        with pytest.raises(FileExistsError):
+            harness.run(load_scenario("table1-s1"), seed=0, mode=mode, out_dir=str(afile))
+        assert afile.read_text() == "kept"
 
 
 class TestCli:

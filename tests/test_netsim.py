@@ -1,11 +1,13 @@
 """Network-simulation unit tests: queueing, RED, FEC, service classes."""
 import csv
+import hashlib
 import io
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from voipqos import netsim
+from voipqos import harness, netsim
 from voipqos.netsim import (
     AdmissionRefusedError,
     BackgroundFlow,
@@ -47,6 +49,69 @@ class TestDeterminism:
 
     def test_different_seed_differs(self):
         assert self._run(3) != self._run(4)
+
+
+class TestEventOrder:
+    def test_packet_log_digest(self):
+        # One traced world that takes every packet branch: best-effort RED
+        # and a WRED priority curve, controlled-load, guaranteed traffic
+        # both conforming and policed, FEC with recoveries, link loss, a
+        # flow's end, a buffer shrink that sheds packets, a latency drop
+        # mid-run and a background rate change. The digest pins the order
+        # of every packet outcome and of the rng draws behind them.
+        world = SimWorld(
+            LinkConfig(30.0, 0.05, 400.0),
+            QueueConfig(40, (REDParams(5.0, 30.0, 0.2), REDParams(15.0, 40.0, 0.1))),
+            seed=7,
+            timeline=(
+                NetworkChange(1_500.0, netsim.SET_LATENCY, 5.0),
+                NetworkChange(2_500.0, netsim.SET_BUFFER_SIZE, 8.0),
+                NetworkChange(3_000.0, netsim.SET_BACKGROUND_RATE, 500.0),
+                NetworkChange(3_500.0, netsim.SET_LOSS_RATE, 0.1),
+                NetworkChange(4_000.0, netsim.SET_BUFFER_SIZE, 40.0),
+            ),
+            trace=True,
+        )
+        world.add_flow(
+            MediaFlow("cl", service=netsim.CONTROLLED_LOAD, burst_pkts=4, fec=FecConfig(3))
+        )
+        world.add_flow(
+            MediaFlow("g", service=netsim.GUARANTEED, reserved_kbps=20.0, burst_pkts=6)
+        )
+        world.add_flow(MediaFlow("be", fec=FecConfig(4), burst_pkts=2, end_ms=5_000.0))
+        world.add_flow(BackgroundFlow("bg", rate_kbps=350.0))
+        world.advance(6_000.0)
+        world.check_conservation()
+        outcomes = {(fid, event) for _, fid, event, _ in world.log}
+        assert {("g", "delivered"), ("g", "dropped_policer"), ("cl", "recovered"),
+                ("be", "recovered"), ("bg", "dropped_link"), ("bg", "dropped_queue")} <= outcomes
+        assert len(world.log) == 8087
+        assert hashlib.sha256(repr(world.log).encode()).hexdigest() == (
+            "4111af0089638cfa63381bd510fe109e2c61607e7de0ac44e077fa2ad19bcf02"
+        )
+
+
+def test_frames_per_sent_packet():
+    # Python frames of this module per sent packet on a RED preset with
+    # background traffic: an exact count, independent of host speed, of
+    # the per-packet cost, which advance running the link events holds
+    # near 3 (emission, queue discipline, RED curve).
+    world = harness.build_world(harness.load_scenario("table4-red-10k"), seed=0)
+    frames = 0
+
+    def profile(frame, event, arg):
+        nonlocal frames
+        if event == "call" and frame.f_code.co_filename == netsim.__file__:
+            frames += 1
+
+    sys.setprofile(profile)
+    try:
+        world.advance(10_000.0)
+    finally:
+        sys.setprofile(None)
+    sent = sum(st.totals.sent for st in world.flows.values())
+    assert sent == 14_001
+    assert frames / sent < 3.25
 
 
 class TestConservation:
@@ -442,6 +507,14 @@ class TestMeasurement:
         world.advance(100.0)
         with pytest.raises(ValueError):
             world.advance(50.0)
+
+    def test_advance_to_nan_rejected(self):
+        world = _world()
+        world.add_flow(MediaFlow("g", service=netsim.GUARANTEED, reserved_kbps=30.0))
+        world.advance(1_000.0)
+        with pytest.raises(ValueError):
+            world.advance(float("nan"))
+        assert world.clock == 1_000.0
 
 
 class TestPacketLog:
