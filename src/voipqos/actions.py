@@ -190,7 +190,9 @@ def default_knowledge() -> dict:
     """Shipped knowledge seed: case orderings plus calibrated h estimates.
 
     The JSON payload is regenerated by the harness calibration mode; the
-    orderings themselves are fixed by the analysis-phase cases.
+    orderings themselves are fixed by the analysis-phase cases. The data
+    is found relative to this package, so a copy imported under another
+    name reads its own.
     """
-    payload = resources.files("voipqos.data").joinpath("default_kb.json")
+    payload = resources.files(f"{__package__}.data").joinpath("default_kb.json")
     return json.loads(payload.read_text())

@@ -12,10 +12,13 @@ is `SimWorld.set_mechanism`.  Guaranteed reservations are summed from the
 live flows.  A scripted timeline of network changes drives impairments;
 every run with the same (seed, config) produces the same event history.
 
-The event heap holds emissions and timeline changes, which `advance`
-calls, and the link's two per-packet events, the end of a transmission
-and a delivery, which `advance` runs itself.  The queue is empty whenever
-the link is idle, so a packet that finds the link idle goes on the wire.
+The event set is one heap plus a delivery FIFO, and `advance` runs every
+event itself: a flow's emission of its next burst, the end of a
+transmission, a delivery and a timeline change.  A delivery is due one
+latency after its transmission ends, so while the latency does not drop
+deliveries come due in the order they are scheduled, and the FIFO takes
+them; the heap takes the rest.  The queue is empty whenever the link is
+idle, so a packet that finds the link idle goes on the wire.
 
 Each packet carries its flow and, under FEC, its block; a flow holds only
 its open block, and the world the one packet on the wire.  A flow's totals
@@ -35,7 +38,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from heapq import heappop, heappush
 from itertools import chain, count
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from .metrics import HeuristicSample, left_sum
 
@@ -203,10 +206,13 @@ class BackgroundFlow:
         return self.packet_bits / self.rate_kbps
 
 
-# Heap markers of the link's two per-packet events, which advance runs
-# itself: the end of the transmission of `_tx`, and a packet's delivery.
+# Markers of the events advance runs: a flow's emission of its next burst
+# (of a (flow state, epoch) pair), the end of the transmission of `_tx`, a
+# packet's delivery (of the packet) and a timeline change (of the change).
+_EMIT = "emit"
 _TX_DONE = "tx_done"
 _DELIVER = "deliver"
+_CHANGE = "change"
 
 SET_LATENCY = "set_latency"
 SET_LOSS_RATE = "set_loss_rate"
@@ -300,7 +306,7 @@ class _FlowState:
         # or replaced by the timeline.
         self.configured = cfg
         self.cfg = cfg
-        # A scheduled _emit runs only while its epoch is the flow's.
+        # A scheduled emission runs only while its epoch is the flow's.
         self.epoch = 0
         self.block: Optional[_Block] = None  # the open FEC block
         self.tokens_bits = 0.0
@@ -333,12 +339,13 @@ class SimWorld:
         self.configured_red = queue.red
         self.queue = queue
         self.flows: Dict[str, _FlowState] = {}
-        # Heap of (at_ms, seq, fn, args), entries of plain data: advance()
-        # calls fn(self, *args), or runs the link event fn marks (_TX_DONE,
-        # or _DELIVER of packet args). The hot paths push their entries
-        # themselves; every entry takes the next seq, so equal times run in
-        # the order they were scheduled.
-        self._events: List[Tuple[float, int, object, object]] = []
+        # Events of (at_ms, seq, marker, payload), in a heap or, for a
+        # delivery not due before the FIFO's last one, in the delivery FIFO.
+        # Every event takes the next seq, and advance runs them in (at_ms,
+        # seq) order across both, so equal times run in the order they were
+        # scheduled.
+        self._events: List[Tuple[float, int, str, object]] = []
+        self._fifo: deque = deque()
         self._seq = count(1)
         self._qp: deque = deque()
         self._qb: deque = deque()
@@ -353,29 +360,40 @@ class SimWorld:
         # with its effect; written only by set_mechanism.
         self.mechanisms: Dict[Tuple[str, object], Effect] = {}
         for change in sorted(timeline, key=lambda c: c.at_ms):
-            self._schedule(change.at_ms, SimWorld._do_change, change)
+            heappush(self._events, (change.at_ms, next(self._seq), _CHANGE, change))
 
     # ---------------- event machinery ----------------
-
-    def _schedule(self, at_ms: float, fn: Callable[..., None], *args) -> None:
-        heappush(self._events, (at_ms, next(self._seq), fn, args))
 
     def advance(self, until_ms: float) -> None:
         # Written so that NaN fails the check.
         if not until_ms >= self.clock:
             raise ValueError("cannot advance backwards")
-        events, seq, rng = self._events, self._seq, self.rng
-        while events and events[0][0] <= until_ms:
-            at, _, fn, args = heappop(events)
+        events, fifo, seq, rng = self._events, self._fifo, self._seq, self.rng
+        while True:
+            # The earlier of the FIFO's head and the heap's top; seqs are
+            # unique, so the comparison never reaches the marker.
+            if fifo and (not events or fifo[0] < events[0]):
+                if fifo[0][0] > until_ms:
+                    break
+                at, _, kind, arg = fifo.popleft()
+            elif events and events[0][0] <= until_ms:
+                at, _, kind, arg = heappop(events)
+            else:
+                break
             self.clock = at
-            if fn is _TX_DONE:
+            if kind is _TX_DONE:
                 # Link loss, or propagation; then the next queued packet,
                 # priority first, goes on the wire.
                 pkt, link = self._tx, self.link
                 if link.loss_rate > 0 and rng.random() < link.loss_rate:
                     self._drop(pkt, "dropped_link")
                 else:
-                    heappush(events, (at + link.latency_ms, next(seq), _DELIVER, pkt))
+                    due = at + link.latency_ms
+                    if not fifo or due >= fifo[-1][0]:
+                        fifo.append((due, next(seq), _DELIVER, pkt))
+                    else:
+                        # Only a latency drop with packets in flight gets here.
+                        heappush(events, (due, next(seq), _DELIVER, pkt))
                 if self._qp:
                     pkt = self._qp.popleft()
                 elif self._qb:
@@ -385,8 +403,34 @@ class SimWorld:
                     continue
                 self._tx = pkt
                 heappush(events, (at + pkt.bits / link.capacity_kbps, next(seq), _TX_DONE, None))
-            elif fn is _DELIVER:
-                pkt = args
+            elif kind is _EMIT:
+                st, epoch = arg
+                cfg = st.cfg
+                # end_flow and every background rate change start a new epoch.
+                if epoch != st.epoch or (cfg.end_ms is not None and at >= cfg.end_ms):
+                    continue
+                # Nothing in a burst replaces st.cfg, so the burst reads it once.
+                fec, bits, totals = cfg.fec, cfg.packet_bits, st.totals
+                # Only controlled-load and guaranteed packets are marked and policed.
+                offer = self.offer_packet if cfg.service == BEST_EFFORT else self._offer
+                for _ in range(cfg.burst_pkts):
+                    pkt = Packet(st, bits, at)
+                    if fec is not None:
+                        if st.block is None:
+                            st.block = _Block()
+                        pkt.block = block = st.block
+                        block.sent += 1
+                    totals.sent += 1
+                    if self.trace:
+                        self.log.append((at, cfg.flow_id, "sent", None))
+                    offer(pkt)
+                    if fec is not None and block.sent >= fec.block_k:
+                        st.block = None
+                        offer(Packet(st, bits, at, parity=True, block=block))
+                due = at + cfg.burst_pkts * cfg.packet_interval_ms
+                heappush(events, (due, next(seq), _EMIT, arg))
+            elif kind is _DELIVER:
+                pkt = arg
                 if not pkt.parity:
                     st = pkt.flow
                     delay = at - pkt.created_ms
@@ -399,7 +443,7 @@ class SimWorld:
                 if pkt.block is not None:
                     self._block_resolve(pkt, delivered=True)
             else:
-                fn(self, *args)
+                self._do_change(arg)
         self.clock = until_ms
 
     # ---------------- flow management ----------------
@@ -427,7 +471,7 @@ class SimWorld:
             st.tokens_at_ms = cfg.start_ms
         self.flows[cfg.flow_id] = st
         if cfg.rate_kbps > 0:
-            self._schedule(cfg.start_ms, SimWorld._emit, st, st.epoch)
+            heappush(self._events, (cfg.start_ms, next(self._seq), _EMIT, (st, st.epoch)))
 
     def end_flow(self, flow_id: str) -> None:
         st = self.flows[flow_id]
@@ -523,43 +567,13 @@ class SimWorld:
                     st.epoch += 1
                     if change.value > 0 and st.active:
                         at = self.clock + st.cfg.packet_interval_ms
-                        self._schedule(at, SimWorld._emit, st, st.epoch)
+                        heappush(self._events, (at, next(self._seq), _EMIT, (st, st.epoch)))
         self.notifications.append(change)
 
     def pop_notifications(self) -> List[NetworkChange]:
         out = self.notifications
         self.notifications = []
         return out
-
-    # ---------------- emission ----------------
-
-    def _emit(self, st: _FlowState, epoch: int) -> None:
-        # end_flow and every background rate change start a new epoch.
-        if epoch != st.epoch:
-            return
-        cfg = st.cfg
-        if cfg.end_ms is not None and self.clock >= cfg.end_ms:
-            return
-        # Nothing in a burst replaces st.cfg, so the burst reads it once.
-        fec, bits, now, totals = cfg.fec, cfg.packet_bits, self.clock, st.totals
-        # Only controlled-load and guaranteed packets are marked and policed.
-        offer = self.offer_packet if cfg.service == BEST_EFFORT else self._offer
-        for _ in range(cfg.burst_pkts):
-            pkt = Packet(st, bits, now)
-            if fec is not None:
-                if st.block is None:
-                    st.block = _Block()
-                pkt.block = block = st.block
-                block.sent += 1
-            totals.sent += 1
-            if self.trace:
-                self.log.append((now, cfg.flow_id, "sent", None))
-            offer(pkt)
-            if fec is not None and block.sent >= fec.block_k:
-                st.block = None
-                offer(Packet(st, bits, now, parity=True, block=block))
-        at = now + cfg.burst_pkts * cfg.packet_interval_ms
-        heappush(self._events, (at, next(self._seq), SimWorld._emit, (st, epoch)))
 
     # ---------------- policing and queueing ----------------
 
@@ -627,7 +641,7 @@ class SimWorld:
 
     def _record(self, st: _FlowState, outcome: str, delay: Optional[float] = None) -> None:
         """Count one drop or recovery in the flow's totals, and log it when
-        tracing (`_emit` and `advance` count a sent and a delivered packet).
+        tracing (`advance` counts a sent and a delivered packet).
 
         `outcome` names the FlowCounters field to bump; a given delay is
         added to the totals' and the window's delay sums. Parity packets
@@ -699,12 +713,13 @@ class SimWorld:
         """Each flow's in-flight count equals its packets still held.
 
         A counted packet is held while it waits in the queue, is in
-        transmission (`_tx`) or propagates (a pending _DELIVER). The queue
-        is empty whenever the link is idle, as offer_packet assumes.
+        transmission (`_tx`) or propagates (a pending delivery, in the FIFO
+        or on the heap). The queue is empty whenever the link is idle, as
+        offer_packet assumes.
         """
         if self._tx is None and self.occupancy:
             raise AssertionError(f"{self.occupancy} packets queued on an idle link")
-        pending = [pkt for _, _, fn, pkt in self._events if fn is _DELIVER]
+        pending = [pkt for _, _, kind, pkt in chain(self._events, self._fifo) if kind is _DELIVER]
         held = Counter(
             p.flow for p in chain(self._qp, self._qb, [self._tx], pending)
             if p is not None and not p.parity

@@ -1,7 +1,11 @@
 """QoS action catalog tests: conflicts, apply/stop reversibility, defaults."""
+import importlib
 import itertools
+import shutil
+import sys
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -410,6 +414,22 @@ class TestRefusedReadmission:
 
 
 class TestDefaultKnowledge:
+    def test_renamed_copy_reads_its_own_seed(self, tmp_path, monkeypatch):
+        # A copy of the package imported under another name, as tools/ab.py
+        # imports two trees side by side, reads the data beside it.
+        copy = tmp_path / "voipqos_copy"
+        shutil.copytree(
+            Path(actions.__file__).parent, copy, ignore=shutil.ignore_patterns("__pycache__")
+        )
+        (copy / "data" / "default_kb.json").write_text('{"copy": true}')
+        monkeypatch.syspath_prepend(str(tmp_path))
+        try:
+            copied = importlib.import_module("voipqos_copy.actions")
+            assert copied.default_knowledge() == {"copy": True}
+        finally:
+            for name in [n for n in sys.modules if n.split(".")[0] == "voipqos_copy"]:
+                del sys.modules[name]
+
     def test_seed_loads_and_covers_all_cases(self):
         from voipqos.harness import default_kb
         from voipqos.knowledge import ScenarioCase

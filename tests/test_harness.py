@@ -7,6 +7,7 @@ import os
 import re
 import tracemalloc
 import weakref
+from itertools import chain
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -517,7 +518,8 @@ class TestWorldRelease:
         world.advance(1_000.5)
         # The packets on the wire and propagating.
         pending = [world._tx] + [
-            pkt for _, _, fn, pkt in world._events if fn is netsim._DELIVER
+            pkt for _, _, kind, pkt in chain(world._events, world._fifo)
+            if kind is netsim._DELIVER
         ]
         blocks = {id(p.block): p.block for p in pending if p is not None and p.block is not None}
         assert any(block.lost for block in blocks.values())

@@ -94,8 +94,8 @@ class TestEventOrder:
 def test_frames_per_sent_packet():
     # Python frames of this module per sent packet on a RED preset with
     # background traffic: an exact count, independent of host speed, of
-    # the per-packet cost, which advance running the link events holds
-    # near 3 (emission, queue discipline, RED curve).
+    # the per-packet cost, which advance running emissions and the link
+    # events holds near 2 (queue discipline, RED curve).
     world = harness.build_world(harness.load_scenario("table4-red-10k"), seed=0)
     frames = 0
 
@@ -111,7 +111,7 @@ def test_frames_per_sent_packet():
         sys.setprofile(None)
     sent = sum(st.totals.sent for st in world.flows.values())
     assert sent == 14_001
-    assert frames / sent < 3.25
+    assert frames / sent < 2.2
 
 
 class TestConservation:
