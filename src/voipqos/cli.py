@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -27,7 +28,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--learning",
         choices=["on", "off"],
         default=None,
-        help="override the scenario's learning flag",
+        help="replaces the scenario's learning flag",
     )
     run_p.add_argument("--out", default=None, help="output directory for artifacts")
     presets_p = sub.add_parser("presets", help="list built-in scenario presets")
@@ -44,13 +45,12 @@ def main(argv=None) -> int:
     # Calibration measures its own analysis-phase worlds.
     if (args.mode == "calibrate") != (args.scenario is None):
         parser.error("--scenario is required, except with --mode calibrate, which takes none")
-    learning = None if args.learning is None else args.learning == "on"
     try:
         scenario = None if args.scenario is None else harness.load_scenario(args.scenario)
+        if scenario is not None and args.learning is not None:
+            scenario = dataclasses.replace(scenario, learning=args.learning == "on")
         # harness.run makes --out before any work, so an unusable one fails at once.
-        artifacts = harness.run(
-            scenario, seed=args.seed, mode=args.mode, learning=learning, out_dir=args.out
-        )
+        artifacts = harness.run(scenario, seed=args.seed, mode=args.mode, out_dir=args.out)
     except (harness.ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -283,11 +283,6 @@ def scenario_to_json(scenario: Scenario) -> dict:
     }
 
 
-def write_scenario(scenario: Scenario, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(scenario_to_json(scenario), fh, indent=2)
-
-
 def load_scenario(path_or_preset: str) -> Scenario:
     if path_or_preset in PRESETS:
         return scenario_from_json(PRESETS[path_or_preset])
@@ -502,7 +497,6 @@ def run(
     scenario: Scenario,
     seed: int = 0,
     mode: str = "control",
-    learning: Optional[bool] = None,
     out_dir: Optional[str] = None,
 ) -> RunArtifacts:
     if mode not in ("calibrate", "baseline", "control"):
@@ -518,22 +512,19 @@ def run(
                 json.dump(kb.to_json(), fh, indent=2, sort_keys=True)
         return artifacts
     # Only the artifacts in out_dir include trace.csv, the packet log.
-    artifacts = _run_windows(scenario, seed, mode, learning, trace=out_dir is not None)
+    artifacts = _run_windows(scenario, seed, mode, trace=out_dir is not None)
     if out_dir is not None:
         write_outputs(artifacts, out_dir)
     return artifacts
 
 
-def _run_windows(
-    scenario: Scenario, seed: int, mode: str, learning: Optional[bool], trace: bool
-) -> RunArtifacts:
+def _run_windows(scenario: Scenario, seed: int, mode: str, trace: bool) -> RunArtifacts:
     """The 5 s window loop; baseline mode runs it without a controller."""
     world = build_world(scenario, seed, trace=trace)
     controller = kb = None
     if mode == "control":
         kb = default_kb()
-        learn = scenario.learning if learning is None else learning
-        controller = Controller(world, kb, scenario.constraints, learning=learn)
+        controller = Controller(world, kb, scenario.constraints, learning=scenario.learning)
     timeseries = []
     t = 0.0
     end_ms = scenario.duration_s * 1000.0

@@ -5,10 +5,9 @@ pair.  Pairs are ordered through a scalar penalty that is 1.0 per metric
 exactly at its threshold in the constraints the caller passes, a run's
 own; selection picks the minimum-penalty entry, falling back to rank and
 then action name on ties.  Acquisition overwrites an estimate with a
-measured outcome.  Refinement makes one move after an episode that ended
-with an action succeeding: the best-ranked action ahead of it that
-measures worse gives up its rank, by a swap, or by deletion when the two
-conflict.
+measured outcome.  Refinement makes at most one swap after an episode
+that ended with an action succeeding: the best-ranked action ahead of it
+that measures worse trades ranks with it.  Nothing is ever deleted.
 """
 from __future__ import annotations
 
@@ -16,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .actions import CONFLICT_SETS, ActionId, conflicts
+from .actions import CONFLICT_SETS, ActionId
 from .metrics import (
     Constraints,
     DEFAULT_CONSTRAINTS,
@@ -52,7 +51,6 @@ class ActionEntry:
     rank: int
     h_delay_ms: float
     h_loss: float
-    deleted: bool = False
 
     @property
     def h(self) -> Tuple[float, float]:
@@ -68,7 +66,7 @@ class KnowledgeError(Exception):
 
 
 class KnowledgeBase:
-    """Per-case ranked action lists with tombstoned deletions."""
+    """Per-case action lists, ranked 1..n; `revision` counts the changes."""
 
     def __init__(self):
         self._cases: Dict[ScenarioCase, List[ActionEntry]] = {
@@ -90,18 +88,13 @@ class KnowledgeBase:
             h_loss=h_loss,
         )
         self._cases[case].append(entry)
-        self._check(case)
         return entry
 
     # ---------------- access ----------------
 
     def entries(self, case: ScenarioCase) -> List[ActionEntry]:
-        """Live entries of a case, best rank first."""
-        live = [e for e in self._cases[case] if not e.deleted]
-        return sorted(live, key=lambda e: e.rank)
-
-    def tombstones(self, case: ScenarioCase) -> List[ActionEntry]:
-        return [e for e in self._cases[case] if e.deleted]
+        """Entries of a case, best rank first."""
+        return sorted(self._cases[case], key=lambda e: e.rank)
 
     def entry(self, case: ScenarioCase, action: ActionId) -> ActionEntry:
         for e in self.entries(case):
@@ -123,7 +116,8 @@ class KnowledgeBase:
                 "rank": e.rank,
                 "h_est": {"delay_ms": e.h_delay_ms, "loss": e.h_loss},
                 "category": e.category.name,
-                "deleted": e.deleted,
+                # Constant; kept because the recorded kb.json digests include it.
+                "deleted": False,
             }
 
         return {
@@ -147,7 +141,6 @@ class KnowledgeBase:
                     rank=item["rank"],
                     h_delay_ms=item["h_est"]["delay_ms"],
                     h_loss=item["h_est"]["loss"],
-                    deleted=item.get("deleted", False),
                 )
                 kb._cases[case].append(entry)
             kb._check(case)
@@ -206,14 +199,12 @@ def refine(
     case: ScenarioCase,
     a_current: ActionId,
     constraints: Constraints = DEFAULT_CONSTRAINTS,
-    conflict_fn=conflicts,
 ) -> None:
     """Re-rank a case after an episode that ended with a_current succeeding.
 
-    One move: the best-ranked action ahead of a_current whose estimate
-    measures worse swaps ranks with it, or, when conflict_fn says the two
-    conflict, is deleted and a_current takes its rank.  Nothing else moves,
-    so a_current's rank never worsens; the revision counts the moves.
+    The best-ranked action ahead of a_current whose estimate measures worse
+    swaps ranks with it.  Nothing else moves, so a_current's rank never
+    worsens and the ranks stay 1..n; the revision counts the swaps.
     """
     current = kb.entry(case, a_current)
     bar = penalty(current.h, constraints)
@@ -222,13 +213,6 @@ def refine(
          if e.rank < current.rank and penalty(e.h, constraints) > bar),
         None,
     )
-    if other is None:
-        return
-    if conflict_fn(other.action, current.action):
-        current.rank = other.rank
-        other.deleted = True
-    else:
+    if other is not None:
         other.rank, current.rank = current.rank, other.rank
-    kb.revision += 1
-    for i, entry in enumerate(kb.entries(case), start=1):
-        entry.rank = i
+        kb.revision += 1

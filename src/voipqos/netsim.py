@@ -110,6 +110,8 @@ class QueueConfig:
         _check_count("capacity_pkts", self.capacity_pkts)
         if len(self.red) != 2:
             raise ValueError("red needs one entry per priority class")
+        if self.red[0] is None and self.red[1] is not None:
+            raise ValueError("a priority RED curve needs a best-effort curve to drive the average")
         for params in self.red:
             if params is not None and params.max_th > self.capacity_pkts:
                 raise ValueError("max_th must not exceed capacity_pkts")

@@ -17,6 +17,7 @@ checklist of the system-level behaviors (1, 2, 4 and 5 on seeds 0-9):
 11. every preset's control run yields a valid state trace
 12. the closed-loop presets meet their constraints on seeds 0-5
 """
+import dataclasses
 import itertools
 
 import pytest
@@ -39,9 +40,10 @@ def _baseline(name, seed=0):
 
 
 def _control(name, seed=0, learning=None):
-    return harness.run(
-        harness.load_scenario(name), seed=seed, mode="control", learning=learning
-    )
+    scenario = harness.load_scenario(name)
+    if learning is not None:
+        scenario = dataclasses.replace(scenario, learning=learning)
+    return harness.run(scenario, seed=seed, mode="control")
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -189,21 +191,18 @@ def test_07_refinement_reference_equivalence():
     mismatches = 0
     total = 0
     for n in (1, 2, 3, 4):
-        for names, pens, conflict_pairs, current in _grid_cases(n):
+        for names, pens, current in _grid_cases(n):
             kb = KnowledgeBase()
             for name in names:
                 kb.add_entry(CASE, ActionId(name), pens[name] * 180.0, 0.0)
 
-            def conflict_fn(x, y, pairs=conflict_pairs):
-                return frozenset((x.kind, y.kind)) in pairs
-
-            refine(kb, CASE, ActionId(current), conflict_fn=conflict_fn)
+            refine(kb, CASE, ActionId(current))
             got = {e.action.kind: e.rank for e in kb.entries(CASE)}
-            if got != _reference_refine(names, pens, conflict_pairs, current):
+            if got != _reference_refine(names, pens, current):
                 mismatches += 1
             else:
                 # Converged tables must be fixed points.
-                refine(kb, CASE, ActionId(current), conflict_fn=conflict_fn)
+                refine(kb, CASE, ActionId(current))
                 if got != {e.action.kind: e.rank for e in kb.entries(CASE)}:
                     mismatches += 1
             total += 1

@@ -120,6 +120,16 @@ class TestCaseOrder:
         for case, order in CASE_ORDER.items():
             assert len(order) == len(set(order)), case
 
+    def test_no_case_holds_a_conflicting_pair(self):
+        # Refinement only swaps ranks and never deletes, so a case holding
+        # two conflicting actions would keep both for good.
+        kb = harness.default_kb()
+        for case, order in CASE_ORDER.items():
+            shipped = [e.action for e in kb.entries(harness.ScenarioCase(case))]
+            for listed in (order, shipped):
+                for a, b in itertools.combinations(listed, 2):
+                    assert not conflicts(a, b), (case, a.name, b.name)
+
 
 class TestApplyStop:
     def _snapshot(self, world):

@@ -1,4 +1,6 @@
 """Controller tests: case detection, global check, episodes, trace validity."""
+import dataclasses
+
 import pytest
 
 from voipqos import harness
@@ -88,7 +90,8 @@ class TestRunConstraints:
 
 
 def _control_run(scenario, seed=0, learning=True):
-    return harness.run(scenario, seed=seed, mode="control", learning=learning)
+    scenario = dataclasses.replace(scenario, learning=learning)
+    return harness.run(scenario, seed=seed, mode="control")
 
 
 class TestEpisodeLoop:

@@ -20,7 +20,6 @@ from voipqos.harness import (
     load_scenario,
     scenario_from_json,
     scenario_to_json,
-    write_scenario,
 )
 from voipqos.knowledge import ScenarioCase, penalty
 
@@ -239,7 +238,7 @@ class TestScenarioSerialization:
     def test_preset_round_trip(self, name, tmp_path):
         scenario = load_scenario(name)
         path = tmp_path / f"{name}.json"
-        write_scenario(scenario, path)
+        path.write_text(json.dumps(scenario_to_json(scenario)))
         back = load_scenario(str(path))
         assert scenario_to_json(back) == scenario_to_json(scenario)
 
@@ -672,6 +671,32 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             cli.main(["run"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag, in_file", [("off", True), ("on", False)])
+    def test_learning_flag_replaces_the_scenario_flag(self, flag, in_file, tmp_path, capsys):
+        # The loss-step scenario of test_learning_off_keeps_ranking: its
+        # episode ends with enable_fec, which learning moves to rank 1.
+        path = tmp_path / "loss-step.json"
+        path.write_text(json.dumps({
+            "name": "loss-step",
+            "duration_s": 200.0,
+            "link": {"latency_ms": 20.0, "loss_rate": 0.0, "capacity_kbps": 1000.0},
+            "queue": {"capacity_pkts": 100, "discipline": "tail_drop"},
+            "calls": [{"call_id": "c"}],
+            "timeline": [{"at_s": 20.0, "kind": netsim.SET_LOSS_RATE, "value": 0.07}],
+            "learning": in_file,
+        }))
+        out = tmp_path / "out"
+        cli.main(["run", "--scenario", str(path), "--learning", flag, "--out", str(out)])
+        kb = json.loads((out / "kb.json").read_text())
+        case2 = sorted(kb["cases"]["case2"], key=lambda e: e["rank"])
+        shipped = default_knowledge()["cases"]["case2"]
+        if flag == "off":
+            assert [e["action"] for e in case2] == [e["action"] for e in shipped]
+            assert kb["revision"] == 4
+        else:
+            assert case2[0]["action"]["kind"] == "enable_fec"
+            assert kb["revision"] == 5
 
     def test_control_failure_exit_code(self, capsys):
         # 30% link loss cannot be brought inside constraints; the control

@@ -252,6 +252,13 @@ class TestRed:
         assert 0 < params.min_th < params.max_th == capacity
         assert params.max_p == red[2]
 
+    def test_priority_curve_needs_a_best_effort_curve(self):
+        # The average queue moves with class 0's weight alone, so a
+        # priority curve on its own would never see it rise.
+        with pytest.raises(ValueError):
+            QueueConfig(40, (None, REDParams(10, 40, 0.5)))
+        QueueConfig(40, (REDParams(39, 40, 0.01, 0.5), REDParams(10, 40, 0.5)))
+
     def test_params_validation(self):
         with pytest.raises(ValueError):
             REDParams(100, 50, 0.1)

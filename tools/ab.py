@@ -8,7 +8,8 @@ imported into one interpreter as two packages, `voipqos_parent` and
 pair runs every preset in control and baseline mode at seed 0 on both
 sides, each run of one side right after the same run of the other, and
 alternates from pair to pair which side runs first. Every pair of runs
-must return identical summaries.
+must return identical outputs: the summary, the knowledge base a control
+run ends with, and the timeseries. They are compared outside the timing.
 
 Prints each pair's two sweep times, then each side's median and
 quartiles, the change's wins (ties count for neither), and the medians'
@@ -49,13 +50,18 @@ def import_tree(src: Path, name: str):
 
 
 def timed_run(harness, preset: str, mode: str):
-    """Seconds of one run, and its summary as canonical JSON."""
+    """Seconds of one run, and each of its outputs as canonical JSON."""
     scenario = harness.load_scenario(preset)
     gc.collect()
     start = time.perf_counter()
     artifacts = harness.run(scenario, seed=0, mode=mode)
     elapsed = time.perf_counter() - start
-    return elapsed, json.dumps(artifacts.summary, sort_keys=True)
+    outputs = {
+        "summary": artifacts.summary,
+        "knowledge base": None if artifacts.kb is None else artifacts.kb.to_json(),
+        "timeseries": artifacts.timeseries,
+    }
+    return elapsed, {name: json.dumps(v, sort_keys=True) for name, v in outputs.items()}
 
 
 def main(argv) -> int:
@@ -79,12 +85,13 @@ def main(argv) -> int:
         order = SIDES if pair % 2 == 0 else SIDES[::-1]
         total = dict.fromkeys(SIDES, 0.0)
         for preset, mode in runs:
-            summaries = {}
+            outputs = {}
             for side in order:
-                elapsed, summaries[side] = timed_run(trees[side], preset, mode)
+                elapsed, outputs[side] = timed_run(trees[side], preset, mode)
                 total[side] += elapsed
-            if summaries["parent"] != summaries["change"]:
-                raise SystemExit(f"error: {preset} {mode}: summaries differ")
+            differ = [n for n in outputs["parent"] if outputs["parent"][n] != outputs["change"][n]]
+            if differ:
+                raise SystemExit(f"error: {preset} {mode}: outputs differ: {', '.join(differ)}")
         for side in SIDES:
             times[side].append(total[side])
         print(
