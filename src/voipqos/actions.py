@@ -6,12 +6,12 @@ and adds it to the world's ledger, `SimWorld.mechanisms`, keyed by
 (flow_id, action) in application order; stop_action removes it.  The
 world derives the shared queue and the flow from the ledger, so nothing
 is snapshotted or restored, and one call's stop leaves the others' in place.
+CASE_ORDER fixes each case's actions and their order in the shipped
+knowledge seed, which `harness.default_kb` reads; this module reads no file.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from importlib import resources
 from typing import Dict, List, Tuple
 
 from . import netsim
@@ -176,7 +176,7 @@ def stop_action(
     return TransitionRecord(kind, f"stop:{action.name}", world.clock, flow_id, noop=not applied)
 
 
-# ---------------- default knowledge seed ----------------
+# ---------------- case orderings of the knowledge seed ----------------
 
 CASE_ORDER: Dict[str, List[ActionId]] = {
     "case1": [guaranteed_load()],
@@ -184,15 +184,3 @@ CASE_ORDER: Dict[str, List[ActionId]] = {
     "case3": [decrease_buffer(), enable_wred(), controlled_load()],
     "case4": [controlled_load(), enable_red(min_th=80, max_th=100)],
 }
-
-
-def default_knowledge() -> dict:
-    """Shipped knowledge seed: case orderings plus calibrated h estimates.
-
-    The JSON payload is regenerated by the harness calibration mode; the
-    orderings themselves are fixed by the analysis-phase cases. The data
-    is found relative to this package, so a copy imported under another
-    name reads its own.
-    """
-    payload = resources.files(f"{__package__}.data").joinpath("default_kb.json")
-    return json.loads(payload.read_text())

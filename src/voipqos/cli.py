@@ -45,9 +45,11 @@ def main(argv=None) -> int:
     # Calibration measures its own analysis-phase worlds.
     if (args.mode == "calibrate") != (args.scenario is None):
         parser.error("--scenario is required, except with --mode calibrate, which takes none")
+    if args.learning is not None and args.mode != "control":
+        parser.error("--learning applies only to --mode control, which runs the controller")
     try:
         scenario = None if args.scenario is None else harness.load_scenario(args.scenario)
-        if scenario is not None and args.learning is not None:
+        if args.learning is not None:
             scenario = dataclasses.replace(scenario, learning=args.learning == "on")
         # harness.run makes --out before any work, so an unusable one fails at once.
         artifacts = harness.run(scenario, seed=args.seed, mode=args.mode, out_dir=args.out)

@@ -8,15 +8,19 @@ objects too, so they are checked by the code that checks a file.
 `build_world` only instantiates a `SimWorld` from the configs, and a world
 never writes to them, so one `Scenario` can be run any number of times.
 `run` drives the 5 s window loop, with or without the controller, and
-`write_outputs` writes a run's artifacts.
+`write_outputs` writes a run's artifacts. This is the one module that
+reads or writes files: scenario files, the shipped knowledge seed and the
+artifacts, trace.csv included.
 """
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
+from importlib import resources
 from types import MappingProxyType
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
@@ -242,47 +246,6 @@ def _call(
     return Call(call_id, media, weight)
 
 
-def scenario_to_json(scenario: Scenario) -> dict:
-    """The scenario object that scenario_from_json parses into this scenario."""
-    red = scenario.queue.red[0]
-    queue = {"capacity_pkts": scenario.queue.capacity_pkts, "discipline": "tail_drop"}
-    if red is not None:
-        queue.update(discipline="red", red=asdict(red))
-    bg = scenario.background
-    return {
-        "version": SCHEMA_VERSION,
-        "name": scenario.name,
-        "duration_s": scenario.duration_s,
-        "link": asdict(scenario.link),
-        "queue": queue,
-        "calls": [
-            {
-                "call_id": call_id,
-                "flow": {
-                    "rate_kbps": flow.rate_kbps,
-                    "packet_interval_ms": flow.packet_interval_ms,
-                    "burst_pkts": flow.burst_pkts,
-                    "service": flow.service,
-                    "reserved_kbps": flow.reserved_kbps,
-                    "fec_block_k": 0 if flow.fec is None else flow.fec.block_k,
-                },
-                "weight": weight,
-                "start_s": flow.start_ms / 1000.0,
-                "end_s": None if flow.end_ms is None else flow.end_ms / 1000.0,
-            }
-            for call_id, flow, weight in scenario.calls
-        ],
-        "background": None if bg is None else {
-            "rate_kbps": bg.rate_kbps, "packet_bytes": bg.packet_bytes, "burst_pkts": bg.burst_pkts
-        },
-        "timeline": [
-            {"at_s": c.at_ms / 1000.0, "kind": c.kind, "value": c.value} for c in scenario.timeline
-        ],
-        "learning": scenario.learning,
-        "constraints": asdict(scenario.constraints),
-    }
-
-
 def load_scenario(path_or_preset: str) -> Scenario:
     if path_or_preset in PRESETS:
         return scenario_from_json(PRESETS[path_or_preset])
@@ -477,8 +440,10 @@ def calibrate(seed: int = 0) -> KnowledgeBase:
 
 
 def default_kb() -> KnowledgeBase:
-    """Knowledge base from the shipped calibration seed."""
-    return KnowledgeBase.from_json(actions_mod.default_knowledge())
+    """Knowledge base from the shipped calibration seed, found relative to
+    this package, so that a copy imported under another name reads its own."""
+    seed = resources.files(f"{__package__}.data").joinpath("default_kb.json")
+    return KnowledgeBase.from_json(json.loads(seed.read_text()))
 
 
 # ---------------- runs ----------------
@@ -508,8 +473,7 @@ def run(
         kb = calibrate(seed)
         artifacts = RunArtifacts(scenario, {"revision": kb.revision}, [], kb=kb)
         if out_dir is not None:
-            with open(os.path.join(out_dir, "kb.json"), "w") as fh:
-                json.dump(kb.to_json(), fh, indent=2, sort_keys=True)
+            _write_json(os.path.join(out_dir, "kb.json"), kb.to_json())
         return artifacts
     # Only the artifacts in out_dir include trace.csv, the packet log.
     artifacts = _run_windows(scenario, seed, mode, trace=out_dir is not None)
@@ -644,8 +608,19 @@ def write_outputs(artifacts: RunArtifacts, out_dir: str) -> List[str]:
         written.append(os.path.join(out_dir, name))
         return written[-1]
 
-    if artifacts.world is not None:
-        artifacts.world.export_trace_csv(path("trace.csv"))
+    world = artifacts.world
+    if world is not None:
+        # The packet log, hand-formatted as csv.writer would write it.
+        if not world.trace:
+            raise ValueError("the packet log is kept only by a world built with trace=True")
+        ids = {fid: _csv_field(fid) for fid in world.flows}
+        with open(path("trace.csv"), "w", newline="") as fh:
+            fh.write("time_ms,flow_id,event,delay_ms\r\n")
+            fh.writelines(
+                f"{at:.6f},{ids[fid]},{event},\r\n" if delay is None
+                else f"{at:.6f},{ids[fid]},{event},{delay:.6f}\r\n"
+                for at, fid, event, delay in world.log
+            )
     with open(path("states.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -684,8 +659,18 @@ def write_outputs(artifacts: RunArtifacts, out_dir: str) -> List[str]:
                 [f"{row[0]:.3f}", row[1], f"{row[2]:.6f}", f"{row[3]:.8f}", f"{row[4]:.6f}"]
             )
     if artifacts.kb is not None:
-        with open(path("kb.json"), "w") as fh:
-            json.dump(artifacts.kb.to_json(), fh, indent=2, sort_keys=True)
-    with open(path("summary.json"), "w") as fh:
-        json.dump(artifacts.summary, fh, indent=2, sort_keys=True)
+        _write_json(path("kb.json"), artifacts.kb.to_json())
+    _write_json(path("summary.json"), artifacts.summary)
     return written
+
+
+def _write_json(path: str, data: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+
+
+def _csv_field(value: str) -> str:
+    """The value as csv.writer writes it inside a row, quoted if need be."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([value, ""])
+    return buf.getvalue()[:-len(",\r\n")]

@@ -25,12 +25,11 @@ its open block, and the world the one packet on the wire.  A flow's totals
 are its one set of packet counters: a measurement window is the totals
 since the last sample, plus the window's own delay sum.  The packet log,
 one row per packet outcome, is kept only by a world built with
-`trace=True`, the one reader being `export_trace_csv`.
+`trace=True`; `harness.write_outputs` writes it as trace.csv.  This module
+reads and writes no file.
 """
 from __future__ import annotations
 
-import csv
-import io
 import math
 import random
 from collections import Counter, deque
@@ -354,7 +353,7 @@ class SimWorld:
         self._avg_queue = 0.0
         self._tx: Optional[Packet] = None
         # (time_ms, flow_id, outcome, delay_ms or None), written by _record
-        # when tracing; only export_trace_csv reads it.
+        # when tracing; harness.write_outputs writes it as trace.csv.
         self.trace = trace
         self.log: List[Tuple[float, str, str, Optional[float]]] = []
         self.notifications: List[NetworkChange] = []
@@ -732,27 +731,6 @@ class SimWorld:
                     f"conservation violated for flow {fid}: {st.totals.in_flight} "
                     f"in flight by its counters, {held[st]} held in queue or on the link"
                 )
-
-    def export_trace_csv(self, path) -> None:
-        """The packet outcome log, one row per recorded outcome, written as
-        csv.writer writes it; raises ValueError unless the world traces."""
-        if not self.trace:
-            raise ValueError("the packet log is kept only by a world built with trace=True")
-        ids = {fid: _csv_field(fid) for fid in self.flows}
-        with open(path, "w", newline="") as fh:
-            fh.write("time_ms,flow_id,event,delay_ms\r\n")
-            fh.writelines(
-                f"{at:.6f},{ids[fid]},{event},\r\n" if delay is None
-                else f"{at:.6f},{ids[fid]},{event},{delay:.6f}\r\n"
-                for at, fid, event, delay in self.log
-            )
-
-
-def _csv_field(value: str) -> str:
-    """The value as csv.writer writes it inside a row, quoted if need be."""
-    buf = io.StringIO()
-    csv.writer(buf).writerow([value, ""])
-    return buf.getvalue()[:-len(",\r\n")]
 
 
 def _clamp_red(params: Optional[REDParams], capacity: int) -> Optional[REDParams]:

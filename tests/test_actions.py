@@ -431,11 +431,11 @@ class TestDefaultKnowledge:
         shutil.copytree(
             Path(actions.__file__).parent, copy, ignore=shutil.ignore_patterns("__pycache__")
         )
-        (copy / "data" / "default_kb.json").write_text('{"copy": true}')
+        (copy / "data" / "default_kb.json").write_text('{"cases": {}, "revision": 7}')
         monkeypatch.syspath_prepend(str(tmp_path))
         try:
-            copied = importlib.import_module("voipqos_copy.actions")
-            assert copied.default_knowledge() == {"copy": True}
+            copied = importlib.import_module("voipqos_copy.harness")
+            assert copied.default_kb().revision == 7
         finally:
             for name in [n for n in sys.modules if n.split(".")[0] == "voipqos_copy"]:
                 del sys.modules[name]

@@ -1,4 +1,5 @@
 """Harness tests: scenario serialization, runs, artifact files, CLI."""
+import copy
 import csv
 import dataclasses
 import gc
@@ -13,13 +14,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from voipqos import cli, harness, netsim
-from voipqos.actions import default_knowledge
 from voipqos.harness import (
     PRESETS,
     ScenarioError,
     load_scenario,
     scenario_from_json,
-    scenario_to_json,
 )
 from voipqos.knowledge import ScenarioCase, penalty
 
@@ -28,7 +27,7 @@ def _edited(preset: str, edit):
     """Maker of the preset's scenario JSON after `edit` changes it in place."""
 
     def make() -> dict:
-        data = scenario_to_json(load_scenario(preset))
+        data = copy.deepcopy(PRESETS[preset])
         edit(data)
         return data
 
@@ -136,7 +135,7 @@ BAD_SCENARIOS = {
         "fig7-multicall",
         lambda d: [
             d["link"].update(capacity_kbps=50.0),
-            *(c["flow"].update(service="guaranteed") for c in d["calls"]),
+            *(c.setdefault("flow", {}).update(service="guaranteed") for c in d["calls"]),
         ],
     ),
     # JSON's NaN and Infinity: each hung the run or reported a false result.
@@ -236,18 +235,17 @@ def _write_bad(case: str, tmp_path) -> str:
 class TestScenarioSerialization:
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_preset_round_trip(self, name, tmp_path):
-        scenario = load_scenario(name)
+        # A preset's object, dumped to a file, loads as the preset.
         path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(scenario_to_json(scenario)))
-        back = load_scenario(str(path))
-        assert scenario_to_json(back) == scenario_to_json(scenario)
+        path.write_text(json.dumps(PRESETS[name]))
+        assert load_scenario(str(path)) == load_scenario(name)
 
     def test_unknown_source_rejected(self):
         with pytest.raises(ScenarioError):
             load_scenario("no-such-preset-or-file")
 
     def test_unsorted_timeline_rejected(self):
-        data = scenario_to_json(load_scenario("table7-singlecall"))
+        data = copy.deepcopy(PRESETS["table7-singlecall"])
         data["timeline"][0], data["timeline"][1] = data["timeline"][1], data["timeline"][0]
         with pytest.raises(ScenarioError):
             scenario_from_json(data)
@@ -452,11 +450,10 @@ _BREAKS = {
 @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(_SCENARIO, st.one_of(st.none(), st.sampled_from(sorted(_BREAKS))))
 def test_generated_scenario_loads_valid_or_fails_early(data, edit):
-    """Generated scenario JSON either raises ScenarioError at load or
-    round-trips through scenario_to_json and runs a baseline to the end
-    with every packet accounted for; a scenario of at most one call also
-    runs in control mode with a sound trace, every packet accounted for and
-    contiguous knowledge-base ranks.
+    """Generated scenario JSON either raises ScenarioError at load or runs
+    a baseline to the end with every packet accounted for; a scenario of at
+    most one call also runs in control mode with a sound trace, every packet
+    accounted for and contiguous knowledge-base ranks.
 
     Two-call control runs stay covered by the golden pool in
     bench/golden.json: they can still raise the known KnowledgeError of
@@ -468,7 +465,6 @@ def test_generated_scenario_loads_valid_or_fails_early(data, edit):
         scenario = scenario_from_json(data)
     except ScenarioError:
         return
-    assert scenario_from_json(json.loads(json.dumps(scenario_to_json(scenario)))) == scenario
     art = harness.run(scenario, seed=0, mode="baseline")
     art.world.check_conservation()
     assert art.world.reserved_kbps <= art.world.link.capacity_kbps
@@ -650,7 +646,7 @@ class TestCli:
     def test_calibrate_needs_no_scenario(self, tmp_path, capsys):
         assert cli.main(["run", "--mode", "calibrate", "--out", str(tmp_path)]) == 0
         kb = json.loads((tmp_path / "kb.json").read_text())
-        assert kb["cases"] == default_knowledge()["cases"]
+        assert kb["cases"] == harness.default_kb().to_json()["cases"]
 
     @pytest.mark.parametrize("args", [["--scenario", "table1-s1"], ["--mode", "calibrate"]])
     def test_out_naming_a_file_exit_code(self, args, tmp_path, capsys):
@@ -666,6 +662,18 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             cli.main(["run", "--mode", "calibrate", "--scenario", "table1-s1"])
         assert exc.value.code == 2
+
+    # Neither mode runs a controller, so the flag would be silently ignored.
+    @pytest.mark.parametrize(
+        "args",
+        [["--mode", "calibrate"], ["--mode", "baseline", "--scenario", "table1-s1"]],
+        ids=["calibrate", "baseline"],
+    )
+    def test_learning_outside_control_mode_rejected(self, args, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", *args, "--learning", "off"])
+        assert exc.value.code == 2
+        assert "--learning" in capsys.readouterr().err
 
     def test_run_needs_a_scenario(self):
         with pytest.raises(SystemExit) as exc:
@@ -690,7 +698,7 @@ class TestCli:
         cli.main(["run", "--scenario", str(path), "--learning", flag, "--out", str(out)])
         kb = json.loads((out / "kb.json").read_text())
         case2 = sorted(kb["cases"]["case2"], key=lambda e: e["rank"])
-        shipped = default_knowledge()["cases"]["case2"]
+        shipped = harness.default_kb().to_json()["cases"]["case2"]
         if flag == "off":
             assert [e["action"] for e in case2] == [e["action"] for e in shipped]
             assert kb["revision"] == 4

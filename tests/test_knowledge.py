@@ -9,9 +9,9 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from voipqos import harness
 from voipqos.actions import (
     ActionId,
-    default_knowledge,
     enable_fec,
     enable_red,
     increase_buffer,
@@ -91,7 +91,7 @@ class TestSelection:
     @pytest.mark.parametrize("case", list(ScenarioCase))
     def test_next_with_nothing_tried_is_best(self, case):
         # The controller opens every episode with select_next(kb, case, []).
-        kb = KnowledgeBase.from_json(default_knowledge())
+        kb = harness.default_kb()
         assert select_next(kb, case, []) is select_one_of(kb, case)
 
 

@@ -540,9 +540,8 @@ class TestPacketLog:
         writer.writerow(["time_ms", "flow_id", "event", "delay_ms"])
         for at, fid, event, delay in world.log:
             writer.writerow([f"{at:.6f}", fid, event, "" if delay is None else f"{delay:.6f}"])
-        path = tmp_path / "trace.csv"
-        world.export_trace_csv(path)
-        assert path.read_bytes() == expected.getvalue().encode()
+        harness.write_outputs(_world_artifacts(world), str(tmp_path))
+        assert (tmp_path / "trace.csv").read_bytes() == expected.getvalue().encode()
 
     def test_untraced_world_keeps_no_log(self, tmp_path):
         world = _world(loss=0.1)
@@ -550,5 +549,10 @@ class TestPacketLog:
         world.advance(2_000.0)
         assert world.totals("m").sent > 0 and world.log == []
         with pytest.raises(ValueError):
-            world.export_trace_csv(tmp_path / "trace.csv")
+            harness.write_outputs(_world_artifacts(world), str(tmp_path))
         assert not (tmp_path / "trace.csv").exists()
+
+
+def _world_artifacts(world):
+    """A run's artifacts holding only the world, for its trace.csv."""
+    return harness.RunArtifacts(None, {}, [], world=world)

@@ -10,6 +10,9 @@ sides, each run of one side right after the same run of the other, and
 alternates from pair to pair which side runs first. Every pair of runs
 must return identical outputs: the summary, the knowledge base a control
 run ends with, and the timeseries. They are compared outside the timing.
+Before the pairs, each side writes the artifacts of one traced control
+run of TRACED_PRESET, trace.csv included, and every file must be
+byte-equal across the two sides.
 
 Prints each pair's two sweep times, then each side's median and
 quartiles, the change's wins (ties count for neither), and the medians'
@@ -24,6 +27,7 @@ import importlib.util
 import json
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -33,6 +37,8 @@ from run import percentile  # noqa: E402
 
 SIDES = ("parent", "change")
 MODES = ("control", "baseline")
+# Its trace.csv holds media and background rows and queue drops.
+TRACED_PRESET = "table4-red-10k"
 
 
 def import_tree(src: Path, name: str):
@@ -64,6 +70,13 @@ def timed_run(harness, preset: str, mode: str):
     return elapsed, {name: json.dumps(v, sort_keys=True) for name, v in outputs.items()}
 
 
+def traced_artifacts(harness, out_dir: Path) -> dict:
+    """The bytes of each artifact of one traced control run, by file name."""
+    scenario = harness.load_scenario(TRACED_PRESET)
+    harness.run(scenario, seed=0, mode="control", out_dir=str(out_dir))
+    return {path.name: path.read_bytes() for path in out_dir.iterdir()}
+
+
 def main(argv) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, type=Path)
@@ -79,6 +92,12 @@ def main(argv) -> int:
     presets = sorted(trees["parent"].PRESETS)
     if presets != sorted(trees["change"].PRESETS):
         raise SystemExit("error: the two trees define different presets")
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {side: traced_artifacts(trees[side], Path(tmp, side)) for side in SIDES}
+    names = files["parent"].keys() | files["change"].keys()
+    differ = sorted(n for n in names if files["parent"].get(n) != files["change"].get(n))
+    if differ:
+        raise SystemExit(f"error: {TRACED_PRESET} artifacts differ: {', '.join(differ)}")
     runs = [(preset, mode) for mode in MODES for preset in presets]
     times = {side: [] for side in SIDES}
     for pair in range(args.pairs):
