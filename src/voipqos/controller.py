@@ -2,11 +2,13 @@
 
 Each call is a chain of states opened by transitions: network/heuristic
 changes (d1), single-call QoS actions (d2) and multi-call coordination
-(d3).  Constraint violations start an episode that walks the knowledge
-base's candidate actions until the call recovers, acquiring measured
-outcomes along the way and, with learning enabled, re-ranking the case
-afterwards.  Time is the world's clock: states, transitions and episodes
-are stamped with `world.clock`, and a finished episode stays its `Episode`.
+(d3).  A constraint violation starts an episode that `_pursue`, the one
+search step of d2 and d3, walks through the knowledge base's candidate
+actions until the call recovers, acquiring measured outcomes along the
+way and, with learning enabled, re-ranking the case afterwards.  A d1
+names the network changes the world logged since the previous window.
+Time is the world's clock: states, transitions and episodes are stamped
+with `world.clock`, and a finished episode stays its `Episode`.
 The controller owns the run's constraints, which every check and every
 knowledge-base ordering reads, the calls' weighted means of the last
 window, and the end of each call's flow; a state owns its g.
@@ -156,6 +158,8 @@ class Controller:
         self.episodes: List[Episode] = []
         self._state_seq = 0
         self._cooldown_left = 0
+        # How many of the world's network changes earlier windows have seen.
+        self._changes_seen = 0
         # One entry per action application: did the triggering sample
         # actually violate the call's constraints?
         self.apply_checks: List[bool] = []
@@ -202,7 +206,8 @@ class Controller:
 
     def on_window(self) -> None:
         """One control iteration, run once the world is at the window's end."""
-        changes = self.world.pop_notifications()
+        changes = self.world.notifications[self._changes_seen:]
+        self._changes_seen += len(changes)
         calls = self.active_calls()
         for call in calls:
             sample = self.world.measure(call.flow_id)
@@ -256,51 +261,48 @@ class Controller:
         if sample is None:
             return
         ep = call.episode
-        constraints = self.constraints
-        violated = not satisfies(sample, constraints)
         if ep is not None and ep.settling:
             kb_mod.acquire(self.kb, ep.case, ep.last_action, (sample.delay_ms, sample.loss))
             ep.settling = False
-        if violated:
-            if ep is None:
-                case = detect_case((sample.delay_ms, sample.loss), constraints)
-                ep = call.episode = Episode(call.call_id, case, self.world.clock)
-            elif ep.exhausted:
-                return
-            entry = kb_mod.select_next(self.kb, ep.case, ep.tried, constraints)
-            self._try_apply(call, ep, entry, kind="d2")
-        else:
+        if satisfies(sample, self.constraints):
             if ep is not None:
                 self._finish_episode(call, satisfied=True)
+        elif ep is None:
+            self._pursue(call, detect_case((sample.delay_ms, sample.loss), self.constraints), "d2")
+        elif not ep.exhausted:
+            self._pursue(call, ep.case, "d2")
 
-    def _try_apply(self, call: Call, ep: Episode, entry, kind: str) -> None:
-        while entry is not None:
+    def _pursue(self, call: Call, case: ScenarioCase, kind: str) -> None:
+        """One search step for a call outside its constraints: open an
+        episode under `case` if the call has none, apply the best untried
+        candidate of `case` after retiring the call's mechanisms that conflict
+        with it, and on a refused application go on in the episode's case;
+        with no candidate left, the episode is exhausted."""
+        ep = call.episode
+        if ep is None:
+            ep = call.episode = Episode(call.call_id, case, self.world.clock)
+        while True:
+            entry = kb_mod.select_next(self.kb, case, ep.tried, self.constraints)
+            if entry is None:
+                ep.exhausted = True
+                self._record(call, kind, "episode-exhausted")
+                return
             action = entry.action
-            try:
-                record = self._apply(call, action, kind)
-            except ActionFailedError:
-                ep.tried.append(action)
-                entry = kb_mod.select_next(self.kb, ep.case, ep.tried, self.constraints)
-                continue
+            for active in actions_mod.active_actions(self.world, call.flow_id):
+                if actions_mod.conflicts(active, action):
+                    self._stop(call, active, kind)
             ep.tried.append(action)
+            try:
+                record = actions_mod.apply_action(self.world, call.flow_id, action, kind)
+            except ActionFailedError:
+                case = ep.case
+                continue
             ep.last_action = action
             ep.settling = True
-            self.apply_checks.append(
-                call.sample is not None
-                and not satisfies(call.sample, self.constraints)
-            )
+            self.apply_checks.append(not satisfies(call.sample, self.constraints))
             self.transitions.append(record)
             self._open_state(call, kind)
             return
-        ep.exhausted = True
-        self._record(call, kind, "episode-exhausted")
-
-    def _apply(self, call: Call, action: ActionId, kind: str) -> TransitionRecord:
-        # Applying a mechanism implicitly retires a conflicting active one.
-        for active in actions_mod.active_actions(self.world, call.flow_id):
-            if actions_mod.conflicts(active, action):
-                self._stop(call, active, kind)
-        return actions_mod.apply_action(self.world, call.flow_id, action, kind)
 
     def _stop(self, call: Call, action: ActionId, kind: str) -> None:
         record = actions_mod.stop_action(self.world, call.flow_id, action, kind)
@@ -334,12 +336,9 @@ class Controller:
                 self._open_state(call, "d3")
         for call in degraded:
             sample = call.sample
-            case = detect_case((sample.delay_ms, sample.loss), constraints)
-            if call.episode is None:
-                call.episode = Episode(call.call_id, case, self.world.clock)
-            ep = call.episode
-            entry = kb_mod.select_next(self.kb, case, ep.tried, constraints)
-            self._try_apply(call, ep, entry, kind="d3")
+            # The newly detected case, not an open episode's: the d3 defect of
+            # ROADMAP item 1 is exactly this argument.
+            self._pursue(call, detect_case((sample.delay_ms, sample.loss), constraints), "d3")
 
 
 def _rel_change(ref: float, value: float) -> float:

@@ -158,16 +158,16 @@ def scenario_from_json(data: dict) -> Scenario:
     unknown = sorted(set(data) - _FIELDS)
     if unknown:
         raise ScenarioError(f"unknown scenario field(s): {', '.join(unknown)}")
-    # JSON's true and false would pass as 1 and 0; a timeline's are caught below.
-    path = _boolean_path({k: v for k, v in data.items() if k not in ("learning", "timeline")})
-    if path is not None:
-        raise ScenarioError(f"{path[1:]} is true or false, not a number or text")
-    if data.get("version", SCHEMA_VERSION) != SCHEMA_VERSION:
-        raise ScenarioError(f"unsupported version {data['version']!r}")
-    background = data.get("background")
-    constraints = data.get("constraints")
-    timeline = data.get("timeline", ())
     try:
+        # JSON's true and false would pass as 1 and 0; a timeline's are caught below.
+        path = _boolean_path({k: v for k, v in data.items() if k not in ("learning", "timeline")})
+        if path is not None:
+            raise ScenarioError(f"{path[1:]} is true or false, not a number or text")
+        if data.get("version", SCHEMA_VERSION) != SCHEMA_VERSION:
+            raise ScenarioError(f"unsupported version {data['version']!r}")
+        background = data.get("background")
+        constraints = data.get("constraints")
+        timeline = data.get("timeline", ())
         scenario = Scenario(
             name=data["name"],
             duration_s=data["duration_s"],
@@ -190,9 +190,10 @@ def scenario_from_json(data: dict) -> Scenario:
             len(e) != 3 or type(e["at_s"]) is bool or type(e["value"]) is bool for e in timeline
         ):
             raise ValueError("a timeline entry has exactly the keys at_s, kind and number value")
-    except (KeyError, TypeError, ValueError) as exc:
+        scenario.validate()
+    # RecursionError: an object nested too deeply to walk or print.
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ScenarioError(f"invalid scenario field: {exc}") from exc
-    scenario.validate()
     return scenario
 
 
@@ -257,7 +258,7 @@ def load_scenario(path_or_preset: str) -> Scenario:
     try:
         with open(path_or_preset) as fh:
             data = json.load(fh)
-    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+    except (OSError, ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise ScenarioError(f"{path_or_preset}: {exc}") from exc
     return scenario_from_json(data)
 
@@ -490,6 +491,7 @@ def _run_windows(scenario: Scenario, seed: int, mode: str, trace: bool) -> RunAr
         kb = default_kb()
         controller = Controller(world, kb, scenario.constraints, learning=scenario.learning)
     timeseries = []
+    windows_of: Dict[str, List[HeuristicSample]] = {c.call_id: [] for c in scenario.calls}
     t = 0.0
     end_ms = scenario.duration_s * 1000.0
     while t < end_ms - 1e-9:
@@ -514,15 +516,14 @@ def _run_windows(scenario: Scenario, seed: int, mode: str, trace: bool) -> RunAr
                 else:
                     world.end_flow(call.flow.flow_id)
         if controller is None:
-            world.pop_notifications()
             flows = [(c.call_id, world.measure(c.flow.flow_id)) for c in scenario.calls]
         else:
             controller.on_window()
             flows = [(c.call_id, c.sample) for c in controller.active_calls()]
         for call_id, sample in flows:
             if sample is not None:
-                row = (t / 1000.0, call_id, sample.delay_ms, sample.loss, sample.mos)
-                timeseries.append(row)
+                timeseries.append((t / 1000.0, call_id, sample.delay_ms, sample.loss, sample.mos))
+                windows_of[call_id].append(sample)
         means = {} if controller is None else controller.means
         if means:
             timeseries.append(
@@ -530,7 +531,7 @@ def _run_windows(scenario: Scenario, seed: int, mode: str, trace: bool) -> RunAr
             )
     # Validation keeps end_s <= duration_s, so every call has ended here.
     episodes = [] if controller is None else controller.episodes
-    summary = _summary(scenario, world, timeseries, episodes)
+    summary = _summary(scenario, world, windows_of, episodes)
     if controller is not None:
         summary["trace_errors"] = validate_trace(controller)
     return RunArtifacts(
@@ -541,14 +542,10 @@ def _run_windows(scenario: Scenario, seed: int, mode: str, trace: bool) -> RunAr
 def _summary(
     scenario: Scenario,
     world: SimWorld,
-    timeseries: List[Tuple[float, str, float, float, float]],
+    windows_of: Dict[str, List[HeuristicSample]],
     episodes: List[Episode],
 ) -> dict:
     constraints = scenario.constraints
-    windows_of: Dict[str, List[HeuristicSample]] = {c.call_id: [] for c in scenario.calls}
-    for _, call_id, delay_ms, loss, mos in timeseries:
-        if call_id in windows_of:  # not a GLOBAL_ROW_ID row
-            windows_of[call_id].append(HeuristicSample(delay_ms, loss, mos))
     per_call = {}
     all_ok = bool(scenario.calls)
     for call in scenario.calls:

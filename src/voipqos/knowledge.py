@@ -3,8 +3,8 @@
 Action outcomes are predicted by an (estimated delay, estimated loss)
 pair.  Pairs are ordered through a scalar penalty that is 1.0 per metric
 exactly at its threshold in the constraints the caller passes, a run's
-own; selection picks the minimum-penalty entry, falling back to rank and
-then action name on ties.  Acquisition overwrites an estimate with a
+own; selection picks the minimum-penalty entry, falling back on ties to
+rank, unique within a case.  Acquisition overwrites an estimate with a
 measured outcome.  Refinement makes at most one swap after an episode
 that ended with an action succeeding: the best-ranked action ahead of it
 that measures worse trades ranks with it.  Nothing is ever deleted.
@@ -175,7 +175,7 @@ def select_next(
     tried_set = set(tried)
     return min(
         (e for e in kb.entries(case) if e.action not in tried_set),
-        key=lambda e: (penalty(e.h, constraints), e.rank, e.action.name),
+        key=lambda e: (penalty(e.h, constraints), e.rank),
         default=None,
     )
 

@@ -10,7 +10,8 @@ live queue and media flows are derived from their configured values and
 the applied mechanisms' ledger, `SimWorld.mechanisms`, whose one writer
 is `SimWorld.set_mechanism`.  Guaranteed reservations are summed from the
 live flows.  A scripted timeline of network changes drives impairments;
-every run with the same (seed, config) produces the same event history.
+`SimWorld.notifications` logs every applied change, in order, and every
+run with the same (seed, config) produces the same event history.
 
 The event set is one heap plus a delivery FIFO, and `advance` runs every
 event itself: a flow's emission of its next burst, the end of a
@@ -570,11 +571,6 @@ class SimWorld:
                         at = self.clock + st.cfg.packet_interval_ms
                         heappush(self._events, (at, next(self._seq), _EMIT, (st, st.epoch)))
         self.notifications.append(change)
-
-    def pop_notifications(self) -> List[NetworkChange]:
-        out = self.notifications
-        self.notifications = []
-        return out
 
     # ---------------- policing and queueing ----------------
 

@@ -3,8 +3,15 @@ import dataclasses
 
 import pytest
 
-from voipqos import harness
-from voipqos.actions import enable_red, increase_buffer
+from voipqos import actions, harness, knowledge
+from voipqos.actions import (
+    decrease_buffer,
+    enable_fec,
+    enable_red,
+    enable_wred,
+    guaranteed_load,
+    increase_buffer,
+)
 from voipqos.controller import (
     COORDINATE_COOLDOWN_WINDOWS,
     Call,
@@ -212,3 +219,104 @@ class TestCoordination:
         times = sorted({t.at_ms for t in d3_applies})
         gap_ms = COORDINATE_COOLDOWN_WINDOWS * harness.WINDOW_S * 1000.0
         assert all(b - a >= gap_ms for a, b in zip(times, times[1:]))
+
+
+def _world(capacity_kbps=1000.0, calls=("c",), timeline=()):
+    return harness.build_world(
+        scenario_from_json({
+            "name": "hand-built",
+            "duration_s": 60.0,
+            "link": {"latency_ms": 10.0, "loss_rate": 0.0, "capacity_kbps": capacity_kbps},
+            "calls": [{"call_id": c} for c in calls],
+            "timeline": list(timeline),
+        }),
+        seed=0,
+    )
+
+
+class TestSearchStep:
+    """The search step's rarer branches: a refused admission and an episode
+    that refusals exhaust, which no preset or churn scenario reaches, and d3
+    on a call without an episode."""
+
+    # The call's flow sends 26 kbps; guaranteed service reserves 32.5 kbps.
+    SMALL_LINK_KBPS = 30.0
+    LOSSY = HeuristicSample.from_measurement(20.0, 0.1)  # case 2
+
+    def test_refused_candidate_is_tried_and_the_next_applied(self):
+        kb = KnowledgeBase()
+        kb.add_entry(ScenarioCase.CASE2, guaranteed_load(), 0.0, 0.0)
+        kb.add_entry(ScenarioCase.CASE2, enable_fec(), 10.0, 0.01)
+        ctrl = Controller(_world(self.SMALL_LINK_KBPS), kb, Constraints())
+        call = ctrl.add_call("c", "flow-c")
+        call.sample = self.LOSSY
+        ctrl.step_call(call)
+        ep = call.episode
+        assert ep.tried == [guaranteed_load(), enable_fec()]
+        assert ep.last_action == enable_fec() and ep.settling and not ep.exhausted
+        assert [(t.kind, t.cause, t.noop) for t in ctrl.transitions] == [
+            ("d2", enable_fec().name, False)
+        ]
+        assert [s.entering for s in call.states] == ["start", "d2"]
+        assert list(ctrl.world.mechanisms) == [("flow-c", enable_fec())]
+        assert ctrl.apply_checks == [True]
+
+    def test_every_candidate_refused_exhausts_the_episode_once(self, monkeypatch):
+        kb = KnowledgeBase()
+        kb.add_entry(ScenarioCase.CASE2, guaranteed_load(), 0.0, 0.0)
+        ctrl = Controller(_world(self.SMALL_LINK_KBPS), kb, Constraints())
+        call = ctrl.add_call("c", "flow-c")
+        call.sample = self.LOSSY
+        ctrl.step_call(call)
+        ep = call.episode
+        assert ep.exhausted and ep.tried == [guaranteed_load()] and ep.last_action is None
+        assert [(t.kind, t.cause) for t in ctrl.transitions] == [("d2", "episode-exhausted")]
+        selections = []
+        select_next = knowledge.select_next
+        monkeypatch.setattr(
+            knowledge, "select_next", lambda *a, **k: selections.append(a) or select_next(*a, **k)
+        )
+        for _ in range(3):
+            ctrl.step_call(call)
+        assert selections == []
+        assert call.episode is ep and len(ctrl.transitions) == 1
+        assert ctrl.world.mechanisms == {}
+
+    def test_d3_opens_an_episode_under_the_detected_case(self):
+        kb = KnowledgeBase()
+        kb.add_entry(ScenarioCase.CASE3, decrease_buffer(), 120.0, 0.0)
+        kb.add_entry(ScenarioCase.CASE3, enable_wred(), 90.0, 0.0)
+        ctrl = Controller(_world(calls=("a", "b")), kb, Constraints())
+        ok, slow = ctrl.add_call("a", "flow-a"), ctrl.add_call("b", "flow-b")
+        actions.apply_action(ctrl.world, "flow-a", enable_fec())
+        ok.sample = HeuristicSample.from_measurement(20.0, 0.0)
+        slow.sample = HeuristicSample.from_measurement(250.0, 0.01)  # case 3
+        ctrl.coordinate([ok, slow])
+        # The call within its constraints gives up its mechanisms.
+        assert ok.episode is None and [s.entering for s in ok.states] == ["start", "d3"]
+        ep = slow.episode
+        assert ep.case is ScenarioCase.CASE3
+        assert ep.tried == [enable_wred()] and ep.last_action == enable_wred() and ep.settling
+        assert [(t.kind, t.cause, t.noop) for t in ctrl.transitions] == [
+            ("d3", f"stop:{enable_fec().name}", False),
+            ("d3", enable_wred().name, False),
+        ]
+        assert list(ctrl.world.mechanisms) == [("flow-b", enable_wred())]
+        assert [s.entering for s in slow.states] == ["start", "d3"]
+
+
+class TestChangeLog:
+    def test_a_timeline_change_opens_one_d1_in_its_window(self):
+        # A 1 ms latency step moves the call's delay less than
+        # SIGNIFICANT_CHANGE, so only the change itself can open a d1.
+        world = _world(timeline=[{"at_s": 12.0, "kind": netsim.SET_LATENCY, "value": 11.0}])
+        ctrl = Controller(world, KnowledgeBase(), Constraints())
+        ctrl.add_call("c", "flow-c")
+        d1_at = {}
+        for t_ms in (5_000.0, 10_000.0, 15_000.0, 20_000.0, 25_000.0):
+            world.advance(t_ms)
+            ctrl.on_window()
+            d1_at[t_ms] = [t.cause for t in ctrl.transitions if t.kind == "d1" and t.at_ms == t_ms]
+        assert d1_at == {
+            5_000.0: [], 10_000.0: [], 15_000.0: ["set_latency=11"], 20_000.0: [], 25_000.0: []
+        }

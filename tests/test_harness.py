@@ -221,6 +221,8 @@ BAD_SCENARIOS = {
     "boolean-timeline-at": _edited(
         "table7-singlecall", lambda d: d["timeline"][0].update(at_s=True)
     ),
+    # json.load raised RecursionError, and the CLI printed its traceback.
+    "deeply-nested-json": lambda: "[" * 5000 + "]" * 5000,
 }
 
 
@@ -266,6 +268,16 @@ class TestScenarioSerialization:
     def test_unrunnable_input_rejected_at_load(self, case, tmp_path):
         with pytest.raises(ScenarioError):
             load_scenario(_write_bad(case, tmp_path))
+
+    @pytest.mark.parametrize("key", ["name", "link", "learning", "constraints"])
+    def test_deeply_nested_object_rejected(self, key):
+        # Too deep for a recursive walk: it raised RecursionError.
+        deep = {}
+        for _ in range(5000):
+            deep = {"x": deep}
+        data = {**PRESETS["table7-singlecall"], key: deep}
+        with pytest.raises(ScenarioError):
+            scenario_from_json(data)
 
     def test_reservation_overflow_names_two_different_numbers(self):
         with pytest.raises(ScenarioError) as exc:

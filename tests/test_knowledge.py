@@ -68,13 +68,6 @@ class TestSelection:
         kb = _kb([("worse_name", 50.0, 0.0), ("alpha", 50.0, 0.0)])
         assert select_one_of(kb, CASE).action == ActionId("worse_name")
 
-    def test_rank_tie_breaks_on_name(self):
-        # Equal penalties and distinct ranks cannot tie on rank, so the
-        # name tie-break is reachable only through equal-rank views;
-        # check it via the comparable key ordering instead.
-        kb = _kb([("alpha", 50.0, 0.0)])
-        assert select_one_of(kb, CASE).action == ActionId("alpha")
-
     def test_next_skips_tried_and_exhausts(self):
         kb = _kb([("a", 10.0, 0.0), ("b", 20.0, 0.0), ("c", 30.0, 0.0)])
         first = select_next(kb, CASE, [])

@@ -392,17 +392,28 @@ class TestNetworkChanges:
         world = SimWorld(
             LinkConfig(10.0, 0.0, 1000.0),
             QueueConfig(capacity_pkts=100),
-            timeline=(NetworkChange(5_000.0, netsim.SET_LATENCY, 90.0),),
+            timeline=(
+                NetworkChange(5_000.0, netsim.SET_LATENCY, 90.0),
+                NetworkChange(12_000.0, netsim.SET_LOSS_RATE, 0.01),
+            ),
         )
         world.add_flow(MediaFlow("m"))
         world.advance(4_000.0)
         early = world.measure("m")
+        assert world.notifications == []
         world.advance(10_000.0)
         late = world.measure("m")
         assert early.delay_ms < 20.0
         assert late.delay_ms > 50.0
-        assert [c.kind for c in world.pop_notifications()] == [netsim.SET_LATENCY]
-        assert world.pop_notifications() == []
+        # The change log keeps every applied change, in order, across advances.
+        assert [(c.at_ms, c.kind) for c in world.notifications] == [
+            (5_000.0, netsim.SET_LATENCY)
+        ]
+        world.advance(15_000.0)
+        assert [(c.at_ms, c.kind) for c in world.notifications] == [
+            (5_000.0, netsim.SET_LATENCY),
+            (12_000.0, netsim.SET_LOSS_RATE),
+        ]
 
     def test_background_rate_change_restarts_emission(self):
         world = SimWorld(

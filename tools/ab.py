@@ -9,7 +9,8 @@ pair runs every preset in control and baseline mode at seed 0 on both
 sides, each run of one side right after the same run of the other, and
 alternates from pair to pair which side runs first. Every pair of runs
 must return identical outputs: the summary, the knowledge base a control
-run ends with, and the timeseries. They are compared outside the timing.
+run ends with, the timeseries, and a control run's transitions and call
+states. They are compared outside the timing.
 Before the pairs, each side writes the artifacts of one traced control
 run of TRACED_PRESET, trace.csv included, and every file must be
 byte-equal across the two sides.
@@ -62,10 +63,23 @@ def timed_run(harness, preset: str, mode: str):
     start = time.perf_counter()
     artifacts = harness.run(scenario, seed=0, mode=mode)
     elapsed = time.perf_counter() - start
+    ctrl = artifacts.controller
     outputs = {
         "summary": artifacts.summary,
         "knowledge base": None if artifacts.kb is None else artifacts.kb.to_json(),
         "timeseries": artifacts.timeseries,
+        "transitions": None if ctrl is None else [
+            (t.kind, t.cause, t.at_ms, t.call_id, t.noop) for t in ctrl.transitions
+        ],
+        # The rows of states.csv, unrounded.
+        "states": None if ctrl is None else [
+            (
+                call.call_id, s.state_id, s.entering, s.opened_at_ms, s.closed_at_ms,
+                s.avg_delay_ms, s.avg_loss, None if s.sample is None else s.sample.mos,
+                None if s.category is None else s.category.name,
+            )
+            for call in ctrl.calls.values() for s in call.states
+        ],
     }
     return elapsed, {name: json.dumps(v, sort_keys=True) for name, v in outputs.items()}
 
