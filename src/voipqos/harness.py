@@ -7,10 +7,10 @@ span several of them. The presets and the calibration worlds are scenario
 objects too, so they are checked by the code that checks a file.
 `build_world` only instantiates a `SimWorld` from the configs, and a world
 never writes to them, so one `Scenario` can be run any number of times.
-`run` drives the 5 s window loop, with or without the controller, and
-`write_outputs` writes a run's artifacts. This is the one module that
-reads or writes files: scenario files, the shipped knowledge seed and the
-artifacts, trace.csv included.
+`run` drives the 5 s window loop, with or without the controller, writing
+trace.csv as it goes; `write_outputs` writes the other artifacts. This is
+the one module that reads or writes files: scenario files, the shipped
+knowledge seed and the artifacts, trace.csv included.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ import os
 from dataclasses import dataclass, fields, replace
 from importlib import resources
 from types import MappingProxyType
-from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, TextIO, Tuple
 
 from . import actions as actions_mod
 from . import netsim
@@ -476,16 +476,21 @@ def run(
         if out_dir is not None:
             _write_json(os.path.join(out_dir, "kb.json"), kb.to_json())
         return artifacts
+    if out_dir is None:
+        return _run_windows(scenario, seed, mode, None)
     # Only the artifacts in out_dir include trace.csv, the packet log.
-    artifacts = _run_windows(scenario, seed, mode, trace=out_dir is not None)
-    if out_dir is not None:
-        write_outputs(artifacts, out_dir)
+    with open(os.path.join(out_dir, "trace.csv"), "w", newline="") as trace:
+        artifacts = _run_windows(scenario, seed, mode, trace)
+    write_outputs(artifacts, out_dir)
     return artifacts
 
 
-def _run_windows(scenario: Scenario, seed: int, mode: str, trace: bool) -> RunArtifacts:
+def _run_windows(scenario: Scenario, seed: int, mode: str,
+                 trace: Optional[TextIO]) -> RunArtifacts:
     """The 5 s window loop; baseline mode runs it without a controller."""
-    world = build_world(scenario, seed, trace=trace)
+    world = build_world(scenario, seed, trace=trace is not None)
+    if trace is not None:
+        world.log = log = _PacketLog(trace, world.flows)
     controller = kb = None
     if mode == "control":
         kb = default_kb()
@@ -529,6 +534,9 @@ def _run_windows(scenario: Scenario, seed: int, mode: str, trace: bool) -> RunAr
             timeseries.append(
                 (t / 1000.0, GLOBAL_ROW_ID, means["delay_ms"], means["loss"], means["mos"])
             )
+        if trace is not None:
+            # Last in the window: close_call and on_window log rows too.
+            log.flush()
     # Validation keeps end_s <= duration_s, so every call has ended here.
     episodes = [] if controller is None else controller.episodes
     summary = _summary(scenario, world, windows_of, episodes)
@@ -597,6 +605,31 @@ def _summary(
 
 # ---------------- artifact emission ----------------
 
+class _PacketLog(list):
+    """A traced run's packet log, streamed to trace.csv: the rows logged since
+    the last `flush`. A list, so that the world's append stays a list append;
+    len() counts every row of the run."""
+
+    def __init__(self, fh: TextIO, flow_ids: Iterable[str]) -> None:
+        fh.write("time_ms,flow_id,event,delay_ms\r\n")
+        self.fh, self.flushed = fh, 0
+        self.ids = {fid: _csv_field(fid) for fid in flow_ids}
+
+    def __len__(self) -> int:
+        return self.flushed + super().__len__()
+
+    def flush(self) -> None:
+        """Write the rows, hand-formatted as csv.writer would, and drop them."""
+        ids = self.ids
+        self.fh.writelines(
+            f"{at:.6f},{ids[fid]},{event},\r\n" if delay is None
+            else f"{at:.6f},{ids[fid]},{event},{delay:.6f}\r\n"
+            for at, fid, event, delay in self
+        )
+        self.flushed += super().__len__()
+        self.clear()
+
+
 def write_outputs(artifacts: RunArtifacts, out_dir: str) -> List[str]:
     os.makedirs(out_dir, exist_ok=True)
     written = []
@@ -605,19 +638,6 @@ def write_outputs(artifacts: RunArtifacts, out_dir: str) -> List[str]:
         written.append(os.path.join(out_dir, name))
         return written[-1]
 
-    world = artifacts.world
-    if world is not None:
-        # The packet log, hand-formatted as csv.writer would write it.
-        if not world.trace:
-            raise ValueError("the packet log is kept only by a world built with trace=True")
-        ids = {fid: _csv_field(fid) for fid in world.flows}
-        with open(path("trace.csv"), "w", newline="") as fh:
-            fh.write("time_ms,flow_id,event,delay_ms\r\n")
-            fh.writelines(
-                f"{at:.6f},{ids[fid]},{event},\r\n" if delay is None
-                else f"{at:.6f},{ids[fid]},{event},{delay:.6f}\r\n"
-                for at, fid, event, delay in world.log
-            )
     with open(path("states.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(

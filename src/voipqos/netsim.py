@@ -26,8 +26,8 @@ its open block, and the world the one packet on the wire.  A flow's totals
 are its one set of packet counters: a measurement window is the totals
 since the last sample, plus the window's own delay sum.  The packet log,
 one row per packet outcome, is kept only by a world built with
-`trace=True`; `harness.write_outputs` writes it as trace.csv.  This module
-reads and writes no file.
+`trace=True`; the harness gives a traced run's world a log that it writes
+to trace.csv after every window.  This module reads and writes no file.
 """
 from __future__ import annotations
 
@@ -353,8 +353,7 @@ class SimWorld:
         self._qb: deque = deque()
         self._avg_queue = 0.0
         self._tx: Optional[Packet] = None
-        # (time_ms, flow_id, outcome, delay_ms or None), written by _record
-        # when tracing; harness.write_outputs writes it as trace.csv.
+        # Rows of (time_ms, flow_id, outcome, delay_ms or None), when tracing.
         self.trace = trace
         self.log: List[Tuple[float, str, str, Optional[float]]] = []
         self.notifications: List[NetworkChange] = []
@@ -371,6 +370,7 @@ class SimWorld:
         if not until_ms >= self.clock:
             raise ValueError("cannot advance backwards")
         events, fifo, seq, rng = self._events, self._fifo, self._seq, self.rng
+        trace, log = self.trace, self.log.append
         while True:
             # The earlier of the FIFO's head and the heap's top; seqs are
             # unique, so the comparison never reaches the marker.
@@ -423,8 +423,8 @@ class SimWorld:
                         pkt.block = block = st.block
                         block.sent += 1
                     totals.sent += 1
-                    if self.trace:
-                        self.log.append((at, cfg.flow_id, "sent", None))
+                    if trace:
+                        log((at, cfg.flow_id, "sent", None))
                     offer(pkt)
                     if fec is not None and block.sent >= fec.block_k:
                         st.block = None
@@ -440,8 +440,8 @@ class SimWorld:
                     totals.delivered += 1
                     totals.delay_sum_ms += delay
                     st.window_delay_ms += delay
-                    if self.trace:
-                        self.log.append((at, st.cfg.flow_id, "delivered", delay))
+                    if trace:
+                        log((at, st.cfg.flow_id, "delivered", delay))
                 if pkt.block is not None:
                     self._block_resolve(pkt, delivered=True)
             else:

@@ -536,8 +536,8 @@ class TestWorldRelease:
 
 
 class TestPacketLog:
-    """Only a run that writes trace.csv keeps the packet log, and no other
-    output depends on it."""
+    """Only a run that writes trace.csv logs packets, it writes them as it
+    goes, and no other output depends on them."""
 
     @pytest.mark.parametrize(
         "preset, mode", [("table4-red-10k", "control"), ("fig5-s4-guaranteed", "baseline")]
@@ -562,6 +562,26 @@ class TestPacketLog:
             tracemalloc.stop()
         # The packet log alone peaked near 9.5 MB here.
         assert peak < 1_000_000
+
+    def test_traced_run_memory(self, tmp_path):
+        # trace.csv is written after every window, so the log never holds
+        # the run's rows; kept until the end, they peaked near 9.8 MB here.
+        scenario = load_scenario("table4-red-10k")
+        tracemalloc.start()
+        try:
+            harness.run(scenario, seed=0, mode="control", out_dir=str(tmp_path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3_000_000
+
+    def test_log_counts_every_row(self, tmp_path):
+        scenario = load_scenario("table4-red-10k")
+        traced = harness.run(scenario, seed=0, mode="control", out_dir=str(tmp_path))
+        with open(tmp_path / "trace.csv", newline="") as fh:
+            rows = sum(1 for _ in csv.reader(fh)) - 1
+        assert len(traced.world.log) == rows == 83_898
+        assert len(harness.run(scenario, seed=0, mode="control").world.log) == 0
 
 
 class TestArtifacts:

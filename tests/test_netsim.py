@@ -537,33 +537,38 @@ class TestMeasurement:
 
 class TestPacketLog:
     def test_trace_csv_is_what_csv_writer_writes(self, tmp_path):
-        # Flow ids that csv.writer must quote.
-        world = SimWorld(
-            LinkConfig(5.0, 0.1, 1000.0), QueueConfig(capacity_pkts=5), seed=1, trace=True
-        )
-        world.add_flow(MediaFlow("a,b", burst_pkts=8, fec=FecConfig(2)))
-        world.add_flow(BackgroundFlow('q"x', rate_kbps=300.0))
+        # Call ids whose flow ids csv.writer must quote.
+        scenario = harness.scenario_from_json({
+            "name": "quoting",
+            "duration_s": 2.0,
+            "link": {"latency_ms": 5.0, "loss_rate": 0.1, "capacity_kbps": 1000.0},
+            "queue": {"capacity_pkts": 5},
+            "calls": [
+                {"call_id": "a,b", "flow": {"burst_pkts": 8, "fec_block_k": 2}},
+                {"call_id": 'q"x'},
+            ],
+            "background": {"rate_kbps": 300.0},
+        })
+        art = harness.run(scenario, seed=1, mode="baseline", out_dir=str(tmp_path))
+        # The same world, advanced in one step, logs the same rows.
+        world = harness.build_world(scenario, seed=1, trace=True)
         world.advance(2_000.0)
         events = {event for _, _, event, _ in world.log}
         assert {"sent", "delivered", "dropped_link", "dropped_queue", "recovered"} <= events
+        assert {fid for _, fid, _, _ in world.log} == {"flow-a,b", 'flow-q"x', "bg"}
         expected = io.StringIO()
         writer = csv.writer(expected)
         writer.writerow(["time_ms", "flow_id", "event", "delay_ms"])
         for at, fid, event, delay in world.log:
             writer.writerow([f"{at:.6f}", fid, event, "" if delay is None else f"{delay:.6f}"])
-        harness.write_outputs(_world_artifacts(world), str(tmp_path))
         assert (tmp_path / "trace.csv").read_bytes() == expected.getvalue().encode()
+        assert len(art.world.log) == len(world.log)
 
     def test_untraced_world_keeps_no_log(self, tmp_path):
         world = _world(loss=0.1)
         world.add_flow(MediaFlow("m"))
         world.advance(2_000.0)
         assert world.totals("m").sent > 0 and world.log == []
-        with pytest.raises(ValueError):
-            harness.write_outputs(_world_artifacts(world), str(tmp_path))
+        # harness.run writes trace.csv as a traced run goes; write_outputs never does.
+        harness.write_outputs(harness.RunArtifacts(None, {}, [], world=world), str(tmp_path))
         assert not (tmp_path / "trace.csv").exists()
-
-
-def _world_artifacts(world):
-    """A run's artifacts holding only the world, for its trace.csv."""
-    return harness.RunArtifacts(None, {}, [], world=world)

@@ -12,7 +12,7 @@ must return identical outputs: the summary, the knowledge base a control
 run ends with, the timeseries, and a control run's transitions and call
 states. They are compared outside the timing.
 Before the pairs, each side writes the artifacts of one traced control
-run of TRACED_PRESET, trace.csv included, and every file must be
+run of each of TRACED_PRESETS, trace.csv included, and every file must be
 byte-equal across the two sides.
 
 Prints each pair's two sweep times, then each side's median and
@@ -38,8 +38,10 @@ from run import percentile  # noqa: E402
 
 SIDES = ("parent", "change")
 MODES = ("control", "baseline")
-# Its trace.csv holds media and background rows and queue drops.
-TRACED_PRESET = "table4-red-10k"
+# table4-red-10k's trace.csv holds media and background rows and queue
+# drops; table1-s2's ends with rows shed when its call closes, after the
+# last advance.
+TRACED_PRESETS = ("table4-red-10k", "table1-s2")
 
 
 def import_tree(src: Path, name: str):
@@ -84,9 +86,9 @@ def timed_run(harness, preset: str, mode: str):
     return elapsed, {name: json.dumps(v, sort_keys=True) for name, v in outputs.items()}
 
 
-def traced_artifacts(harness, out_dir: Path) -> dict:
+def traced_artifacts(harness, preset: str, out_dir: Path) -> dict:
     """The bytes of each artifact of one traced control run, by file name."""
-    scenario = harness.load_scenario(TRACED_PRESET)
+    scenario = harness.load_scenario(preset)
     harness.run(scenario, seed=0, mode="control", out_dir=str(out_dir))
     return {path.name: path.read_bytes() for path in out_dir.iterdir()}
 
@@ -106,12 +108,15 @@ def main(argv) -> int:
     presets = sorted(trees["parent"].PRESETS)
     if presets != sorted(trees["change"].PRESETS):
         raise SystemExit("error: the two trees define different presets")
-    with tempfile.TemporaryDirectory() as tmp:
-        files = {side: traced_artifacts(trees[side], Path(tmp, side)) for side in SIDES}
-    names = files["parent"].keys() | files["change"].keys()
-    differ = sorted(n for n in names if files["parent"].get(n) != files["change"].get(n))
-    if differ:
-        raise SystemExit(f"error: {TRACED_PRESET} artifacts differ: {', '.join(differ)}")
+    for preset in TRACED_PRESETS:
+        with tempfile.TemporaryDirectory() as tmp:
+            files = {
+                side: traced_artifacts(trees[side], preset, Path(tmp, side)) for side in SIDES
+            }
+        names = files["parent"].keys() | files["change"].keys()
+        differ = sorted(n for n in names if files["parent"].get(n) != files["change"].get(n))
+        if differ:
+            raise SystemExit(f"error: {preset} artifacts differ: {', '.join(differ)}")
     runs = [(preset, mode) for mode in MODES for preset in presets]
     times = {side: [] for side in SIDES}
     for pair in range(args.pairs):
