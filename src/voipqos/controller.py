@@ -5,13 +5,16 @@ changes (d1), single-call QoS actions (d2) and multi-call coordination
 (d3).  A constraint violation starts an episode that `_pursue`, the one
 search step of d2 and d3, walks through the knowledge base's candidate
 actions until the call recovers, acquiring measured outcomes along the
-way and, with learning enabled, re-ranking the case afterwards.  A d1
-names the network changes the world logged since the previous window.
-Time is the world's clock: states, transitions and episodes are stamped
-with `world.clock`, and a finished episode stays its `Episode`.
-The controller owns the run's constraints, which every check and every
-knowledge-base ordering reads, the calls' weighted means of the last
-window, and the end of each call's flow; a state owns its g.
+way and, with learning enabled, re-ranking the case afterwards.  `_retire`
+is the one place that stops a call's mechanisms: all of them when the
+call ends (d2) or gives them up to coordination (d3), and only those a
+newly applied candidate conflicts with in a search step, so a refused
+candidate retires nothing.  A d1 names the network changes the world
+logged since the previous window.  Time is the world's clock: states,
+transitions and episodes are stamped with `world.clock`, and a finished
+episode stays its `Episode`.  The controller owns the run's constraints,
+which every check and every knowledge-base ordering reads, and the end
+of each call's flow; a state owns its g.
 """
 from __future__ import annotations
 
@@ -151,9 +154,6 @@ class Controller:
         self.constraints = constraints
         self.learning = learning
         self.calls: Dict[str, Call] = {}
-        # The active calls' weighted means at the last window; empty unless
-        # two or more calls were active and one had a sample.
-        self.means: Dict[str, float] = {}
         self.transitions: List[TransitionRecord] = []
         self.episodes: List[Episode] = []
         self._state_seq = 0
@@ -177,17 +177,13 @@ class Controller:
         call = self.calls[call_id]
         if call.closed:
             return
-        for action in actions_mod.active_actions(self.world, call.flow_id):
-            self._stop(call, action, "d2")
+        self._retire(call, "d2")
         if call.episode is not None:
             self._finish_episode(call, satisfied=False)
         self._open_state(call, "goal")
         call.current_state.closed_at_ms = self.world.clock
         call.closed = True
         self.world.end_flow(call.flow_id)
-
-    def active_calls(self) -> List[Call]:
-        return [c for c in self.calls.values() if not c.closed]
 
     # ---------------- state bookkeeping ----------------
 
@@ -204,11 +200,14 @@ class Controller:
 
     # ---------------- per-window loop ----------------
 
-    def on_window(self) -> None:
-        """One control iteration, run once the world is at the window's end."""
+    def on_window(self) -> Tuple[List[Tuple[str, Optional[HeuristicSample]]], Dict[str, float]]:
+        """One control iteration, run once the world is at the window's end.
+        Returns each open call's id with its latest sample, and the calls'
+        weighted means: empty unless two or more calls were open and one had
+        a sample."""
         changes = self.world.notifications[self._changes_seen:]
         self._changes_seen += len(changes)
-        calls = self.active_calls()
+        calls = [c for c in self.calls.values() if not c.closed]
         for call in calls:
             sample = self.world.measure(call.flow_id)
             if sample is not None:
@@ -216,14 +215,15 @@ class Controller:
             self._observe(call, changes)
         if self._cooldown_left > 0:
             self._cooldown_left -= 1
-        ok, self.means = check_global(calls, self.constraints) if len(calls) >= 2 else (True, {})
+        ok, means = check_global(calls, self.constraints) if len(calls) >= 2 else (True, {})
         multi = [c for c in calls if c.sample is not None]
         if not ok and len(multi) >= 2 and self._cooldown_left == 0:
             self.coordinate(multi)
             self._cooldown_left = COORDINATE_COOLDOWN_WINDOWS
-            return
-        for call in calls:
-            self.step_call(call)
+        else:
+            for call in calls:
+                self.step_call(call)
+        return [(c.call_id, c.sample) for c in calls], means
 
     def _observe(self, call: Call, changes) -> None:
         """Fold the window's sample into the current state, then open one d1
@@ -275,9 +275,9 @@ class Controller:
     def _pursue(self, call: Call, case: ScenarioCase, kind: str) -> None:
         """One search step for a call outside its constraints: open an
         episode under `case` if the call has none, apply the best untried
-        candidate of `case` after retiring the call's mechanisms that conflict
-        with it, and on a refused application go on in the episode's case;
-        with no candidate left, the episode is exhausted."""
+        candidate of `case`, then retire the call's mechanisms that conflict
+        with it; on a refused application, which changes nothing, go on in
+        the episode's case. With no candidate left, the episode is exhausted."""
         ep = call.episode
         if ep is None:
             ep = call.episode = Episode(call.call_id, case, self.world.clock)
@@ -288,15 +288,13 @@ class Controller:
                 self._record(call, kind, "episode-exhausted")
                 return
             action = entry.action
-            for active in actions_mod.active_actions(self.world, call.flow_id):
-                if actions_mod.conflicts(active, action):
-                    self._stop(call, active, kind)
             ep.tried.append(action)
             try:
                 record = actions_mod.apply_action(self.world, call.flow_id, action, kind)
             except ActionFailedError:
                 case = ep.case
                 continue
+            self._retire(call, kind, replacing=action)
             ep.last_action = action
             ep.settling = True
             self.apply_checks.append(not satisfies(call.sample, self.constraints))
@@ -304,9 +302,19 @@ class Controller:
             self._open_state(call, kind)
             return
 
-    def _stop(self, call: Call, action: ActionId, kind: str) -> None:
-        record = actions_mod.stop_action(self.world, call.flow_id, action, kind)
-        self.transitions.append(record)
+    def _retire(self, call: Call, kind: str, replacing: Optional[ActionId] = None) -> bool:
+        """Stop the call's mechanisms, oldest first, recording each stop: all
+        of them, or with `replacing`, the action just applied, those that
+        conflict with it. Returns whether any was stopped."""
+        retired = [
+            a for a in actions_mod.active_actions(self.world, call.flow_id)
+            if replacing is None or actions_mod.conflicts(a, replacing)
+        ]
+        for action in retired:
+            self.transitions.append(
+                actions_mod.stop_action(self.world, call.flow_id, action, kind)
+            )
+        return bool(retired)
 
     def _finish_episode(self, call: Call, satisfied: bool) -> None:
         ep = call.episode
@@ -329,10 +337,7 @@ class Controller:
         if not degraded:
             return
         for call in accepted:
-            active = actions_mod.active_actions(self.world, call.flow_id)
-            if active:
-                for action in active:
-                    self._stop(call, action, "d3")
+            if self._retire(call, "d3"):
                 self._open_state(call, "d3")
         for call in degraded:
             sample = call.sample

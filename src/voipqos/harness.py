@@ -522,14 +522,13 @@ def _run_windows(scenario: Scenario, seed: int, mode: str,
                     world.end_flow(call.flow.flow_id)
         if controller is None:
             flows = [(c.call_id, world.measure(c.flow.flow_id)) for c in scenario.calls]
+            means = {}
         else:
-            controller.on_window()
-            flows = [(c.call_id, c.sample) for c in controller.active_calls()]
+            flows, means = controller.on_window()
         for call_id, sample in flows:
             if sample is not None:
                 timeseries.append((t / 1000.0, call_id, sample.delay_ms, sample.loss, sample.mos))
                 windows_of[call_id].append(sample)
-        means = {} if controller is None else controller.means
         if means:
             timeseries.append(
                 (t / 1000.0, GLOBAL_ROW_ID, means["delay_ms"], means["loss"], means["mos"])
@@ -630,15 +629,9 @@ class _PacketLog(list):
         self.clear()
 
 
-def write_outputs(artifacts: RunArtifacts, out_dir: str) -> List[str]:
+def write_outputs(artifacts: RunArtifacts, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    written = []
-
-    def path(name: str) -> str:
-        written.append(os.path.join(out_dir, name))
-        return written[-1]
-
-    with open(path("states.csv"), "w", newline="") as fh:
+    with open(os.path.join(out_dir, "states.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             [
@@ -662,13 +655,13 @@ def write_outputs(artifacts: RunArtifacts, out_dir: str) -> List[str]:
                             "" if s.category is None else s.category.name,
                         ]
                     )
-    with open(path("transitions.csv"), "w", newline="") as fh:
+    with open(os.path.join(out_dir, "transitions.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["at_ms", "call_id", "kind", "cause"])
         if artifacts.controller is not None:
             for tr in artifacts.controller.transitions:
                 writer.writerow([f"{tr.at_ms:.3f}", tr.call_id, tr.kind, tr.cause])
-    with open(path("timeseries.csv"), "w", newline="") as fh:
+    with open(os.path.join(out_dir, "timeseries.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["time_s", "call_id", "delay_ms", "loss", "mos"])
         for row in artifacts.timeseries:
@@ -676,9 +669,8 @@ def write_outputs(artifacts: RunArtifacts, out_dir: str) -> List[str]:
                 [f"{row[0]:.3f}", row[1], f"{row[2]:.6f}", f"{row[3]:.8f}", f"{row[4]:.6f}"]
             )
     if artifacts.kb is not None:
-        _write_json(path("kb.json"), artifacts.kb.to_json())
-    _write_json(path("summary.json"), artifacts.summary)
-    return written
+        _write_json(os.path.join(out_dir, "kb.json"), artifacts.kb.to_json())
+    _write_json(os.path.join(out_dir, "summary.json"), artifacts.summary)
 
 
 def _write_json(path: str, data: dict) -> None:

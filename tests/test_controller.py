@@ -5,6 +5,7 @@ import pytest
 
 from voipqos import actions, harness, knowledge
 from voipqos.actions import (
+    controlled_load,
     decrease_buffer,
     enable_fec,
     enable_red,
@@ -235,9 +236,10 @@ def _world(capacity_kbps=1000.0, calls=("c",), timeline=()):
 
 
 class TestSearchStep:
-    """The search step's rarer branches: a refused admission and an episode
-    that refusals exhaust, which no preset or churn scenario reaches, and d3
-    on a call without an episode."""
+    """The search step's rarer branches: a refused admission, which retires
+    nothing, and an episode that refusals exhaust, which no preset or churn
+    scenario reaches; the order of an application and the stops it causes;
+    and d3 on a call without an episode."""
 
     # The call's flow sends 26 kbps; guaranteed service reserves 32.5 kbps.
     SMALL_LINK_KBPS = 30.0
@@ -260,6 +262,64 @@ class TestSearchStep:
         assert [s.entering for s in call.states] == ["start", "d2"]
         assert list(ctrl.world.mechanisms) == [("flow-c", enable_fec())]
         assert ctrl.apply_checks == [True]
+
+    def test_refused_candidate_keeps_the_calls_mechanisms(self):
+        kb = KnowledgeBase()
+        kb.add_entry(ScenarioCase.CASE2, guaranteed_load(), 0.0, 0.0)
+        kb.add_entry(ScenarioCase.CASE2, enable_fec(), 10.0, 0.01)
+        ctrl = Controller(_world(self.SMALL_LINK_KBPS), kb, Constraints())
+        call = ctrl.add_call("c", "flow-c")
+        actions.apply_action(ctrl.world, "flow-c", controlled_load())
+        call.sample = self.LOSSY
+        ctrl.step_call(call)
+        # guaranteed_load is refused before anything is retired.
+        assert [(t.kind, t.cause, t.noop) for t in ctrl.transitions] == [
+            ("d2", enable_fec().name, False)
+        ]
+        assert list(ctrl.world.mechanisms) == [
+            ("flow-c", controlled_load()), ("flow-c", enable_fec())
+        ]
+        assert ctrl.world.flows["flow-c"].cfg.service == netsim.CONTROLLED_LOAD
+
+    @pytest.mark.parametrize(
+        "held, candidate, queued, capacity",
+        [(increase_buffer(), decrease_buffer(), 96, 85), (enable_red(), enable_wred(), 81, 100)],
+    )
+    def test_retiring_after_the_application_is_stopping_before_it(
+        self, held, candidate, queued, capacity
+    ):
+        """A 100 kbps link with a 100-packet buffer and a 150-packet burst:
+        the candidate's step ends in the world that stopping the held
+        mechanism and then applying the candidate gives, queue drops included."""
+        def world():
+            w = netsim.SimWorld(
+                netsim.LinkConfig(10.0, 0.0, 100.0), netsim.QueueConfig(capacity_pkts=100),
+                trace=True,
+            )
+            w.add_flow(netsim.MediaFlow("m", burst_pkts=150))
+            actions.apply_action(w, "m", held)
+            w.advance(100.0)
+            return w
+
+        kb = KnowledgeBase()
+        kb.add_entry(ScenarioCase.CASE3, candidate, 120.0, 0.0)
+        ctrl = Controller(world(), kb, Constraints())
+        call = ctrl.add_call("c", "m")
+        assert ctrl.world.occupancy == queued
+        call.sample = HeuristicSample.from_measurement(250.0, 0.0)  # case 3
+        ctrl.step_call(call)
+        assert [t.cause for t in ctrl.transitions] == [f"stop:{held.name}", candidate.name]
+        twin = world()
+        actions.stop_action(twin, "m", held)
+        actions.apply_action(twin, "m", candidate)
+        assert ctrl.world.queue == twin.queue
+        assert ctrl.world.queue.capacity_pkts == capacity
+        assert ctrl.world.occupancy == min(queued, capacity)
+        assert ctrl.world.totals("m") == twin.totals("m")
+        for w in (ctrl.world, twin):
+            w.advance(1_000.0)
+        assert ctrl.world.totals("m") == twin.totals("m")
+        assert ctrl.world.log == twin.log
 
     def test_every_candidate_refused_exhausts_the_episode_once(self, monkeypatch):
         kb = KnowledgeBase()
@@ -305,6 +365,37 @@ class TestSearchStep:
         assert [s.entering for s in slow.states] == ["start", "d3"]
 
 
+class TestRetire:
+    """The two callers of `_retire` that retire all of a call's mechanisms."""
+
+    def test_close_call_stops_every_mechanism_before_the_goal_state(self):
+        ctrl = Controller(_world(), KnowledgeBase(), Constraints())
+        call = ctrl.add_call("c", "flow-c")
+        for action in (enable_fec(), increase_buffer()):
+            actions.apply_action(ctrl.world, "flow-c", action)
+        ctrl.world.advance(1_000.0)
+        ctrl.close_call("c")
+        assert [(t.kind, t.cause, t.noop, t.at_ms) for t in ctrl.transitions] == [
+            ("d2", f"stop:{enable_fec().name}", False, 1_000.0),
+            ("d2", f"stop:{increase_buffer().name}", False, 1_000.0),
+        ]
+        assert ctrl.world.mechanisms == {}
+        assert [(s.entering, s.opened_at_ms) for s in call.states] == [
+            ("start", 0.0), ("goal", 1_000.0)
+        ]
+
+    def test_coordinate_opens_no_d3_state_for_a_call_without_mechanisms(self):
+        kb = KnowledgeBase()
+        kb.add_entry(ScenarioCase.CASE3, enable_wred(), 90.0, 0.0)
+        ctrl = Controller(_world(calls=("a", "b")), kb, Constraints())
+        ok, slow = ctrl.add_call("a", "flow-a"), ctrl.add_call("b", "flow-b")
+        ok.sample = HeuristicSample.from_measurement(20.0, 0.0)
+        slow.sample = HeuristicSample.from_measurement(250.0, 0.01)  # case 3
+        ctrl.coordinate([ok, slow])
+        assert [s.entering for s in ok.states] == ["start"]
+        assert [(t.kind, t.cause) for t in ctrl.transitions] == [("d3", enable_wred().name)]
+
+
 class TestChangeLog:
     def test_a_timeline_change_opens_one_d1_in_its_window(self):
         # A 1 ms latency step moves the call's delay less than
@@ -315,7 +406,8 @@ class TestChangeLog:
         d1_at = {}
         for t_ms in (5_000.0, 10_000.0, 15_000.0, 20_000.0, 25_000.0):
             world.advance(t_ms)
-            ctrl.on_window()
+            rows, means = ctrl.on_window()
+            assert rows == [("c", ctrl.calls["c"].sample)] and means == {}
             d1_at[t_ms] = [t.cause for t in ctrl.transitions if t.kind == "d1" and t.at_ms == t_ms]
         assert d1_at == {
             5_000.0: [], 10_000.0: [], 15_000.0: ["set_latency=11"], 20_000.0: [], 25_000.0: []

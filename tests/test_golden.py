@@ -6,6 +6,7 @@ output change.
 """
 import hashlib
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -18,7 +19,7 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 GOLDEN = BENCH / "golden.json"
 sys.path.insert(0, str(BENCH))
 
-from workloads import churn_json  # noqa: E402
+from workloads import WORKLOADS, churn_json  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -71,3 +72,13 @@ def test_cli_artifact_digests(golden, tmp_path):
         assert cli.main(argv) in (0, 2)
         got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
         assert got == golden["multicall-artifacts"][f"{preset}/s0"]["digests"], preset
+
+
+def test_check_golden_rejects_an_unknown_workload():
+    tool = BENCH.parent / "tools" / "check_golden.py"
+    done = subprocess.run(
+        [sys.executable, str(tool), "preset_sweep"], capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("usage:")
+    assert f"valid: {', '.join(WORKLOADS)}" in done.stderr

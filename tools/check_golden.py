@@ -7,7 +7,8 @@ select is run once through the benchmark's own runner and compared with
 its recorded outcome: the output digests of a run that returns, or the
 error of one that raises. The run invariants (packet conservation, the
 reservation ledger, knowledge-base ranks, trace errors) are checked too.
-Prints one line per workload and exits 1 on any mismatch or breach.
+Prints one line per workload and exits 1 on any mismatch or breach, or 2
+on an unknown workload name.
 Without arguments every workload is checked; all of them take about
 9 minutes on a 2-vCPU VM.
 """
@@ -28,6 +29,15 @@ def main(argv) -> int:
     from ops import Runner
     from workloads import WORKLOADS, golden_pool
 
+    unknown = [name for name in argv if name not in WORKLOADS]
+    if unknown:
+        print(
+            "usage: python tools/check_golden.py [WORKLOAD ...]\n"
+            f"error: unknown workload {', '.join(unknown)}; "
+            f"valid: {', '.join(WORKLOADS)}",
+            file=sys.stderr,
+        )
+        return 2
     golden = json.loads((BENCH / "golden.json").read_text())
     failed = 0
     for workload in argv or list(WORKLOADS):
