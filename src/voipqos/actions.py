@@ -12,6 +12,7 @@ knowledge seed, which `harness.default_kb` reads; this module reads no file.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Tuple
 
 from . import netsim
@@ -54,7 +55,7 @@ class ActionId:
                 return value
         raise KeyError(f"{self.name} has no parameter {name!r}")
 
-    @property
+    @cached_property
     def name(self) -> str:
         if not self.params:
             return self.kind

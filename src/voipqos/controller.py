@@ -72,14 +72,10 @@ class CallState:
     samples: int = 0
     sample: Optional[HeuristicSample] = None
     opening_sample: Optional[HeuristicSample] = None
+    # The opening sample's category, set with it.
+    category: Optional[QualityCategory] = None
     # Consecutive windows whose sample drifted from the opening sample.
     drift_windows: int = 0
-
-    @property
-    def category(self) -> Optional[QualityCategory]:
-        if self.opening_sample is None:
-            return None
-        return classify(self.opening_sample)
 
     def add_sample(self, sample: HeuristicSample) -> None:
         """Fold a window's sample into the state's g."""
@@ -187,13 +183,21 @@ class Controller:
 
     # ---------------- state bookkeeping ----------------
 
-    def _open_state(self, call: Call, entering: str) -> None:
+    def _open_state(
+        self, call: Call, entering: str, category: Optional[QualityCategory] = None
+    ) -> None:
+        """Open the call's next state on its latest sample; `category` is
+        that sample's, when the caller has already classified it."""
         if call.states:
             call.current_state.closed_at_ms = self.world.clock
+        sample = call.sample
+        if category is None and sample is not None:
+            category = classify(sample)
         self._state_seq += 1
-        call.states.append(
-            CallState(self._state_seq, self.world.clock, entering, opening_sample=call.sample)
-        )
+        call.states.append(CallState(
+            self._state_seq, self.world.clock, entering,
+            opening_sample=sample, category=category,
+        ))
 
     def _record(self, call: Call, kind: str, cause: str) -> None:
         self.transitions.append(TransitionRecord(kind, cause, self.world.clock, call.call_id))
@@ -232,16 +236,16 @@ class Controller:
         sample = call.sample
         if sample is None:
             return
+        category = classify(sample)
         state = call.current_state
         state.add_sample(sample)
         if state.opening_sample is None:
-            state.opening_sample = sample
+            state.opening_sample, state.category = sample, category
         ref = state.opening_sample
         drifted = _rel_change(ref.delay_ms, sample.delay_ms) > SIGNIFICANT_CHANGE or (
             _rel_change(ref.loss, sample.loss) > SIGNIFICANT_CHANGE
         )
         state.drift_windows = state.drift_windows + 1 if drifted else 0
-        category = classify(sample)
         if changes:
             cause = ",".join(f"{c.kind}={c.value:g}" for c in changes)
         elif category != state.category:
@@ -251,7 +255,7 @@ class Controller:
         else:
             return
         self._record(call, "d1", cause)
-        self._open_state(call, "d1")
+        self._open_state(call, "d1", category)
         call.current_state.add_sample(sample)
 
     # ---------------- single-call control ----------------

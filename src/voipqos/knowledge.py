@@ -8,6 +8,9 @@ rank, unique within a case.  Acquisition overwrites an estimate with a
 measured outcome.  Refinement makes at most one swap after an episode
 that ended with an action succeeding: the best-ranked action ahead of it
 that measures worse trades ranks with it.  Nothing is ever deleted.
+A case keeps its entries in the order they were added, and ranks are
+unique within a case, so every lookup scans that list unsorted; only
+`entries` sorts it by rank.
 """
 from __future__ import annotations
 
@@ -79,15 +82,11 @@ class KnowledgeBase:
     def add_entry(
         self, case: ScenarioCase, action: ActionId, h_delay_ms: float, h_loss: float
     ) -> ActionEntry:
-        if any(e.action == action for e in self.entries(case)):
+        listed = self._cases[case]
+        if any(e.action == action for e in listed):
             raise KnowledgeError(f"{action.name} already present in {case.value}")
-        entry = ActionEntry(
-            action,
-            rank=len(self.entries(case)) + 1,
-            h_delay_ms=h_delay_ms,
-            h_loss=h_loss,
-        )
-        self._cases[case].append(entry)
+        entry = ActionEntry(action, rank=len(listed) + 1, h_delay_ms=h_delay_ms, h_loss=h_loss)
+        listed.append(entry)
         return entry
 
     # ---------------- access ----------------
@@ -97,13 +96,13 @@ class KnowledgeBase:
         return sorted(self._cases[case], key=lambda e: e.rank)
 
     def entry(self, case: ScenarioCase, action: ActionId) -> ActionEntry:
-        for e in self.entries(case):
+        for e in self._cases[case]:
             if e.action == action:
                 return e
         raise KnowledgeError(f"{action.name} not present in {case.value}")
 
     def _check(self, case: ScenarioCase) -> None:
-        ranks = sorted(e.rank for e in self.entries(case))
+        ranks = sorted(e.rank for e in self._cases[case])
         if ranks != list(range(1, len(ranks) + 1)):
             raise KnowledgeError(f"ranks not contiguous in {case.value}: {ranks}")
 
@@ -174,7 +173,7 @@ def select_next(
     """Best entry not yet tried this episode; None when exhausted."""
     tried_set = set(tried)
     return min(
-        (e for e in kb.entries(case) if e.action not in tried_set),
+        (e for e in kb._cases[case] if e.action not in tried_set),
         key=lambda e: (penalty(e.h, constraints), e.rank),
         default=None,
     )
@@ -208,10 +207,11 @@ def refine(
     """
     current = kb.entry(case, a_current)
     bar = penalty(current.h, constraints)
-    other = next(
-        (e for e in kb.entries(case)
+    other = min(
+        (e for e in kb._cases[case]
          if e.rank < current.rank and penalty(e.h, constraints) > bar),
-        None,
+        key=lambda e: e.rank,
+        default=None,
     )
     if other is not None:
         other.rank, current.rank = current.rank, other.rank

@@ -18,8 +18,12 @@ event itself: a flow's emission of its next burst, the end of a
 transmission, a delivery and a timeline change.  A delivery is due one
 latency after its transmission ends, so while the latency does not drop
 deliveries come due in the order they are scheduled, and the FIFO takes
-them; the heap takes the rest.  The queue is empty whenever the link is
-idle, so a packet that finds the link idle goes on the wire.
+them; the heap takes the rest.  The heap holds the emissions, the
+transmission ends, the out-of-order deliveries and only the next
+timeline change: the rest of the timeline waits, ready-made, in its own
+queue, so the heap's size does not grow with the timeline.  The queue is
+empty whenever the link is idle, so a packet that finds the link idle
+goes on the wire.
 
 Each packet carries its flow and, under FEC, its block; a flow holds only
 its open block, and the world the one packet on the wire.  A flow's totals
@@ -349,6 +353,14 @@ class SimWorld:
         self._events: List[Tuple[float, int, str, object]] = []
         self._fifo: deque = deque()
         self._seq = count(1)
+        # The timeline's changes, in time order, take the first seqs. Only
+        # the next one sits in the heap, and running it pushes the one after.
+        self._timeline = deque(
+            (change.at_ms, next(self._seq), _CHANGE, change)
+            for change in sorted(timeline, key=lambda c: c.at_ms)
+        )
+        if self._timeline:
+            heappush(self._events, self._timeline.popleft())
         self._qp: deque = deque()
         self._qb: deque = deque()
         self._avg_queue = 0.0
@@ -360,8 +372,6 @@ class SimWorld:
         # Applied QoS mechanisms by (flow_id, ActionId), oldest first, each
         # with its effect; written only by set_mechanism.
         self.mechanisms: Dict[Tuple[str, object], Effect] = {}
-        for change in sorted(timeline, key=lambda c: c.at_ms):
-            heappush(self._events, (change.at_ms, next(self._seq), _CHANGE, change))
 
     # ---------------- event machinery ----------------
 
@@ -446,6 +456,8 @@ class SimWorld:
                     self._block_resolve(pkt, delivered=True)
             else:
                 self._do_change(arg)
+                if self._timeline:
+                    heappush(events, self._timeline.popleft())
         self.clock = until_ms
 
     # ---------------- flow management ----------------
@@ -556,18 +568,20 @@ class SimWorld:
     # ---------------- network changes ----------------
 
     def _do_change(self, change: NetworkChange) -> None:
-        if change.kind == SET_LATENCY:
-            self.link = replace(self.link, latency_ms=change.value)
-        elif change.kind == SET_LOSS_RATE:
-            self.link = replace(self.link, loss_rate=change.value)
-        elif change.kind == SET_BUFFER_SIZE:
-            self.set_buffer(int(change.value))
-        elif change.kind == SET_BACKGROUND_RATE:
+        kind, value, link = change.kind, change.value, self.link
+        if kind == SET_LATENCY:
+            self.link = LinkConfig(value, link.loss_rate, link.capacity_kbps)
+        elif kind == SET_LOSS_RATE:
+            self.link = LinkConfig(link.latency_ms, value, link.capacity_kbps)
+        elif kind == SET_BUFFER_SIZE:
+            self.set_buffer(int(value))
+        elif kind == SET_BACKGROUND_RATE:
             for st in self.flows.values():
-                if isinstance(st.cfg, BackgroundFlow):
-                    st.cfg = replace(st.cfg, rate_kbps=change.value)
+                cfg = st.cfg
+                if isinstance(cfg, BackgroundFlow):
+                    st.cfg = BackgroundFlow(cfg.flow_id, value, cfg.packet_bytes, cfg.burst_pkts)
                     st.epoch += 1
-                    if change.value > 0 and st.active:
+                    if value > 0 and st.active:
                         at = self.clock + st.cfg.packet_interval_ms
                         heappush(self._events, (at, next(self._seq), _EMIT, (st, st.epoch)))
         self.notifications.append(change)
@@ -699,7 +713,10 @@ class SimWorld:
             delay = st.last_delay_ms
         else:
             delay = self.link.latency_ms
-        st.mark = replace(t)
+        st.mark = FlowCounters(
+            t.sent, t.delivered, t.dropped_link, t.dropped_queue, t.dropped_policer,
+            t.recovered, t.delay_sum_ms,
+        )
         st.window_delay_ms = 0.0
         return HeuristicSample.from_measurement(delay, loss)
 

@@ -68,6 +68,28 @@ class TestSelection:
         kb = _kb([("worse_name", 50.0, 0.0), ("alpha", 50.0, 0.0)])
         assert select_one_of(kb, CASE).action == ActionId("worse_name")
 
+        # A case whose list order differs from its rank order: refining c
+        # swaps it with a, so the list reads a, b, c and the ranks c, b, a.
+        kb = _kb([("a", 100.0, 0.0), ("b", 150.0, 0.0), ("c", 50.0, 0.0)])
+        refine(kb, CASE, ActionId("c"))
+        assert [item["action"]["kind"] for item in kb.to_json()["cases"][CASE.value]] == [
+            "a", "b", "c"
+        ]
+        assert [e.action.kind for e in kb.entries(CASE)] == ["c", "b", "a"]
+        acquire(kb, CASE, ActionId("a"), (50.0, 0.0))
+        assert select_one_of(kb, CASE).action == ActionId("c")
+        for rank, name in enumerate("cba", start=1):
+            assert kb.entry(CASE, ActionId(name)).rank == rank
+        # Both b and c measure worse than a; c, ahead of b by rank but
+        # behind it in the list, is the one that swaps.
+        acquire(kb, CASE, ActionId("a"), (10.0, 0.0))
+        names = [e.action.kind for e in kb.entries(CASE)]
+        penalties = {e.action.kind: penalty(e.h) for e in kb.entries(CASE)}
+        refine(kb, CASE, ActionId("a"))
+        assert {e.action.kind: e.rank for e in kb.entries(CASE)} == _reference_refine(
+            names, penalties, "a"
+        ) == {"a": 1, "b": 2, "c": 3}
+
     def test_next_skips_tried_and_exhausts(self):
         kb = _kb([("a", 10.0, 0.0), ("b", 20.0, 0.0), ("c", 30.0, 0.0)])
         first = select_next(kb, CASE, [])

@@ -2,7 +2,9 @@
 import csv
 import hashlib
 import io
+import json
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +23,10 @@ from voipqos.netsim import (
     SimWorld,
     red_drop_probability,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+from workloads import churn_json  # noqa: E402
 
 
 def _world(latency=10.0, loss=0.0, capacity=1000.0, buffer_pkts=100, seed=0, **kw):
@@ -414,6 +420,25 @@ class TestNetworkChanges:
             (5_000.0, netsim.SET_LATENCY),
             (12_000.0, netsim.SET_LOSS_RATE),
         ]
+
+    def test_the_heap_holds_only_the_next_timeline_change(self):
+        # A generated control-churn scenario: its timeline is long, but the
+        # event heap holds at most its next change, at every window end.
+        scenario = harness.scenario_from_json(json.loads(churn_json(0)))
+        assert len(scenario.timeline) >= 150
+        world = harness.build_world(scenario, seed=0)
+
+        def pending_changes():
+            return sum(1 for _, _, kind, _ in world._events if kind is netsim._CHANGE)
+
+        assert pending_changes() == 1
+        world.check_conservation()
+        for end_ms in range(5_000, int(scenario.duration_s * 1000) + 1, 5_000):
+            world.advance(float(end_ms))
+            assert pending_changes() <= 1, end_ms
+            world.check_conservation()
+        # Every change ran, in time order.
+        assert world.notifications == sorted(scenario.timeline, key=lambda c: c.at_ms)
 
     def test_background_rate_change_restarts_emission(self):
         world = SimWorld(

@@ -5,21 +5,27 @@ usage: python tools/ab.py --parent DIR --change DIR [--pairs N]
 Each DIR holds a `voipqos` package (a checkout's `src`). The two trees are
 imported into one interpreter as two packages, `voipqos_parent` and
 `voipqos_change`, so both sides share the host's speed at each moment. A
-pair runs every preset in control and baseline mode at seed 0 on both
-sides, each run of one side right after the same run of the other, and
-alternates from pair to pair which side runs first. Every pair of runs
-must return identical outputs: the summary, the knowledge base a control
-run ends with, the timeseries, and a control run's transitions and call
-states. They are compared outside the timing.
+pair times two samples on both sides: the presets, every preset in
+control and baseline mode at seed 0, and the churn sample, the one-call
+control-churn scenarios of CHURN_SAMPLE, each at its index as seed, as
+the benchmark runs them, from the text that `bench/workloads.py` of this
+checkout generates. The presets spend nearly all their time in the
+event loop; the churn sample is where the controller and knowledge base
+take a visible share. Each run of one side comes right after the same run
+of the other, and which side runs first alternates from pair to pair.
+Every pair of runs must return identical outputs: the summary, the
+knowledge base a control run ends with, the timeseries, and a control
+run's transitions and call states. They are compared outside the timing.
 Before the pairs, each side writes the artifacts of one traced control
 run of each of TRACED_PRESETS, trace.csv included, and every file must be
 byte-equal across the two sides.
 
-Prints each pair's two sweep times, then each side's median and
-quartiles, the change's wins (ties count for neither), and the medians'
-difference beside the parent's interquartile range. The simulated work
-of both sides is identical, so the change's gain in packets per second
-is the parent's median time over the change's, less one.
+Prints each pair's two times for each sample, then, for each sample on
+its own lines, each side's median and quartiles, the change's wins (ties
+count for neither), and the medians' difference beside the parent's
+interquartile range. The simulated work of both sides is identical, so
+the change's gain in packets (or windows) per second is the parent's
+median time over the change's, less one.
 """
 import argparse
 import gc
@@ -34,10 +40,19 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
-from run import percentile  # noqa: E402
+from run import import_voipqos, percentile  # noqa: E402
+
+# The churn sample's scenario text comes from the benchmark's generator,
+# which imports this checkout's voipqos.
+import_voipqos()
+
+from workloads import churn_json  # noqa: E402
 
 SIDES = ("parent", "change")
 MODES = ("control", "baseline")
+# Generated control-churn indices: even ones have one call and run to the
+# end (odd ones raise a recorded KnowledgeError).
+CHURN_SAMPLE = tuple(range(0, 40, 2))
 # table4-red-10k's trace.csv holds media and background rows and queue
 # drops; table1-s2's ends with rows shed when its call closes, after the
 # last advance.
@@ -58,12 +73,28 @@ def import_tree(src: Path, name: str):
     return importlib.import_module(f"{name}.harness")
 
 
-def timed_run(harness, preset: str, mode: str):
+def preset_runs(presets):
+    """(label, mode, seed, scenario loader) of every preset in both modes."""
+    return [
+        (f"{preset} {mode}", mode, 0, lambda harness, p=preset: harness.load_scenario(p))
+        for mode in MODES for preset in presets
+    ]
+
+
+def churn_runs():
+    """(label, mode, seed, scenario loader) of the churn sample."""
+    return [
+        (f"churn-{index}", "control", index,
+         lambda harness, text=churn_json(index): harness.scenario_from_json(json.loads(text)))
+        for index in CHURN_SAMPLE
+    ]
+
+
+def timed_run(harness, scenario, seed: int, mode: str):
     """Seconds of one run, and each of its outputs as canonical JSON."""
-    scenario = harness.load_scenario(preset)
     gc.collect()
     start = time.perf_counter()
-    artifacts = harness.run(scenario, seed=0, mode=mode)
+    artifacts = harness.run(scenario, seed=seed, mode=mode)
     elapsed = time.perf_counter() - start
     ctrl = artifacts.controller
     outputs = {
@@ -117,41 +148,50 @@ def main(argv) -> int:
         differ = sorted(n for n in names if files["parent"].get(n) != files["change"].get(n))
         if differ:
             raise SystemExit(f"error: {preset} artifacts differ: {', '.join(differ)}")
-    runs = [(preset, mode) for mode in MODES for preset in presets]
-    times = {side: [] for side in SIDES}
+    samples = {
+        "presets": (preset_runs(presets), "packets"),
+        "churn sample": (churn_runs(), "windows"),
+    }
+    times = {name: {side: [] for side in SIDES} for name in samples}
     for pair in range(args.pairs):
         order = SIDES if pair % 2 == 0 else SIDES[::-1]
-        total = dict.fromkeys(SIDES, 0.0)
-        for preset, mode in runs:
-            outputs = {}
-            for side in order:
-                elapsed, outputs[side] = timed_run(trees[side], preset, mode)
-                total[side] += elapsed
-            differ = [n for n in outputs["parent"] if outputs["parent"][n] != outputs["change"][n]]
-            if differ:
-                raise SystemExit(f"error: {preset} {mode}: outputs differ: {', '.join(differ)}")
+        line = []
+        for name, (runs, _) in samples.items():
+            total = dict.fromkeys(SIDES, 0.0)
+            for label, mode, seed, load in runs:
+                outputs = {}
+                for side in order:
+                    scenario = load(trees[side])
+                    elapsed, outputs[side] = timed_run(trees[side], scenario, seed, mode)
+                    total[side] += elapsed
+                differ = [
+                    n for n in outputs["parent"] if outputs["parent"][n] != outputs["change"][n]
+                ]
+                if differ:
+                    raise SystemExit(f"error: {label}: outputs differ: {', '.join(differ)}")
+            for side in SIDES:
+                times[name][side].append(total[side])
+            line.append(f"{name} parent {total['parent']:.3f} s, change {total['change']:.3f} s")
+        print(f"pair {pair + 1} ({order[0]} first): {'; '.join(line)}", flush=True)
+    for name, (runs, unit) in samples.items():
+        sample_times = times[name]
+        medians = {}
         for side in SIDES:
-            times[side].append(total[side])
+            medians[side] = statistics.median(sample_times[side])
+            print(
+                f"{name}, {side}: median {medians[side]:.3f} s, quartiles "
+                f"{percentile(sample_times[side], 0.25):.3f}-"
+                f"{percentile(sample_times[side], 0.75):.3f} s "
+                f"over {args.pairs} sweeps of {len(runs)} runs"
+            )
+        parent = sample_times["parent"]
+        wins = sum(c < p for p, c in zip(parent, sample_times["change"]))
+        iqr = percentile(parent, 0.75) - percentile(parent, 0.25)
         print(
-            f"pair {pair + 1} ({order[0]} first): parent {total['parent']:.3f} s, "
-            f"change {total['change']:.3f} s",
-            flush=True,
+            f"{name}: change won {wins} of {args.pairs} pairs; {unit} per second "
+            f"{medians['parent'] / medians['change'] - 1:+.1%}; median difference "
+            f"{medians['parent'] - medians['change']:.3f} s, parent IQR {iqr:.3f} s"
         )
-    medians = {}
-    for side in SIDES:
-        medians[side] = statistics.median(times[side])
-        print(
-            f"{side}: median {medians[side]:.3f} s, quartiles "
-            f"{percentile(times[side], 0.25):.3f}-{percentile(times[side], 0.75):.3f} s "
-            f"over {args.pairs} sweeps of {len(runs)} runs"
-        )
-    wins = sum(c < p for p, c in zip(times["parent"], times["change"]))
-    iqr = percentile(times["parent"], 0.75) - percentile(times["parent"], 0.25)
-    print(
-        f"change won {wins} of {args.pairs} pairs; packets per second "
-        f"{medians['parent'] / medians['change'] - 1:+.1%}; median difference "
-        f"{medians['parent'] - medians['change']:.3f} s, parent IQR {iqr:.3f} s"
-    )
     return 0
 
 
