@@ -3,9 +3,10 @@
 apply_action turns an action into its `netsim.Effect` (a buffer step, a
 RED/WRED table, an FEC config, or a service class with its reservation)
 and adds it to the world's ledger, `SimWorld.mechanisms`, keyed by
-(flow_id, action) in application order; stop_action removes it.  The
-world derives the shared queue and the flow from the ledger, so nothing
-is snapshotted or restored, and one call's stop leaves the others' in place.
+(flow_id, action) in application order; stop_action removes it.  A refusal
+raises `netsim.AdmissionRefusedError`, the one refusal error.  The world
+derives the shared queue and the flow from the ledger, so nothing is
+snapshotted or restored, and one call's stop leaves the others' in place.
 CASE_ORDER fixes each case's actions and their order in the shipped
 knowledge seed, which `harness.default_kb` reads; this module reads no file.
 """
@@ -36,8 +37,8 @@ SERVICE_OF = {CONTROLLED_LOAD: netsim.CONTROLLED_LOAD, GUARANTEED_LOAD: netsim.G
 GUARANTEED_RESERVATION_FACTOR = 1.25
 
 
-class ActionFailedError(Exception):
-    """The action could not be applied (e.g. admission refused)."""
+# The one refusal error, under the name that bench/tracer.py catches.
+ActionFailedError = AdmissionRefusedError
 
 
 @dataclass(frozen=True)
@@ -136,10 +137,7 @@ def apply_action(
     in_class = st.cfg.service == SERVICE_OF.get(action.kind)
     if (flow_id, action) in world.mechanisms or in_class:
         return TransitionRecord(kind, action.name, world.clock, flow_id, noop=True)
-    try:
-        world.set_mechanism(flow_id, action, _effect(action, st.cfg.rate_kbps))
-    except AdmissionRefusedError as exc:
-        raise ActionFailedError(str(exc)) from exc
+    world.set_mechanism(flow_id, action, _effect(action, st.cfg.rate_kbps))
     return TransitionRecord(kind, action.name, world.clock, flow_id)
 
 

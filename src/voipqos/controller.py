@@ -8,13 +8,13 @@ actions until the call recovers, acquiring measured outcomes along the
 way and, with learning enabled, re-ranking the case afterwards.  `_retire`
 is the one place that stops a call's mechanisms: all of them when the
 call ends (d2) or gives them up to coordination (d3), and only those a
-newly applied candidate conflicts with in a search step, so a refused
-candidate retires nothing.  A d1 names the network changes the world
-logged since the previous window.  Time is the world's clock: states,
-transitions and episodes are stamped with `world.clock`, and a finished
-episode stays its `Episode`.  The controller owns the run's constraints,
-which every check and every knowledge-base ordering reads, and the end
-of each call's flow; a state owns its g.
+newly applied candidate conflicts with in a search step, so a candidate
+that netsim refuses with `AdmissionRefusedError`, the one refusal error,
+retires nothing.  A d1 names the network changes the world logged since
+the previous window.  Time is the world's clock: states, transitions and
+episodes are stamped with `world.clock`.  The controller owns the run's
+constraints, which every check and every knowledge-base ordering reads,
+and the end of each call's flow; a state owns its g.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import actions as actions_mod
 from . import knowledge as kb_mod
-from .actions import ActionFailedError, ActionId, TransitionRecord
+from .actions import ActionId, TransitionRecord
 from .knowledge import KnowledgeBase, ScenarioCase
 from .metrics import (
     Constraints,
@@ -34,7 +34,7 @@ from .metrics import (
     left_sum,
     satisfies,
 )
-from .netsim import SimWorld
+from .netsim import AdmissionRefusedError, SimWorld
 
 # A heuristic move of more than this relative fraction, sustained for
 # two consecutive windows, opens a new d1 state.
@@ -171,8 +171,6 @@ class Controller:
     def close_call(self, call_id: str) -> None:
         """Stop the call's mechanisms, end its episode and its flow."""
         call = self.calls[call_id]
-        if call.closed:
-            return
         self._retire(call, "d2")
         if call.episode is not None:
             self._finish_episode(call, satisfied=False)
@@ -295,7 +293,7 @@ class Controller:
             ep.tried.append(action)
             try:
                 record = actions_mod.apply_action(self.world, call.flow_id, action, kind)
-            except ActionFailedError:
+            except AdmissionRefusedError:
                 case = ep.case
                 continue
             self._retire(call, kind, replacing=action)

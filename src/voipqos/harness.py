@@ -426,7 +426,7 @@ def calibrate(seed: int = 0) -> KnowledgeBase:
             world.measure(flow_id)  # discard warmup window
             try:
                 actions_mod.apply_action(world, flow_id, action)
-            except actions_mod.ActionFailedError:
+            except netsim.AdmissionRefusedError:
                 kb.add_entry(case, action, scenario.link.latency_ms, 1.0)
                 continue
             world.advance(15_000.0)

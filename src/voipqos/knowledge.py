@@ -160,7 +160,7 @@ def action_from_json(data: dict) -> ActionId:
 def select_one_of(
     kb: KnowledgeBase, case: ScenarioCase, constraints: Constraints = DEFAULT_CONSTRAINTS
 ) -> Optional[ActionEntry]:
-    """Best entry for the case; None when the case list is empty."""
+    """Best entry for the case, or None; bench/tracer.py is its only caller."""
     return select_next(kb, case, (), constraints)
 
 

@@ -12,7 +12,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from voipqos import actions, harness, netsim
 from voipqos.actions import (
-    ActionFailedError,
     CASE_ORDER,
     conflicts,
     controlled_load,
@@ -25,6 +24,7 @@ from voipqos.actions import (
 )
 from voipqos.controller import Controller
 from voipqos.netsim import (
+    AdmissionRefusedError,
     BUFFER_MAX_PKTS,
     BUFFER_MIN_PKTS,
     FecConfig,
@@ -176,7 +176,7 @@ class TestApplyStop:
 
     def test_guaranteed_needs_headroom(self):
         world = _world(capacity=20.0)  # below the 26 * 1.25 reservation
-        with pytest.raises(ActionFailedError):
+        with pytest.raises(AdmissionRefusedError):
             actions.apply_action(world, "m", guaranteed_load())
         # Failure leaves no registration and no reservation behind.
         assert actions.active_actions(world, "m") == []
@@ -185,7 +185,7 @@ class TestApplyStop:
     def test_refused_admission_leaves_flow_unchanged(self):
         world = SimWorld(LinkConfig(10.0, 0.0, 20.0), QueueConfig())
         world.add_flow(MediaFlow("m", service=netsim.CONTROLLED_LOAD))
-        with pytest.raises(ActionFailedError):
+        with pytest.raises(AdmissionRefusedError):
             actions.apply_action(world, "m", guaranteed_load())
         cfg = world.flows["m"].cfg
         assert (cfg.service, cfg.reserved_kbps) == (netsim.CONTROLLED_LOAD, 0.0)
@@ -404,7 +404,7 @@ class TestRefusedReadmission:
                 ledger = dict(world.mechanisms)
                 try:
                     actions.apply_action(world, flow_id, action)
-                except ActionFailedError:
+                except AdmissionRefusedError:
                     assert world.mechanisms == ledger
             else:
                 actions.stop_action(world, flow_id, action)

@@ -22,7 +22,7 @@ from voipqos.controller import (
     validate_trace,
 )
 from voipqos.harness import scenario_from_json
-from voipqos.knowledge import KnowledgeBase, ScenarioCase, select_one_of
+from voipqos.knowledge import KnowledgeBase, ScenarioCase, select_next
 from voipqos.metrics import Constraints, HeuristicSample
 from voipqos import netsim
 
@@ -83,8 +83,8 @@ class TestRunConstraints:
         kb = KnowledgeBase()
         kb.add_entry(ScenarioCase.CASE2, increase_buffer(), 100.0, 0.0)
         kb.add_entry(ScenarioCase.CASE2, enable_red(), 0.0, 0.03)
-        assert select_one_of(kb, ScenarioCase.CASE2).action == increase_buffer()
-        assert select_one_of(kb, ScenarioCase.CASE2, tight).action == enable_red()
+        assert select_next(kb, ScenarioCase.CASE2, []).action == increase_buffer()
+        assert select_next(kb, ScenarioCase.CASE2, [], tight).action == enable_red()
         world = harness.build_world(
             scenario_from_json({"name": "one", "duration_s": 30.0, "calls": [{"call_id": "c"}]}),
             seed=0,
@@ -203,6 +203,14 @@ class TestValidator:
         ctrl = self._controller()
         ctrl.apply_checks.append(False)
         assert any("satisfied" in e for e in validate_trace(ctrl))
+
+    def test_detects_a_second_close(self):
+        # The harness closes each call once; close_call does not guard
+        # against a second close, whose second goal state is reported.
+        ctrl = self._controller()
+        ctrl.close_call("c")
+        assert [s.entering for s in ctrl.calls["c"].states] == ["start", "goal", "goal"]
+        assert "c: terminated call must end in one goal state" in validate_trace(ctrl)
 
 
 class TestCoordination:

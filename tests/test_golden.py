@@ -1,10 +1,13 @@
-"""Fixed-seed outputs match the digests recorded in bench/golden.json.
+"""Fixed-seed runs match bench/golden.json and keep the run invariants.
 
-A refactor that changes behaviour changes a digest. The file is only
-read here; `bench/record_golden.py` re-records it after a deliberate
-output change.
+Each operation runs through the benchmark's own runner, `bench/ops.py`,
+which compares its output digests, or the error it raised, with the
+recorded entry and checks packet conservation, the reservation ledger,
+knowledge-base ranks and trace errors. A refactor that changes behaviour
+or breaks an invariant fails. The file is only read here;
+`bench/record_golden.py` re-records it after a deliberate output change.
 """
-import hashlib
+import gc
 import json
 import subprocess
 import sys
@@ -12,66 +15,54 @@ from pathlib import Path
 
 import pytest
 
-from voipqos import cli, harness
-from voipqos.knowledge import KnowledgeError
+from voipqos import harness
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
-GOLDEN = BENCH / "golden.json"
 sys.path.insert(0, str(BENCH))
 
-from workloads import WORKLOADS, churn_json  # noqa: E402
+from ops import Runner  # noqa: E402
+from workloads import WORKLOADS, golden_pool  # noqa: E402
+
+GOLDEN = json.loads((BENCH / "golden.json").read_text())
 
 
-@pytest.fixture(scope="module")
-def golden():
-    with open(GOLDEN) as fh:
-        return json.load(fh)
-
-
-def _digest(obj) -> str:
-    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
-def _digests(art) -> dict:
-    kb = None if art.kb is None else art.kb.to_json()
-    return {"summary": _digest(art.summary), "kb": _digest(kb)}
+def _check(workload, key, tmp_path):
+    """Run the golden-pool operation `key` and require its recorded outcome
+    and no invariant breach."""
+    op = next(op for op in golden_pool(workload) if op.key == key)
+    with Runner(str(tmp_path / "artifacts"), GOLDEN[workload]) as runner:
+        runner.prepare([op])
+        try:
+            outcome = runner.run(op)
+        finally:
+            gc.unfreeze()  # Runner.run freezes what survives the collection
+    assert outcome.mismatch is None, outcome.mismatch
+    assert outcome.breaches == [], outcome.breaches
 
 
 @pytest.mark.parametrize("mode", ["control", "baseline"])
 @pytest.mark.parametrize("preset", sorted(harness.PRESETS))
-def test_preset_digests(golden, preset, mode):
-    art = harness.run(harness.load_scenario(preset), seed=0, mode=mode)
-    assert _digests(art) == golden["preset-sweep"][f"{preset}/{mode}/s0"]["digests"]
+def test_preset_digests(preset, mode, tmp_path):
+    _check("preset-sweep", f"{preset}/{mode}/s0", tmp_path)
 
 
-def test_calibrate_digests(golden):
-    art = harness.run(None, seed=0, mode="calibrate")
-    assert _digests(art) == golden["preset-sweep"]["calibrate/s0"]["digests"]
+def test_calibrate_digests(tmp_path):
+    _check("preset-sweep", "calibrate/s0", tmp_path)
 
 
 @pytest.mark.parametrize("index", range(8))
-def test_churn_outcomes(golden, index):
+def test_churn_outcomes(index, tmp_path):
     # Generated control-churn scenarios: even indices have one call, odd
     # ones two, and those raise the KnowledgeError that was recorded.
-    scenario = harness.scenario_from_json(json.loads(churn_json(index)))
-    try:
-        got = {"digests": _digests(harness.run(scenario, seed=index, mode="control"))}
-    except KnowledgeError as exc:
-        got = {"raises": f"{type(exc).__name__}: {exc}"}
-    assert got == golden["control-churn"][f"churn-{index}"]
+    _check("control-churn", f"churn-{index}", tmp_path)
 
 
-def test_cli_artifact_digests(golden, tmp_path):
+def test_cli_artifact_digests(tmp_path):
     # Every file a CLI run writes, trace.csv included. fig7-multicall's
     # trace.csv ends with rows logged after the last advance, when a call
     # closes; table4-red-10k's has none.
     for preset in ("table4-red-10k", "fig7-multicall"):
-        out = tmp_path / preset
-        argv = ["run", "--scenario", preset, "--seed", "0", "--out", str(out)]
-        assert cli.main(argv) in (0, 2)
-        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
-        assert got == golden["multicall-artifacts"][f"{preset}/s0"]["digests"], preset
+        _check("multicall-artifacts", f"{preset}/s0", tmp_path)
 
 
 def test_check_golden_rejects_an_unknown_workload():

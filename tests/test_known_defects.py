@@ -3,9 +3,11 @@
 Each test asserts what the mended code does and is a strict xfail: it
 fails today, and the change that mends the defect (re-recording
 bench/golden.json, since the outputs move) must flip it to a plain test.
-ROADMAP item 1 describes the defects and their mends.
+ROADMAP item 1 describes the first five defects and their mends, and item 3
+the learning switch; the re-applied mechanisms are described at their test.
 """
 import copy
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -81,3 +83,36 @@ def test_every_transition_carries_a_call_id():
 )
 def test_calibrate_summary_says_something():
     assert harness.run(None, seed=0, mode="calibrate").summary != {"revision": 0}
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="learning gates only refine, and ranks only break ties between penalties",
+)
+def test_learning_switch_changes_the_control_run():
+    # Learning on and off differ only in the knowledge base's final ranks.
+    scenario = harness.load_scenario("fig10-learning")
+    on, off = (
+        harness.run(dataclasses.replace(scenario, learning=learning), seed=0, mode="control")
+        for learning in (True, False)
+    )
+    assert on.controller.transitions != off.controller.transitions
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="a new episode's best candidate is often a mechanism the call still holds",
+)
+def test_no_d2_application_re_applies_a_held_mechanism():
+    # Such an application records a noop, yet the episode settles on it for
+    # a window and acquires its outcome as if it had acted: 47 of churn-0's
+    # 80 d2 applications.
+    scenario = harness.scenario_from_json(json.loads(churn_json(0)))
+    art = harness.run(scenario, seed=0, mode="control")
+    applied = [
+        tr for tr in art.controller.transitions
+        if tr.kind == "d2" and not tr.cause.startswith("stop:")
+    ]
+    assert applied and [tr.cause for tr in applied if tr.noop] == []
