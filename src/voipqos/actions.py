@@ -9,6 +9,12 @@ derives the shared queue and the flow from the ledger, so nothing is
 snapshotted or restored, and one call's stop leaves the others' in place.
 CASE_ORDER fixes each case's actions and their order in the shipped
 knowledge seed, which `harness.default_kb` reads; this module reads no file.
+
+Every ledger lookup, every `set` of tried actions and every membership test
+in selection hashes an `ActionId`, so each id hashes its fields once, when
+it is made. A `TransitionRecord` is built for each application, stop and d1
+state, so it is slotted rather than frozen: a slotted dataclass builds
+several times faster, and no record is written after it is made.
 """
 from __future__ import annotations
 
@@ -49,6 +55,11 @@ class ActionId:
     def __post_init__(self) -> None:
         # Canonical parameter order so identity survives serialization.
         object.__setattr__(self, "params", tuple(sorted(self.params)))
+        # Hashed once, not on every lookup as dataclass's own __hash__ would.
+        object.__setattr__(self, "_hash", hash((self.kind, self.params)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def param(self, name: str) -> float:
         for key, value in self.params:
@@ -104,17 +115,25 @@ CONFLICT_SETS: Tuple[frozenset, ...] = (
 )
 
 
+# Each kind in CONFLICT_SETS with the kinds that share a set with it.
+_CONFLICTING_KINDS: Dict[str, frozenset] = {
+    kind: frozenset().union(*(s for s in CONFLICT_SETS if kind in s))
+    for group in CONFLICT_SETS
+    for kind in group
+}
+
+
 def conflicts(a: ActionId, b: ActionId) -> bool:
     """True iff the two catalog actions must not coexist."""
-    if a == b:
-        return False
     if a.kind == b.kind:
         # Two parameterizations of one mechanism are mutually exclusive.
-        return True
-    return any(a.kind in s and b.kind in s for s in CONFLICT_SETS)
+        return a != b
+    return b.kind in _CONFLICTING_KINDS.get(a.kind, ())
 
 
-@dataclass(frozen=True)
+# Read, never written, by the controller and the harness; slotted rather
+# than frozen, as the module docstring says.
+@dataclass(slots=True)
 class TransitionRecord:
     kind: str  # "d1" | "d2" | "d3"
     cause: str

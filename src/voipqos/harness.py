@@ -15,6 +15,7 @@ knowledge seed and the artifacts, trace.csv included.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -441,8 +442,15 @@ def calibrate(seed: int = 0) -> KnowledgeBase:
 
 
 def default_kb() -> KnowledgeBase:
-    """Knowledge base from the shipped calibration seed, found relative to
-    this package, so that a copy imported under another name reads its own."""
+    """A fresh knowledge base holding the shipped calibration seed, which
+    is read once per process; each call returns an independent copy."""
+    return _seed_kb().copy()
+
+
+@functools.cache
+def _seed_kb() -> KnowledgeBase:
+    """The shipped calibration seed, found relative to this package, so
+    that a copy imported under another name reads its own."""
     seed = resources.files(f"{__package__}.data").joinpath("default_kb.json")
     return KnowledgeBase.from_json(json.loads(seed.read_text()))
 

@@ -106,6 +106,16 @@ class KnowledgeBase:
         if ranks != list(range(1, len(ranks) + 1)):
             raise KnowledgeError(f"ranks not contiguous in {case.value}: {ranks}")
 
+    def copy(self) -> "KnowledgeBase":
+        """An independent copy: new entries, sharing the immutable ids."""
+        kb = KnowledgeBase()
+        for case, listed in self._cases.items():
+            kb._cases[case] = [
+                ActionEntry(e.action, e.rank, e.h_delay_ms, e.h_loss) for e in listed
+            ]
+        kb.revision = self.revision
+        return kb
+
     # ---------------- serialization ----------------
 
     def to_json(self) -> dict:
@@ -170,13 +180,19 @@ def select_next(
     tried: Iterable[ActionId],
     constraints: Constraints = DEFAULT_CONSTRAINTS,
 ) -> Optional[ActionEntry]:
-    """Best entry not yet tried this episode; None when exhausted."""
+    """Best entry not yet tried this episode, by (penalty, rank); None
+    when exhausted."""
     tried_set = set(tried)
-    return min(
-        (e for e in kb._cases[case] if e.action not in tried_set),
-        key=lambda e: (penalty(e.h, constraints), e.rank),
-        default=None,
-    )
+    best = None
+    # min() over a generator with a key function, unrolled: this runs at
+    # every search step.
+    for e in kb._cases[case]:
+        if e.action in tried_set:
+            continue
+        key = (penalty((e.h_delay_ms, e.h_loss), constraints), e.rank)
+        if best is None or key < best_key:
+            best, best_key = e, key
+    return best
 
 
 # ---------------- learning ----------------

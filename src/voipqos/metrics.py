@@ -1,4 +1,9 @@
-"""Call-quality metrics: E-model rating, quality bands, samples and constraints."""
+"""Call-quality metrics: E-model rating, quality bands, samples and constraints.
+
+A `HeuristicSample` is built once per sampled window, so it is slotted
+rather than frozen: a slotted dataclass builds several times faster, and
+no sample is ever written after it is made.
+"""
 from __future__ import annotations
 
 import math
@@ -72,7 +77,9 @@ def estimate_mos(delay_ms: float, loss: float) -> float:
     return mos_from_rating(rating_factor(delay_ms, loss))
 
 
-@dataclass(frozen=True)
+# Read, never written, by the controller and the harness; slotted rather
+# than frozen, as the module docstring says.
+@dataclass(slots=True)
 class HeuristicSample:
     """One (delay, loss, MOS) measurement for a call state."""
 

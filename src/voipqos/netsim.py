@@ -518,10 +518,12 @@ class SimWorld:
         if isinstance(st.cfg, BackgroundFlow):
             raise ValueError("QoS mechanisms act on behalf of media flows")
         ledger = dict(self.mechanisms)
+        key = (flow_id, action)
         if effect is None:
-            del ledger[(flow_id, action)]
+            changed = (ledger.pop(key),)
         else:
-            ledger[(flow_id, action)] = effect
+            changed = (effect,) if key not in ledger else (ledger[key], effect)
+            ledger[key] = effect
         cfg = replace(st.configured, **{
             k: v for (fid, _), e in ledger.items() if fid == flow_id for k, v in e.flow.items()
         })
@@ -542,7 +544,9 @@ class SimWorld:
             st.block = None  # the open block will never get its parity packet
         st.cfg = cfg
         self.mechanisms = ledger
-        self._derive_queue()
+        # An entry that changes only its flow leaves the derived queue as it was.
+        if any(e.step_pkts is not None or e.red is not None for e in changed):
+            self._derive_queue()
 
     def set_buffer(self, capacity_pkts: int) -> None:
         """Set the configured buffer capacity; mechanisms' steps stay on top."""
@@ -699,13 +703,19 @@ class SimWorld:
         """
         st = self.flows[flow_id]
         t, m = st.totals, st.mark
-        dropped = t.dropped - m.dropped
-        resolved = t.delivered - m.delivered + dropped
+        # The window's counts, summed here rather than through the counters'
+        # properties: this runs once per call and window.
+        delivered = t.delivered - m.delivered
+        dropped = (
+            t.dropped_link + t.dropped_queue + t.dropped_policer
+            - m.dropped_link - m.dropped_queue - m.dropped_policer
+        )
+        resolved = delivered + dropped
         if resolved == 0:
             return None
         recovered = t.recovered - m.recovered
         loss = min(1.0, max(0.0, (dropped - recovered) / resolved))
-        delay_n = t.delay_n - m.delay_n
+        delay_n = delivered + recovered
         if delay_n > 0:
             delay = st.window_delay_ms / delay_n
             st.last_delay_ms = delay

@@ -1,6 +1,7 @@
 """QoS action catalog tests: conflicts, apply/stop reversibility, defaults."""
 import importlib
 import itertools
+import json
 import shutil
 import sys
 import weakref
@@ -23,6 +24,14 @@ from voipqos.actions import (
     increase_buffer,
 )
 from voipqos.controller import Controller
+from voipqos.knowledge import (
+    KnowledgeBase,
+    ScenarioCase,
+    acquire,
+    action_from_json,
+    action_to_json,
+    refine,
+)
 from voipqos.netsim import (
     AdmissionRefusedError,
     BUFFER_MAX_PKTS,
@@ -82,6 +91,25 @@ class TestConflicts:
         assert conflicts(enable_red(), enable_red(min_th=80, max_th=100))
         assert conflicts(increase_buffer(15), increase_buffer(30))
 
+    def test_matches_the_pairwise_rule(self):
+        # The rule conflicts follows, written out: distinct parameterizations
+        # of one kind conflict, and so do two kinds in one conflict set.
+        def rule(a, b):
+            if a == b:
+                return False
+            if a.kind == b.kind:
+                return True
+            return any(a.kind in s and b.kind in s for s in actions.CONFLICT_SETS)
+
+        ids = {a for order in CASE_ORDER.values() for a in order} | {
+            increase_buffer(30),
+            decrease_buffer(30),
+            enable_red(min_th=80, max_th=100),
+            enable_fec(block_k=8),
+        }
+        for a, b in itertools.product(sorted(ids, key=lambda a: a.name), repeat=2):
+            assert conflicts(a, b) == rule(a, b), (a.name, b.name)
+
 
 class TestNaming:
     def test_parameterless_name(self):
@@ -95,6 +123,22 @@ class TestNaming:
         assert enable_fec().param("parity") == 1.0
         with pytest.raises(KeyError, match="enable_fec"):
             actions.ActionId(actions.ENABLE_FEC).param("block_k")
+
+
+class TestIdentity:
+    @pytest.mark.parametrize("action", [enable_red(), enable_fec(), increase_buffer()])
+    def test_rebuilt_ids_are_equal_hash_equal_and_find_the_ledger_entry(self, action):
+        world = _world()
+        actions.apply_action(world, "m", action)
+        rebuilt = [
+            actions.ActionId(action.kind, tuple(reversed(action.params))),
+            action_from_json(action_to_json(action)),
+            replace(action, params=tuple(reversed(action.params))),
+        ]
+        for other in rebuilt:
+            assert other is not action
+            assert other == action and hash(other) == hash(action)
+            assert ("m", other) in world.mechanisms
 
 
 class TestCaseOrder:
@@ -386,7 +430,21 @@ class TestRefusedReadmission:
         world = _contested_world()
         configured_queue = world.queue
 
+        def derived_queue():
+            # The configured queue under the ledger's queue effects, oldest
+            # first: buffer steps stack, clamped in turn, and the newest RED
+            # table wins.
+            capacity, red = world.configured_capacity_pkts, world.configured_red
+            for effect in world.mechanisms.values():
+                if effect.step_pkts is not None:
+                    capacity += effect.step_pkts
+                    capacity = min(BUFFER_MAX_PKTS, max(BUFFER_MIN_PKTS, capacity))
+                if effect.red is not None:
+                    red = effect.red
+            return QueueConfig(capacity, tuple(netsim._clamp_red(p, capacity) for p in red))
+
         def check():
+            assert world.queue == derived_queue()
             held = sum(
                 flow.cfg.reserved_kbps
                 for flow in world.flows.values()
@@ -439,6 +497,21 @@ class TestDefaultKnowledge:
         finally:
             for name in [n for n in sys.modules if n.split(".")[0] == "voipqos_copy"]:
                 del sys.modules[name]
+
+    def test_each_call_hands_out_an_independent_base(self):
+        seed = json.loads((Path(harness.__file__).parent / "data" / "default_kb.json").read_text())
+        expected = KnowledgeBase.from_json(seed).to_json()
+        kb = harness.default_kb()
+        assert kb.to_json() == expected
+        # Measure case2's last-ranked action best, then refine: it swaps
+        # ranks with the best-ranked action ahead of it.
+        case = ScenarioCase.CASE2
+        last = kb.entries(case)[-1].action
+        acquire(kb, case, last, (0.0, 0.0))
+        refine(kb, case, last)
+        assert kb.entry(case, last).rank == 1
+        assert kb.to_json() != expected
+        assert harness.default_kb().to_json() == expected
 
     def test_seed_loads_and_covers_all_cases(self):
         from voipqos.harness import default_kb
