@@ -95,8 +95,9 @@ def enable_wred(min_th: float = 50, max_th: float = 100, max_p: float = 0.1) -> 
     )
 
 
-def enable_fec(block_k: int = 4, parity: int = 1) -> ActionId:
-    return ActionId(ENABLE_FEC, (("block_k", float(block_k)), ("parity", float(parity))))
+def enable_fec(block_k: int = 4) -> ActionId:
+    # Single parity, named in the id as knowledge-base files record it.
+    return ActionId(ENABLE_FEC, (("block_k", float(block_k)), ("parity", 1.0)))
 
 
 def controlled_load() -> ActionId:
@@ -173,8 +174,10 @@ def _effect(action: ActionId, rate_kbps: float) -> Effect:
             lax = REDParams(params.min_th * 1.2, params.max_th * 1.2, params.max_p / 2)
         return Effect(red=(params, lax))
     if action.kind == ENABLE_FEC:
-        fec = FecConfig(int(action.param("block_k")), int(action.param("parity")))
-        return Effect(flow={"fec": fec})
+        # A knowledge-base file may name any parity; netsim runs one.
+        if action.param("parity") != 1:
+            raise ValueError("only single-parity FEC is supported")
+        return Effect(flow={"fec": FecConfig(int(action.param("block_k")))})
     if action.kind == GUARANTEED_LOAD:
         reserved = rate_kbps * GUARANTEED_RESERVATION_FACTOR
         return Effect(flow={"service": netsim.GUARANTEED, "reserved_kbps": reserved})

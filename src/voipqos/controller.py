@@ -11,10 +11,12 @@ call ends (d2) or gives them up to coordination (d3), and only those a
 newly applied candidate conflicts with in a search step, so a candidate
 that netsim refuses with `AdmissionRefusedError`, the one refusal error,
 retires nothing.  A d1 names the network changes the world logged since
-the previous window.  Time is the world's clock: states, transitions and
-episodes are stamped with `world.clock`.  The controller owns the run's
-constraints, which every check and every knowledge-base ordering reads,
-and the end of each call's flow; a state owns its g.
+the previous window.  A call's category is set with its sample, in
+`_observe`, the one place that classifies; a state opens on both.  Time is
+the world's clock: states, transitions and episodes are stamped with
+`world.clock`.  The controller owns the run's constraints, which every
+check and every knowledge-base ordering reads, and the end of each call's
+flow; a state owns its g.
 """
 from __future__ import annotations
 
@@ -106,6 +108,7 @@ class Call:
     states: List[CallState] = field(default_factory=list)
     episode: Optional[Episode] = None
     sample: Optional[HeuristicSample] = None
+    category: Optional[QualityCategory] = None
     closed: bool = False
 
     def __post_init__(self) -> None:
@@ -181,20 +184,14 @@ class Controller:
 
     # ---------------- state bookkeeping ----------------
 
-    def _open_state(
-        self, call: Call, entering: str, category: Optional[QualityCategory] = None
-    ) -> None:
-        """Open the call's next state on its latest sample; `category` is
-        that sample's, when the caller has already classified it."""
+    def _open_state(self, call: Call, entering: str) -> None:
+        """Open the call's next state on its latest sample and its category."""
         if call.states:
             call.current_state.closed_at_ms = self.world.clock
-        sample = call.sample
-        if category is None and sample is not None:
-            category = classify(sample)
         self._state_seq += 1
         call.states.append(CallState(
             self._state_seq, self.world.clock, entering,
-            opening_sample=sample, category=category,
+            opening_sample=call.sample, category=call.category,
         ))
 
     def _record(self, call: Call, kind: str, cause: str) -> None:
@@ -234,7 +231,7 @@ class Controller:
         sample = call.sample
         if sample is None:
             return
-        category = classify(sample)
+        category = call.category = classify(sample)
         state = call.current_state
         state.add_sample(sample)
         if state.opening_sample is None:
@@ -253,7 +250,7 @@ class Controller:
         else:
             return
         self._record(call, "d1", cause)
-        self._open_state(call, "d1", category)
+        self._open_state(call, "d1")
         call.current_state.add_sample(sample)
 
     # ---------------- single-call control ----------------

@@ -9,9 +9,10 @@ laxer one for priority too).  Media flows can run single-parity FEC.  The
 live queue and media flows are derived from their configured values and
 the applied mechanisms' ledger, `SimWorld.mechanisms`, whose one writer
 is `SimWorld.set_mechanism`.  Guaranteed reservations are summed from the
-live flows.  A scripted timeline of network changes drives impairments;
-`SimWorld.notifications` logs every applied change, in order, and every
-run with the same (seed, config) produces the same event history.
+live flows.  A scripted timeline of network changes is the one way to
+change the network (its latency, loss rate, buffer size and background
+rate); `SimWorld.notifications` logs every applied change, in order, and
+every run with the same (seed, config) produces the same event history.
 
 The event set is one heap plus a delivery FIFO, and `advance` runs every
 event itself: a flow's emission of its next burst, the end of a
@@ -27,8 +28,9 @@ goes on the wire.
 
 Each packet carries its flow and, under FEC, its block; a flow holds only
 its open block, and the world the one packet on the wire.  A flow's totals
-are its one set of packet counters: a measurement window is the totals
-since the last sample, plus the window's own delay sum.  The packet log,
+are its one set of packet counters: a measurement window is three of the
+totals, delivered, dropped and recovered, since the last sample, plus the
+window's own delay sum.  The packet log,
 one row per packet outcome, is kept only by a world built with
 `trace=True`; the harness gives a traced run's world a log that it writes
 to trace.csv after every window.  This module reads and writes no file.
@@ -145,12 +147,9 @@ def red_drop_probability(params: REDParams, avg_queue: float) -> float:
 @dataclass(frozen=True)
 class FecConfig:
     block_k: int = 4
-    parity_count: int = 1
 
     def __post_init__(self) -> None:
         _check_count("block_k", self.block_k)
-        if self.parity_count != 1:
-            raise ValueError("only single-parity FEC is supported")
 
 
 @dataclass(frozen=True)
@@ -318,9 +317,9 @@ class _FlowState:
         self.tokens_bits = 0.0
         self.tokens_at_ms = 0.0
         self.totals = FlowCounters()
-        # The window is the totals since `mark`, taken by the last sample,
-        # but for the delay sum, which has its own accumulator.
-        self.mark = FlowCounters()
+        # The (delivered, dropped, recovered) totals at the last sample; the
+        # window's delay sum has its own accumulator.
+        self.mark = (0, 0, 0)
         self.window_delay_ms = 0.0
         self.last_delay_ms: Optional[float] = None
         self.active = True
@@ -548,11 +547,6 @@ class SimWorld:
         if any(e.step_pkts is not None or e.red is not None for e in changed):
             self._derive_queue()
 
-    def set_buffer(self, capacity_pkts: int) -> None:
-        """Set the configured buffer capacity; mechanisms' steps stay on top."""
-        self.configured_capacity_pkts = capacity_pkts
-        self._derive_queue()
-
     def _derive_queue(self) -> None:
         """Fold the ledger's queue effects, oldest first, into the configured
         queue (buffer steps stack, clamped in turn; the newest RED table
@@ -578,7 +572,8 @@ class SimWorld:
         elif kind == SET_LOSS_RATE:
             self.link = LinkConfig(link.latency_ms, value, link.capacity_kbps)
         elif kind == SET_BUFFER_SIZE:
-            self.set_buffer(int(value))
+            self.configured_capacity_pkts = int(value)
+            self._derive_queue()
         elif kind == SET_BACKGROUND_RATE:
             for st in self.flows.values():
                 cfg = st.cfg
@@ -702,18 +697,16 @@ class SimWorld:
         keeps its previous sample, and the window goes on).
         """
         st = self.flows[flow_id]
-        t, m = st.totals, st.mark
-        # The window's counts, summed here rather than through the counters'
-        # properties: this runs once per call and window.
-        delivered = t.delivered - m.delivered
-        dropped = (
-            t.dropped_link + t.dropped_queue + t.dropped_policer
-            - m.dropped_link - m.dropped_queue - m.dropped_policer
-        )
+        t = st.totals
+        # Summed here, not by the counters' property: this runs once per window.
+        dropped_total = t.dropped_link + t.dropped_queue + t.dropped_policer
+        mark_delivered, mark_dropped, mark_recovered = st.mark
+        delivered = t.delivered - mark_delivered
+        dropped = dropped_total - mark_dropped
         resolved = delivered + dropped
         if resolved == 0:
             return None
-        recovered = t.recovered - m.recovered
+        recovered = t.recovered - mark_recovered
         loss = min(1.0, max(0.0, (dropped - recovered) / resolved))
         delay_n = delivered + recovered
         if delay_n > 0:
@@ -723,10 +716,7 @@ class SimWorld:
             delay = st.last_delay_ms
         else:
             delay = self.link.latency_ms
-        st.mark = FlowCounters(
-            t.sent, t.delivered, t.dropped_link, t.dropped_queue, t.dropped_policer,
-            t.recovered, t.delay_sum_ms,
-        )
+        st.mark = (t.delivered, dropped_total, t.recovered)
         st.window_delay_ms = 0.0
         return HeuristicSample.from_measurement(delay, loss)
 

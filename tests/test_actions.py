@@ -336,7 +336,7 @@ def _expected_cfg(world, flow_id):
     fields = {}
     for action in actions.active_actions(world, flow_id):
         if action == enable_fec():
-            fields["fec"] = FecConfig(4, 1)
+            fields["fec"] = FecConfig(4)
         elif action == controlled_load():
             fields.update(service=netsim.CONTROLLED_LOAD, reserved_kbps=0.0)
         elif action == guaranteed_load():

@@ -1,9 +1,12 @@
 """Controller tests: case detection, global check, episodes, trace validity."""
 import dataclasses
+import json
+import sys
+from pathlib import Path
 
 import pytest
 
-from voipqos import actions, harness, knowledge
+from voipqos import actions, controller, harness, knowledge
 from voipqos.actions import (
     controlled_load,
     decrease_buffer,
@@ -25,6 +28,10 @@ from voipqos.harness import scenario_from_json
 from voipqos.knowledge import KnowledgeBase, ScenarioCase, select_next
 from voipqos.metrics import Constraints, HeuristicSample
 from voipqos import netsim
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+from workloads import churn_json  # noqa: E402
 
 
 class TestDetectCase:
@@ -420,3 +427,20 @@ class TestChangeLog:
         assert d1_at == {
             5_000.0: [], 10_000.0: [], 15_000.0: ["set_latency=11"], 20_000.0: [], 25_000.0: []
         }
+
+
+class TestClassification:
+    def test_each_sample_is_classified_once(self, monkeypatch):
+        # Every timeseries row of a call is one sample the controller observed.
+        calls = []
+
+        def counted(sample):
+            calls.append(sample)
+            return classify(sample)
+
+        classify = controller.classify
+        monkeypatch.setattr(controller, "classify", counted)
+        scenario = scenario_from_json(json.loads(churn_json(0)))
+        art = harness.run(scenario, seed=0, mode="control")
+        rows = [row for row in art.timeseries if row[1] != harness.GLOBAL_ROW_ID]
+        assert len(calls) == len(rows) == 239

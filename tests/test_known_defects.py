@@ -3,7 +3,7 @@
 Each test asserts what the mended code does and is a strict xfail: it
 fails today, and the change that mends the defect (re-recording
 bench/golden.json, since the outputs move) must flip it to a plain test.
-ROADMAP item 1 describes the first five defects and their mends, and item 3
+ROADMAP item 1 describes the first six defects and their mends, and item 3
 the learning switch; the re-applied mechanisms are described at their test.
 """
 import copy
@@ -46,6 +46,22 @@ def test_control_mode_samples_every_window():
         for mode in ("baseline", "control")
     }
     assert windows == {"baseline": 6, "control": 6}
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="baseline mode samples a call once more, after it has ended",
+)
+def test_baseline_mode_samples_no_call_after_its_end():
+    # Packets still in flight at the call's end make one more row, 5 s on:
+    # 69 windows each for fig10's two 340 s calls, the last after the end.
+    scenario = harness.load_scenario("fig10-learning")
+    art = harness.run(scenario, seed=0, mode="baseline")
+    for call in scenario.calls:
+        rows = [row[0] for row in art.timeseries if row[1] == call.call_id]
+        assert art.summary["calls"][call.call_id]["windows"] == len(rows) == 68
+        assert max(rows) * 1000.0 <= call.flow.end_ms
 
 
 @pytest.mark.xfail(

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from voipqos import harness, netsim
+from voipqos import actions, harness, netsim
 from voipqos.netsim import (
     AdmissionRefusedError,
     BackgroundFlow,
@@ -29,11 +29,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 from workloads import churn_json  # noqa: E402
 
 
-def _world(latency=10.0, loss=0.0, capacity=1000.0, buffer_pkts=100, seed=0, **kw):
+def _world(latency=10.0, loss=0.0, capacity=1000.0, buffer_pkts=100, seed=0, timeline=(), **kw):
     return SimWorld(
         LinkConfig(latency, loss, capacity),
         QueueConfig(capacity_pkts=buffer_pkts, **kw),
         seed=seed,
+        timeline=timeline,
     )
 
 
@@ -251,8 +252,12 @@ class TestRed:
         "red, capacity", [((1, 41, 1.0), 1), ((40, 41, 0.5), 30), ((50, 100, 0.1), 80)]
     )
     def test_shrunk_buffer_keeps_red_inside_it(self, red, capacity):
-        world = _world(buffer_pkts=100 if red[1] <= 100 else 150, red=(REDParams(*red), None))
-        world.set_buffer(capacity)
+        world = _world(
+            buffer_pkts=100 if red[1] <= 100 else 150,
+            red=(REDParams(*red), None),
+            timeline=(NetworkChange(0.0, netsim.SET_BUFFER_SIZE, capacity),),
+        )
+        world.advance(0.0)
         params = world.queue.red[0]
         assert world.queue.capacity_pkts == capacity
         assert 0 < params.min_th < params.max_th == capacity
@@ -318,8 +323,13 @@ class TestFec:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             FecConfig(block_k=0)
-        with pytest.raises(ValueError):
-            FecConfig(block_k=4, parity_count=2)
+        # FEC is single-parity, but a knowledge base's id may name any parity.
+        world = _world()
+        world.add_flow(MediaFlow("m"))
+        two = actions.ActionId(actions.ENABLE_FEC, (("block_k", 4.0), ("parity", 2.0)))
+        with pytest.raises(ValueError, match="only single-parity FEC is supported"):
+            actions.apply_action(world, "m", two)
+        assert world.mechanisms == {} and world.flows["m"].cfg.fec is None
 
 
 class TestBufferSizing:
@@ -489,11 +499,14 @@ class TestNetworkChanges:
         world.check_conservation()
 
     def test_buffer_shrink_sheds_newest_first(self):
-        world = _world(latency=0.0, capacity=100.0, buffer_pkts=50)
+        world = _world(
+            latency=0.0, capacity=100.0, buffer_pkts=50,
+            timeline=(NetworkChange(10.0, netsim.SET_BUFFER_SIZE, 20),),
+        )
         world.add_flow(MediaFlow("m", burst_pkts=40))
-        world.advance(10.0)
+        world.advance(9.0)
         assert world.occupancy > 20
-        world.set_buffer(20)
+        world.advance(10.0)
         assert world.occupancy == 20
         world.check_conservation()
 
@@ -525,16 +538,46 @@ class TestMeasurement:
         assert world.measure("m") is None
 
     def test_window_resets_between_samples(self):
-        world = _world(latency=5.0)
+        # One 520-bit packet every 20 ms, 0.52 ms on the wire; the latency
+        # steps from 5 to 50 ms at 5 s, and every packet is lost from 6 s to 7 s.
+        world = _world(latency=5.0, timeline=(
+            NetworkChange(5_000.0, netsim.SET_LATENCY, 50.0),
+            NetworkChange(6_000.0, netsim.SET_LOSS_RATE, 1.0),
+            NetworkChange(7_000.0, netsim.SET_LOSS_RATE, 0.0),
+        ))
         world.add_flow(MediaFlow("m"))
         world.advance(5_000.0)
         first = world.measure("m")
-        assert first is not None and first.loss == 0.0
-        st = world.flows["m"]
-        assert st.mark == st.totals and st.window_delay_ms == 0.0
-        world.advance(5_001.0)
-        # Essentially nothing resolved since the last sample.
-        assert st.totals.delivered - st.mark.delivered <= 1
+        assert first.delay_ms == pytest.approx(5.52) and first.loss == 0.0
+        # Nothing resolved since the last sample, so there is no window yet.
+        assert world.measure("m") is None
+        world.advance(6_000.0)
+        second = world.measure("m")
+        assert second.delay_ms == pytest.approx(50.52) and second.loss == 0.0
+        # The two packets in flight at 6 s arrive, and the 50 sent since are lost.
+        world.advance(7_000.0)
+        third = world.measure("m")
+        assert third.delay_ms == pytest.approx(50.52) and third.loss == pytest.approx(50 / 52)
+        world.advance(8_000.0)
+        fourth = world.measure("m")
+        assert fourth.delay_ms == pytest.approx(50.52) and fourth.loss == 0.0
+
+    def test_window_without_deliveries_reads_a_fallback_delay(self):
+        # Before any delivery, the link latency.
+        world = _world(latency=30.0, loss=1.0)
+        world.add_flow(MediaFlow("m"))
+        world.advance(5_000.0)
+        assert world.measure("m").delay_ms == 30.0
+        # After one, the last window's delay: here 5 ms plus the
+        # transmission of a 520-bit packet at 1000 kbps.
+        lossy = NetworkChange(5_000.0, netsim.SET_LOSS_RATE, 1.0)
+        world = _world(latency=5.0, timeline=(lossy,))
+        world.add_flow(MediaFlow("m"))
+        world.advance(5_000.0)
+        delivering = world.measure("m").delay_ms
+        assert delivering == pytest.approx(5.52)
+        world.advance(10_000.0)
+        assert world.measure("m").delay_ms == delivering
 
     def test_loss_counts_recoveries(self):
         world = _world(latency=5.0, loss=0.05, capacity=10_000.0, seed=5)
