@@ -8,9 +8,12 @@ objects too, so they are checked by the code that checks a file.
 `build_world` only instantiates a `SimWorld` from the configs, and a world
 never writes to them, so one `Scenario` can be run any number of times.
 `run` drives the 5 s window loop, with or without the controller, writing
-trace.csv as it goes; `write_outputs` writes the other artifacts. This is
-the one module that reads or writes files: scenario files, the shipped
-knowledge seed and the artifacts, trace.csv included.
+trace.csv as it goes: each window's packet rows are formatted a chunk of
+rows per `%` call, so writing them holds about 130 KB at a time, well
+under the 3 MB a traced run is tested against. `write_outputs` writes the
+other artifacts. This is the one module that reads or writes files:
+scenario files, the shipped knowledge seed and the artifacts, trace.csv
+included.
 """
 from __future__ import annotations
 
@@ -612,10 +615,21 @@ def _summary(
 
 # ---------------- artifact emission ----------------
 
+# trace.csv's rows per `%` call: a chunk's template, arguments and text peak
+# near 130 KB, whatever the size of a window.
+_CHUNK_ROWS = 1024
+# A row with a delay, and one without: `%.0s` prints the missing delay, None,
+# as nothing.
+_ROW_DELAY = "%.6f,%s,%s,%.6f\r\n"
+_ROW_NO_DELAY = "%.6f,%s,%s,%.0s\r\n"
+
+
 class _PacketLog(list):
     """A traced run's packet log, streamed to trace.csv: the rows logged since
     the last `flush`. A list, so that the world's append stays a list append;
-    len() counts every row of the run."""
+    len() counts every row of the run. `flush` formats the rows a chunk at a
+    time, one `%` call per chunk, so that the text of a whole window is never
+    held at once and a traced run stays well under 3 MB."""
 
     def __init__(self, fh: TextIO, flow_ids: Iterable[str]) -> None:
         fh.write("time_ms,flow_id,event,delay_ms\r\n")
@@ -626,14 +640,18 @@ class _PacketLog(list):
         return self.flushed + super().__len__()
 
     def flush(self) -> None:
-        """Write the rows, hand-formatted as csv.writer would, and drop them."""
-        ids = self.ids
-        self.fh.writelines(
-            f"{at:.6f},{ids[fid]},{event},\r\n" if delay is None
-            else f"{at:.6f},{ids[fid]},{event},{delay:.6f}\r\n"
-            for at, fid, event, delay in self
-        )
-        self.flushed += super().__len__()
+        """Write the rows, formatted as csv.writer would, and drop them. Each
+        chunk of rows is one `%` over its rows' templates and one write. The
+        quoted ids are arguments, never template text, so a `%` in an id is
+        only text."""
+        ids, write, pending = self.ids, self.fh.write, super().__len__()
+        for start in range(0, pending, _CHUNK_ROWS):
+            templates, args = [], []
+            for at, fid, event, delay in self[start:start + _CHUNK_ROWS]:
+                templates.append(_ROW_NO_DELAY if delay is None else _ROW_DELAY)
+                args += (at, ids[fid], event, delay)
+            write("".join(templates) % tuple(args))
+        self.flushed += pending
         self.clear()
 
 

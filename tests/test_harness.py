@@ -3,6 +3,7 @@ import copy
 import csv
 import dataclasses
 import gc
+import io
 import json
 import os
 import re
@@ -582,6 +583,50 @@ class TestPacketLog:
             rows = sum(1 for _ in csv.reader(fh)) - 1
         assert len(traced.world.log) == rows == 83_898
         assert len(harness.run(scenario, seed=0, mode="control").world.log) == 0
+
+    def test_chunked_rows_equal_csv_writer(self, tmp_path, monkeypatch):
+        # One 5 s window that logs several chunks of rows and a part chunk,
+        # with every packet outcome and call ids that csv.writer quotes or
+        # that hold a `%`.
+        scenario = scenario_from_json({
+            "name": "trace-edges",
+            "duration_s": 5.0,
+            "link": {"loss_rate": 0.05, "capacity_kbps": 300.0},
+            "queue": {"capacity_pkts": 20},
+            "background": {"rate_kbps": 300.0},
+            "calls": [
+                {"call_id": "a,b", "flow": {"packet_interval_ms": 5.0, "fec_block_k": 4}},
+                {"call_id": 'q"x', "flow": {
+                    "packet_interval_ms": 5.0, "service": "guaranteed",
+                    "reserved_kbps": 5.0, "burst_pkts": 4,
+                }},
+                {"call_id": "100%s", "flow": {"packet_interval_ms": 5.0}},
+            ],
+        })
+        flushed = []
+        flush = harness._PacketLog.flush
+
+        def recording_flush(log):
+            flushed.append(list(log))
+            flush(log)
+
+        monkeypatch.setattr(harness._PacketLog, "flush", recording_flush)
+        art = harness.run(scenario, seed=0, mode="baseline", out_dir=str(tmp_path))
+        [rows] = flushed
+        assert len(rows) > 3 * harness._CHUNK_ROWS and len(rows) % harness._CHUNK_ROWS
+        assert {event for _, _, event, _ in rows} == {
+            "sent", "delivered", "dropped_link", "dropped_queue", "dropped_policer", "recovered",
+        }
+        assert {fid for _, fid, _, _ in rows} == {"bg", "flow-a,b", 'flow-q"x', "flow-100%s"}
+        expected = io.StringIO()
+        writer = csv.writer(expected)
+        writer.writerow(["time_ms", "flow_id", "event", "delay_ms"])
+        writer.writerows(
+            [f"{at:.6f}", fid, event, "" if delay is None else f"{delay:.6f}"]
+            for at, fid, event, delay in rows
+        )
+        assert (tmp_path / "trace.csv").read_bytes().decode() == expected.getvalue()
+        assert len(art.world.log) == len(rows)
 
 
 class TestArtifacts:

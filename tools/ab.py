@@ -5,20 +5,22 @@ usage: python tools/ab.py --parent DIR --change DIR [--pairs N]
 Each DIR holds a `voipqos` package (a checkout's `src`). The two trees are
 imported into one interpreter as two packages, `voipqos_parent` and
 `voipqos_change`, so both sides share the host's speed at each moment. A
-pair times two samples on both sides: the presets, every preset in
-control and baseline mode at seed 0, and the churn sample, the one-call
+pair times three samples on both sides: the presets, every preset in
+control and baseline mode at seed 0; the churn sample, the one-call
 control-churn scenarios of CHURN_SAMPLE, each at its index as seed, as
 the benchmark runs them, from the text that `bench/workloads.py` of this
-checkout generates. The presets spend nearly all their time in the
-event loop; the churn sample is where the controller and knowledge base
-take a visible share. Each run of one side comes right after the same run
-of the other, and which side runs first alternates from pair to pair.
-Every pair of runs must return identical outputs: the summary, the
-knowledge base a control run ends with, the timeseries, and a control
-run's transitions and call states. They are compared outside the timing.
-Before the pairs, each side writes the artifacts of one traced control
-run of each of TRACED_PRESETS, trace.csv included, and every file must be
-byte-equal across the two sides.
+checkout generates; and the traced sample, a control run at seed 0 of
+each of TRACED_PRESETS that writes its artifacts, trace.csv included, to
+a fresh directory. The presets spend nearly all their time in the event
+loop; the churn sample is where the controller and knowledge base take a
+visible share; the traced sample adds the writing of trace.csv, as the
+benchmark's multicall-artifacts workload does. Each run of one side comes
+right after the same run of the other, and which side runs first
+alternates from pair to pair. Every pair of runs must return identical
+outputs: the summary, the knowledge base a control run ends with, the
+timeseries, and a control run's transitions and call states; in the
+traced sample, every artifact file must also be byte-equal. They are
+compared outside the timing.
 
 Prints each pair's two times for each sample, then, for each sample on
 its own lines, each side's median and quartiles, the change's wins (ties
@@ -37,6 +39,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from typing import Optional
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
@@ -53,10 +56,10 @@ MODES = ("control", "baseline")
 # Generated control-churn indices: even ones have one call and run to the
 # end (odd ones raise a recorded KnowledgeError).
 CHURN_SAMPLE = tuple(range(0, 40, 2))
-# table4-red-10k's trace.csv holds media and background rows and queue
-# drops; table1-s2's ends with rows shed when its call closes, after the
-# last advance.
-TRACED_PRESETS = ("table4-red-10k", "table1-s2")
+# The presets of the multicall-artifacts workload. table4-red-10k's
+# trace.csv holds media and background rows and queue drops; fig7's ends
+# with rows logged when its calls close, after the last advance.
+TRACED_PRESETS = ("fig7-multicall", "table4-red-10k")
 
 
 def import_tree(src: Path, name: str):
@@ -73,11 +76,11 @@ def import_tree(src: Path, name: str):
     return importlib.import_module(f"{name}.harness")
 
 
-def preset_runs(presets):
-    """(label, mode, seed, scenario loader) of every preset in both modes."""
+def preset_runs(presets, modes):
+    """(label, mode, seed, scenario loader) of each preset in each mode."""
     return [
         (f"{preset} {mode}", mode, 0, lambda harness, p=preset: harness.load_scenario(p))
-        for mode in MODES for preset in presets
+        for mode in modes for preset in presets
     ]
 
 
@@ -90,11 +93,14 @@ def churn_runs():
     ]
 
 
-def timed_run(harness, scenario, seed: int, mode: str):
-    """Seconds of one run, and each of its outputs as canonical JSON."""
+def timed_run(harness, scenario, seed: int, mode: str, out_dir: Optional[Path]):
+    """Seconds of one run, which writes its artifacts if out_dir is set, and
+    each of its outputs as canonical JSON."""
     gc.collect()
     start = time.perf_counter()
-    artifacts = harness.run(scenario, seed=seed, mode=mode)
+    artifacts = harness.run(
+        scenario, seed=seed, mode=mode, out_dir=None if out_dir is None else str(out_dir)
+    )
     elapsed = time.perf_counter() - start
     ctrl = artifacts.controller
     outputs = {
@@ -117,11 +123,12 @@ def timed_run(harness, scenario, seed: int, mode: str):
     return elapsed, {name: json.dumps(v, sort_keys=True) for name, v in outputs.items()}
 
 
-def traced_artifacts(harness, preset: str, out_dir: Path) -> dict:
-    """The bytes of each artifact of one traced control run, by file name."""
-    scenario = harness.load_scenario(preset)
-    harness.run(scenario, seed=0, mode="control", out_dir=str(out_dir))
-    return {path.name: path.read_bytes() for path in out_dir.iterdir()}
+def differing_artifacts(parent: Path, change: Path) -> list:
+    """The names of the artifact files that are not byte-equal in the two
+    directories, or that only one of them holds."""
+    files = [{path.name: path.read_bytes() for path in d.iterdir()} for d in (parent, change)]
+    names = files[0].keys() | files[1].keys()
+    return sorted(n for n in names if files[0].get(n) != files[1].get(n))
 
 
 def main(argv) -> int:
@@ -139,41 +146,41 @@ def main(argv) -> int:
     presets = sorted(trees["parent"].PRESETS)
     if presets != sorted(trees["change"].PRESETS):
         raise SystemExit("error: the two trees define different presets")
-    for preset in TRACED_PRESETS:
-        with tempfile.TemporaryDirectory() as tmp:
-            files = {
-                side: traced_artifacts(trees[side], preset, Path(tmp, side)) for side in SIDES
-            }
-        names = files["parent"].keys() | files["change"].keys()
-        differ = sorted(n for n in names if files["parent"].get(n) != files["change"].get(n))
-        if differ:
-            raise SystemExit(f"error: {preset} artifacts differ: {', '.join(differ)}")
+    # name: (runs, what the rate counts, whether the runs write artifacts)
     samples = {
-        "presets": (preset_runs(presets), "packets"),
-        "churn sample": (churn_runs(), "windows"),
+        "presets": (preset_runs(presets, MODES), "packets", False),
+        "churn sample": (churn_runs(), "windows", False),
+        "traced": (preset_runs(TRACED_PRESETS, ("control",)), "packets", True),
     }
     times = {name: {side: [] for side in SIDES} for name in samples}
     for pair in range(args.pairs):
         order = SIDES if pair % 2 == 0 else SIDES[::-1]
         line = []
-        for name, (runs, _) in samples.items():
+        for name, (runs, _, traced) in samples.items():
             total = dict.fromkeys(SIDES, 0.0)
             for label, mode, seed, load in runs:
                 outputs = {}
-                for side in order:
-                    scenario = load(trees[side])
-                    elapsed, outputs[side] = timed_run(trees[side], scenario, seed, mode)
-                    total[side] += elapsed
-                differ = [
-                    n for n in outputs["parent"] if outputs["parent"][n] != outputs["change"][n]
-                ]
+                with tempfile.TemporaryDirectory() as tmp:
+                    out_dirs = {side: Path(tmp, side) if traced else None for side in SIDES}
+                    for side in order:
+                        scenario = load(trees[side])
+                        elapsed, outputs[side] = timed_run(
+                            trees[side], scenario, seed, mode, out_dirs[side]
+                        )
+                        total[side] += elapsed
+                    differ = [
+                        n for n in outputs["parent"]
+                        if outputs["parent"][n] != outputs["change"][n]
+                    ]
+                    if traced:
+                        differ += differing_artifacts(out_dirs["parent"], out_dirs["change"])
                 if differ:
                     raise SystemExit(f"error: {label}: outputs differ: {', '.join(differ)}")
             for side in SIDES:
                 times[name][side].append(total[side])
             line.append(f"{name} parent {total['parent']:.3f} s, change {total['change']:.3f} s")
         print(f"pair {pair + 1} ({order[0]} first): {'; '.join(line)}", flush=True)
-    for name, (runs, unit) in samples.items():
+    for name, (runs, unit, _) in samples.items():
         sample_times = times[name]
         medians = {}
         for side in SIDES:
