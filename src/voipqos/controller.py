@@ -47,12 +47,11 @@ COORDINATE_COOLDOWN_WINDOWS = 2
 
 
 def detect_case(
-    g: Tuple[float, float], constraints: Constraints = DEFAULT_CONSTRAINTS
+    sample: HeuristicSample, constraints: Constraints = DEFAULT_CONSTRAINTS
 ) -> ScenarioCase:
-    """Which analysis-phase scenario the (delay, loss) pair falls into."""
-    delay_ms, loss = g
-    delay_ok = delay_ms <= constraints.delay_max_ms
-    loss_ok = loss <= constraints.loss_max
+    """Which analysis-phase scenario the sample's delay and loss fall into."""
+    delay_ok = sample.delay_ms <= constraints.delay_max_ms
+    loss_ok = sample.loss <= constraints.loss_max
     if delay_ok and loss_ok:
         return ScenarioCase.CASE1
     if delay_ok:
@@ -120,22 +119,18 @@ class Call:
         return self.states[-1]
 
 
-def check_global(
-    calls: List[Call], constraints: Constraints = DEFAULT_CONSTRAINTS
-) -> Tuple[bool, Dict[str, float]]:
-    """Weighted means of the calls' current samples vs shared thresholds."""
-    if not calls:
-        raise ValueError("check_global needs at least one call")
+def check_global(calls: List[Call]) -> Optional[HeuristicSample]:
+    """The weighted means of the calls' current samples, which the global
+    check holds to the shared thresholds; None when no call has a sample."""
     sampled = [c for c in calls if c.sample is not None]
     if not sampled:
-        return True, {}
+        return None
     wsum = left_sum(c.weight for c in sampled)
-    means = {
-        "delay_ms": left_sum(c.weight * c.sample.delay_ms for c in sampled) / wsum,
-        "loss": left_sum(c.weight * c.sample.loss for c in sampled) / wsum,
-        "mos": left_sum(c.weight * c.sample.mos for c in sampled) / wsum,
-    }
-    return constraints.met_by(means["delay_ms"], means["loss"], means["mos"]), means
+    return HeuristicSample(
+        left_sum(c.weight * c.sample.delay_ms for c in sampled) / wsum,
+        left_sum(c.weight * c.sample.loss for c in sampled) / wsum,
+        left_sum(c.weight * c.sample.mos for c in sampled) / wsum,
+    )
 
 
 class Controller:
@@ -199,10 +194,12 @@ class Controller:
 
     # ---------------- per-window loop ----------------
 
-    def on_window(self) -> Tuple[List[Tuple[str, Optional[HeuristicSample]]], Dict[str, float]]:
+    def on_window(
+        self,
+    ) -> Tuple[List[Tuple[str, Optional[HeuristicSample]]], Optional[HeuristicSample]]:
         """One control iteration, run once the world is at the window's end.
         Returns each open call's id with its latest sample, and the calls'
-        weighted means: empty unless two or more calls were open and one had
+        weighted means: None unless two or more calls were open and one had
         a sample."""
         changes = self.world.notifications[self._changes_seen:]
         self._changes_seen += len(changes)
@@ -214,9 +211,10 @@ class Controller:
             self._observe(call, changes)
         if self._cooldown_left > 0:
             self._cooldown_left -= 1
-        ok, means = check_global(calls, self.constraints) if len(calls) >= 2 else (True, {})
+        means = check_global(calls) if len(calls) >= 2 else None
+        violated = means is not None and not satisfies(means, self.constraints)
         multi = [c for c in calls if c.sample is not None]
-        if not ok and len(multi) >= 2 and self._cooldown_left == 0:
+        if violated and len(multi) >= 2 and self._cooldown_left == 0:
             self.coordinate(multi)
             self._cooldown_left = COORDINATE_COOLDOWN_WINDOWS
         else:
@@ -261,13 +259,13 @@ class Controller:
             return
         ep = call.episode
         if ep is not None and ep.settling:
-            kb_mod.acquire(self.kb, ep.case, ep.last_action, (sample.delay_ms, sample.loss))
+            kb_mod.acquire(self.kb, ep.case, ep.last_action, sample)
             ep.settling = False
         if satisfies(sample, self.constraints):
             if ep is not None:
                 self._finish_episode(call, satisfied=True)
         elif ep is None:
-            self._pursue(call, detect_case((sample.delay_ms, sample.loss), self.constraints), "d2")
+            self._pursue(call, detect_case(sample, self.constraints), "d2")
         elif not ep.exhausted:
             self._pursue(call, ep.case, "d2")
 
@@ -339,10 +337,9 @@ class Controller:
             if self._retire(call, "d3"):
                 self._open_state(call, "d3")
         for call in degraded:
-            sample = call.sample
             # The newly detected case, not an open episode's: the d3 defect of
             # ROADMAP item 1 is exactly this argument.
-            self._pursue(call, detect_case((sample.delay_ms, sample.loss), constraints), "d3")
+            self._pursue(call, detect_case(call.sample, constraints), "d3")
 
 
 def _rel_change(ref: float, value: float) -> float:

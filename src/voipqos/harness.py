@@ -431,16 +431,15 @@ def calibrate(seed: int = 0) -> KnowledgeBase:
             try:
                 actions_mod.apply_action(world, flow_id, action)
             except netsim.AdmissionRefusedError:
-                kb.add_entry(case, action, scenario.link.latency_ms, 1.0)
-                continue
-            world.advance(15_000.0)
-            world.measure(flow_id)  # discard settling window
-            world.advance(35_000.0)
-            sample = world.measure(flow_id)
-            if sample is None:
-                kb.add_entry(case, action, scenario.link.latency_ms, 0.0)
+                h = HeuristicSample.from_measurement(scenario.link.latency_ms, 1.0)
             else:
-                kb.add_entry(case, action, sample.delay_ms, sample.loss)
+                world.advance(15_000.0)
+                world.measure(flow_id)  # discard settling window
+                world.advance(35_000.0)
+                h = world.measure(flow_id)
+                if h is None:
+                    h = HeuristicSample.from_measurement(scenario.link.latency_ms, 0.0)
+            kb.add_entry(case, action, h)
     return kb
 
 
@@ -533,17 +532,15 @@ def _run_windows(scenario: Scenario, seed: int, mode: str,
                     world.end_flow(call.flow.flow_id)
         if controller is None:
             flows = [(c.call_id, world.measure(c.flow.flow_id)) for c in scenario.calls]
-            means = {}
+            means = None
         else:
             flows, means = controller.on_window()
         for call_id, sample in flows:
             if sample is not None:
                 timeseries.append((t / 1000.0, call_id, sample.delay_ms, sample.loss, sample.mos))
                 windows_of[call_id].append(sample)
-        if means:
-            timeseries.append(
-                (t / 1000.0, GLOBAL_ROW_ID, means["delay_ms"], means["loss"], means["mos"])
-            )
+        if means is not None:
+            timeseries.append((t / 1000.0, GLOBAL_ROW_ID, means.delay_ms, means.loss, means.mos))
         if trace is not None:
             # Last in the window: close_call and on_window log rows too.
             log.flush()

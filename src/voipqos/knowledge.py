@@ -1,13 +1,14 @@
 """Ranked per-case action knowledge: selection, acquisition, refinement.
 
-Action outcomes are predicted by an (estimated delay, estimated loss)
-pair.  Pairs are ordered through a scalar penalty that is 1.0 per metric
-exactly at its threshold in the constraints the caller passes, a run's
-own; selection picks the minimum-penalty entry, falling back on ties to
-rank, unique within a case.  Acquisition overwrites an estimate with a
-measured outcome.  Refinement makes at most one swap after an episode
-that ended with an action succeeding: the best-ranked action ahead of it
-that measures worse trades ranks with it.  Nothing is ever deleted.
+Each action's outcome is estimated by a `HeuristicSample`, the type of a
+measured window too.  Estimates are ordered through a scalar penalty of
+their delay and loss that is 1.0 per metric exactly at its threshold in
+the constraints the caller passes, a run's own; selection picks the
+minimum-penalty entry, falling back on ties to rank, unique within a
+case.  Acquisition replaces an estimate with a measured outcome.
+Refinement makes at most one swap after an episode that ended with an
+action succeeding: the best-ranked action ahead of it that measures worse
+trades ranks with it.  Nothing is ever deleted.
 A case keeps its entries in the order they were added, and ranks are
 unique within a case, so every lookup scans that list unsorted; only
 `entries` sorts it by rank.
@@ -16,16 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from .actions import CONFLICT_SETS, ActionId
-from .metrics import (
-    Constraints,
-    DEFAULT_CONSTRAINTS,
-    QualityCategory,
-    categorize_delay,
-    categorize_loss,
-)
+from .metrics import Constraints, DEFAULT_CONSTRAINTS, HeuristicSample, classify
 
 
 class ScenarioCase(Enum):
@@ -35,33 +30,16 @@ class ScenarioCase(Enum):
     CASE4 = "case4"  # delay high, loss high
 
 
-def penalty(
-    h: Tuple[float, float], constraints: Constraints = DEFAULT_CONSTRAINTS
-) -> float:
-    """Scalar ordering of (delay_ms, loss) pairs; 2.0 when both sit at threshold."""
-    delay_ms, loss = h
-    return delay_ms / constraints.delay_max_ms + loss / constraints.loss_max
-
-
-def h_category(delay_ms: float, loss: float) -> QualityCategory:
-    """Band of an h estimate; the worse of its delay and loss bands."""
-    return min(categorize_delay(delay_ms), categorize_loss(loss))
+def penalty(h: HeuristicSample, constraints: Constraints = DEFAULT_CONSTRAINTS) -> float:
+    """Scalar ordering of samples by delay and loss; 2.0 when both sit at threshold."""
+    return h.delay_ms / constraints.delay_max_ms + h.loss / constraints.loss_max
 
 
 @dataclass
 class ActionEntry:
     action: ActionId
     rank: int
-    h_delay_ms: float
-    h_loss: float
-
-    @property
-    def h(self) -> Tuple[float, float]:
-        return (self.h_delay_ms, self.h_loss)
-
-    @property
-    def category(self) -> QualityCategory:
-        return h_category(self.h_delay_ms, self.h_loss)
+    h: HeuristicSample
 
 
 class KnowledgeError(Exception):
@@ -79,13 +57,11 @@ class KnowledgeBase:
 
     # ---------------- construction ----------------
 
-    def add_entry(
-        self, case: ScenarioCase, action: ActionId, h_delay_ms: float, h_loss: float
-    ) -> ActionEntry:
+    def add_entry(self, case: ScenarioCase, action: ActionId, h: HeuristicSample) -> ActionEntry:
         listed = self._cases[case]
         if any(e.action == action for e in listed):
             raise KnowledgeError(f"{action.name} already present in {case.value}")
-        entry = ActionEntry(action, rank=len(listed) + 1, h_delay_ms=h_delay_ms, h_loss=h_loss)
+        entry = ActionEntry(action, len(listed) + 1, h)
         listed.append(entry)
         return entry
 
@@ -107,12 +83,10 @@ class KnowledgeBase:
             raise KnowledgeError(f"ranks not contiguous in {case.value}: {ranks}")
 
     def copy(self) -> "KnowledgeBase":
-        """An independent copy: new entries, sharing the immutable ids."""
+        """An independent copy: new entries sharing the ids and the unwritten estimates."""
         kb = KnowledgeBase()
         for case, listed in self._cases.items():
-            kb._cases[case] = [
-                ActionEntry(e.action, e.rank, e.h_delay_ms, e.h_loss) for e in listed
-            ]
+            kb._cases[case] = [ActionEntry(e.action, e.rank, e.h) for e in listed]
         kb.revision = self.revision
         return kb
 
@@ -123,8 +97,8 @@ class KnowledgeBase:
             return {
                 "action": action_to_json(e.action),
                 "rank": e.rank,
-                "h_est": {"delay_ms": e.h_delay_ms, "loss": e.h_loss},
-                "category": e.category.name,
+                "h_est": {"delay_ms": e.h.delay_ms, "loss": e.h.loss},
+                "category": classify(e.h).name,
                 # Constant; kept because the recorded kb.json digests include it.
                 "deleted": False,
             }
@@ -145,12 +119,9 @@ class KnowledgeBase:
         for case_name, entries in data["cases"].items():
             case = ScenarioCase(case_name)
             for item in entries:
-                entry = ActionEntry(
-                    action_from_json(item["action"]),
-                    rank=item["rank"],
-                    h_delay_ms=item["h_est"]["delay_ms"],
-                    h_loss=item["h_est"]["loss"],
-                )
+                est = item["h_est"]
+                h = HeuristicSample.from_measurement(est["delay_ms"], est["loss"])
+                entry = ActionEntry(action_from_json(item["action"]), item["rank"], h)
                 kb._cases[case].append(entry)
             kb._check(case)
         kb.revision = data.get("revision", 0)
@@ -189,7 +160,7 @@ def select_next(
     for e in kb._cases[case]:
         if e.action in tried_set:
             continue
-        key = (penalty((e.h_delay_ms, e.h_loss), constraints), e.rank)
+        key = (penalty(e.h, constraints), e.rank)
         if best is None or key < best_key:
             best, best_key = e, key
     return best
@@ -198,14 +169,10 @@ def select_next(
 # ---------------- learning ----------------
 
 def acquire(
-    kb: KnowledgeBase,
-    case: ScenarioCase,
-    action: ActionId,
-    measured_g: Tuple[float, float],
+    kb: KnowledgeBase, case: ScenarioCase, action: ActionId, measured: HeuristicSample
 ) -> None:
     """Replace an entry's estimate with the measured outcome."""
-    entry = kb.entry(case, action)
-    entry.h_delay_ms, entry.h_loss = measured_g
+    kb.entry(case, action).h = measured
     kb.revision += 1
 
 

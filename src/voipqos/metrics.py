@@ -1,8 +1,10 @@
 """Call-quality metrics: E-model rating, quality bands, samples and constraints.
 
-A `HeuristicSample` is built once per sampled window, so it is slotted
-rather than frozen: a slotted dataclass builds several times faster, and
-no sample is ever written after it is made.
+A `HeuristicSample` is the one QoS vector: a window's measurement, an
+action's estimate in the knowledge base, and the calls' weighted means.
+One is built per sampled window, so it is slotted rather than frozen: a
+slotted dataclass builds several times faster, and no sample is ever
+written after it is made.
 """
 from __future__ import annotations
 
@@ -50,8 +52,9 @@ def rating_factor(delay_ms: float, loss: float) -> float:
     packet-loss impairment Ie_eff = 95*loss/(loss + 0.25), i.e. a
     loss robustness of 25 when loss is expressed in percent.
     """
-    if delay_ms < 0:
-        raise ValueError(f"delay_ms must be >= 0, got {delay_ms}")
+    # Written so that NaN fails.
+    if not 0 <= delay_ms < math.inf:
+        raise ValueError(f"delay_ms must be finite and >= 0, got {delay_ms}")
     if not 0.0 <= loss <= 1.0:
         raise ValueError(f"loss must be in [0, 1], got {loss}")
     i_delay = 0.024 * delay_ms
@@ -77,19 +80,21 @@ def estimate_mos(delay_ms: float, loss: float) -> float:
     return mos_from_rating(rating_factor(delay_ms, loss))
 
 
-# Read, never written, by the controller and the harness; slotted rather
-# than frozen, as the module docstring says.
+# Read, never written, by the controller, the knowledge base and the
+# harness; slotted rather than frozen, as the module docstring says.
 @dataclass(slots=True)
 class HeuristicSample:
-    """One (delay, loss, MOS) measurement for a call state."""
+    """One (delay, loss, MOS) QoS vector: a measured window or an action's
+    estimate."""
 
     delay_ms: float
     loss: float
     mos: float
 
     def __post_init__(self) -> None:
-        if self.delay_ms < 0:
-            raise ValueError(f"delay_ms must be >= 0, got {self.delay_ms}")
+        # Written so that NaN fails.
+        if not 0 <= self.delay_ms < math.inf:
+            raise ValueError(f"delay_ms must be finite and >= 0, got {self.delay_ms}")
         if not 0.0 <= self.loss <= 1.0:
             raise ValueError(f"loss must be in [0, 1], got {self.loss}")
         if not 1.0 <= self.mos <= 4.5:

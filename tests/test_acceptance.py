@@ -183,7 +183,7 @@ def test_07_refinement_reference_equivalence():
     # runs as the gate criterion with its runtime budget.
     import time
 
-    from test_knowledge import _grid_cases, _reference_refine, CASE
+    from test_knowledge import _grid_cases, _h, _reference_refine, CASE
     from voipqos.actions import ActionId
     from voipqos.knowledge import KnowledgeBase, refine
 
@@ -194,7 +194,7 @@ def test_07_refinement_reference_equivalence():
         for names, pens, current in _grid_cases(n):
             kb = KnowledgeBase()
             for name in names:
-                kb.add_entry(CASE, ActionId(name), pens[name] * 180.0, 0.0)
+                kb.add_entry(CASE, ActionId(name), _h(pens[name] * 180.0, 0.0))
 
             refine(kb, CASE, ActionId(current))
             got = {e.action.kind: e.rank for e in kb.entries(CASE)}

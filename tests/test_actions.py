@@ -32,6 +32,7 @@ from voipqos.knowledge import (
     action_to_json,
     refine,
 )
+from voipqos.metrics import HeuristicSample
 from voipqos.netsim import (
     AdmissionRefusedError,
     BUFFER_MAX_PKTS,
@@ -507,7 +508,7 @@ class TestDefaultKnowledge:
         # ranks with the best-ranked action ahead of it.
         case = ScenarioCase.CASE2
         last = kb.entries(case)[-1].action
-        acquire(kb, case, last, (0.0, 0.0))
+        acquire(kb, case, last, HeuristicSample.from_measurement(0.0, 0.0))
         refine(kb, case, last)
         assert kb.entry(case, last).rank == 1
         assert kb.to_json() != expected
@@ -523,8 +524,8 @@ class TestDefaultKnowledge:
             assert [e.action for e in entries] == order
             assert [e.rank for e in entries] == list(range(1, len(order) + 1))
             for e in entries:
-                assert e.h_delay_ms >= 0.0
-                assert 0.0 <= e.h_loss <= 1.0
+                assert e.h.delay_ms >= 0.0
+                assert 0.0 <= e.h.loss <= 1.0
 
     def test_seed_matches_fresh_calibration(self):
         from voipqos.harness import calibrate, default_kb

@@ -26,12 +26,15 @@ from voipqos.controller import (
 )
 from voipqos.harness import scenario_from_json
 from voipqos.knowledge import KnowledgeBase, ScenarioCase, select_next
-from voipqos.metrics import Constraints, HeuristicSample
+from voipqos.metrics import Constraints, HeuristicSample, satisfies
 from voipqos import netsim
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
 from workloads import churn_json  # noqa: E402
+
+# A sample or an estimate, built as netsim builds a window's.
+_h = HeuristicSample.from_measurement
 
 
 class TestDetectCase:
@@ -46,7 +49,7 @@ class TestDetectCase:
         ],
     )
     def test_quadrants(self, delay, loss, expected):
-        assert detect_case((delay, loss)) is expected
+        assert detect_case(_h(delay, loss)) is expected
 
 
 class TestCheckGlobal:
@@ -58,24 +61,21 @@ class TestCheckGlobal:
 
     def test_weighted_delay_mean(self):
         calls = [self._call("a", 2.0, 50.0, 0.0), self._call("b", 1.0, 200.0, 0.0)]
-        ok, means = check_global(calls)
-        assert means["delay_ms"] == pytest.approx((2 * 50 + 200) / 3)
+        means = check_global(calls)
+        ok = satisfies(means, Constraints())
+        assert means.delay_ms == pytest.approx((2 * 50 + 200) / 3)
         assert ok  # 100 ms mean is inside the 180 ms threshold
 
     def test_violation_on_mean_loss(self):
         calls = [self._call("a", 1.0, 10.0, 0.08), self._call("b", 1.0, 10.0, 0.04)]
-        ok, means = check_global(calls)
-        assert means["loss"] == pytest.approx(0.06)
+        means = check_global(calls)
+        ok = satisfies(means, Constraints())
+        assert means.loss == pytest.approx(0.06)
         assert not ok
 
     def test_unsampled_calls_are_ignored(self):
         quiet = Call("q", "flow-q")
-        ok, means = check_global([quiet])
-        assert ok and means == {}
-
-    def test_empty_input_rejected(self):
-        with pytest.raises(ValueError):
-            check_global([])
+        assert check_global([quiet]) is None
 
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(ValueError):
@@ -88,8 +88,8 @@ class TestRunConstraints:
         # under a 50 ms delay bound.
         tight = Constraints(delay_max_ms=50.0)
         kb = KnowledgeBase()
-        kb.add_entry(ScenarioCase.CASE2, increase_buffer(), 100.0, 0.0)
-        kb.add_entry(ScenarioCase.CASE2, enable_red(), 0.0, 0.03)
+        kb.add_entry(ScenarioCase.CASE2, increase_buffer(), _h(100.0, 0.0))
+        kb.add_entry(ScenarioCase.CASE2, enable_red(), _h(0.0, 0.03))
         assert select_next(kb, ScenarioCase.CASE2, []).action == increase_buffer()
         assert select_next(kb, ScenarioCase.CASE2, [], tight).action == enable_red()
         world = harness.build_world(
@@ -262,8 +262,8 @@ class TestSearchStep:
 
     def test_refused_candidate_is_tried_and_the_next_applied(self):
         kb = KnowledgeBase()
-        kb.add_entry(ScenarioCase.CASE2, guaranteed_load(), 0.0, 0.0)
-        kb.add_entry(ScenarioCase.CASE2, enable_fec(), 10.0, 0.01)
+        kb.add_entry(ScenarioCase.CASE2, guaranteed_load(), _h(0.0, 0.0))
+        kb.add_entry(ScenarioCase.CASE2, enable_fec(), _h(10.0, 0.01))
         ctrl = Controller(_world(self.SMALL_LINK_KBPS), kb, Constraints())
         call = ctrl.add_call("c", "flow-c")
         call.sample = self.LOSSY
@@ -280,8 +280,8 @@ class TestSearchStep:
 
     def test_refused_candidate_keeps_the_calls_mechanisms(self):
         kb = KnowledgeBase()
-        kb.add_entry(ScenarioCase.CASE2, guaranteed_load(), 0.0, 0.0)
-        kb.add_entry(ScenarioCase.CASE2, enable_fec(), 10.0, 0.01)
+        kb.add_entry(ScenarioCase.CASE2, guaranteed_load(), _h(0.0, 0.0))
+        kb.add_entry(ScenarioCase.CASE2, enable_fec(), _h(10.0, 0.01))
         ctrl = Controller(_world(self.SMALL_LINK_KBPS), kb, Constraints())
         call = ctrl.add_call("c", "flow-c")
         actions.apply_action(ctrl.world, "flow-c", controlled_load())
@@ -317,7 +317,7 @@ class TestSearchStep:
             return w
 
         kb = KnowledgeBase()
-        kb.add_entry(ScenarioCase.CASE3, candidate, 120.0, 0.0)
+        kb.add_entry(ScenarioCase.CASE3, candidate, _h(120.0, 0.0))
         ctrl = Controller(world(), kb, Constraints())
         call = ctrl.add_call("c", "m")
         assert ctrl.world.occupancy == queued
@@ -338,7 +338,7 @@ class TestSearchStep:
 
     def test_every_candidate_refused_exhausts_the_episode_once(self, monkeypatch):
         kb = KnowledgeBase()
-        kb.add_entry(ScenarioCase.CASE2, guaranteed_load(), 0.0, 0.0)
+        kb.add_entry(ScenarioCase.CASE2, guaranteed_load(), _h(0.0, 0.0))
         ctrl = Controller(_world(self.SMALL_LINK_KBPS), kb, Constraints())
         call = ctrl.add_call("c", "flow-c")
         call.sample = self.LOSSY
@@ -359,8 +359,8 @@ class TestSearchStep:
 
     def test_d3_opens_an_episode_under_the_detected_case(self):
         kb = KnowledgeBase()
-        kb.add_entry(ScenarioCase.CASE3, decrease_buffer(), 120.0, 0.0)
-        kb.add_entry(ScenarioCase.CASE3, enable_wred(), 90.0, 0.0)
+        kb.add_entry(ScenarioCase.CASE3, decrease_buffer(), _h(120.0, 0.0))
+        kb.add_entry(ScenarioCase.CASE3, enable_wred(), _h(90.0, 0.0))
         ctrl = Controller(_world(calls=("a", "b")), kb, Constraints())
         ok, slow = ctrl.add_call("a", "flow-a"), ctrl.add_call("b", "flow-b")
         actions.apply_action(ctrl.world, "flow-a", enable_fec())
@@ -401,7 +401,7 @@ class TestRetire:
 
     def test_coordinate_opens_no_d3_state_for_a_call_without_mechanisms(self):
         kb = KnowledgeBase()
-        kb.add_entry(ScenarioCase.CASE3, enable_wred(), 90.0, 0.0)
+        kb.add_entry(ScenarioCase.CASE3, enable_wred(), _h(90.0, 0.0))
         ctrl = Controller(_world(calls=("a", "b")), kb, Constraints())
         ok, slow = ctrl.add_call("a", "flow-a"), ctrl.add_call("b", "flow-b")
         ok.sample = HeuristicSample.from_measurement(20.0, 0.0)
@@ -422,7 +422,7 @@ class TestChangeLog:
         for t_ms in (5_000.0, 10_000.0, 15_000.0, 20_000.0, 25_000.0):
             world.advance(t_ms)
             rows, means = ctrl.on_window()
-            assert rows == [("c", ctrl.calls["c"].sample)] and means == {}
+            assert rows == [("c", ctrl.calls["c"].sample)] and means is None
             d1_at[t_ms] = [t.cause for t in ctrl.transitions if t.kind == "d1" and t.at_ms == t_ms]
         assert d1_at == {
             5_000.0: [], 10_000.0: [], 15_000.0: ["set_latency=11"], 20_000.0: [], 25_000.0: []

@@ -23,39 +23,53 @@ from voipqos.knowledge import (
     acquire,
     action_from_json,
     action_to_json,
-    h_category,
     penalty,
     refine,
     select_next,
 )
-from voipqos.metrics import QualityCategory
+from voipqos.metrics import (
+    HeuristicSample,
+    QualityCategory,
+    categorize_delay,
+    categorize_loss,
+    classify,
+)
 
 
 CASE = ScenarioCase.CASE2
+# An estimate, built as from_json and netsim build theirs.
+_h = HeuristicSample.from_measurement
 
 
 def _kb(entries):
     """Build a case-2 knowledge base from (name, delay, loss) in rank order."""
     kb = KnowledgeBase()
     for name, delay, loss in entries:
-        kb.add_entry(CASE, ActionId(name), delay, loss)
+        kb.add_entry(CASE, ActionId(name), _h(delay, loss))
     return kb
 
 
 class TestPenalty:
     def test_reference_points(self):
-        assert penalty((0.0, 0.0)) == 0.0
-        assert penalty((180.0, 0.05)) == pytest.approx(2.0)
-        assert penalty((90.0, 0.01)) == pytest.approx(0.7)
+        assert penalty(_h(0.0, 0.0)) == 0.0
+        assert penalty(_h(180.0, 0.05)) == pytest.approx(2.0)
+        assert penalty(_h(90.0, 0.01)) == pytest.approx(0.7)
 
     def test_monotone_in_both_metrics(self):
-        assert penalty((100.0, 0.01)) < penalty((120.0, 0.01))
-        assert penalty((100.0, 0.01)) < penalty((100.0, 0.02))
+        assert penalty(_h(100.0, 0.01)) < penalty(_h(120.0, 0.01))
+        assert penalty(_h(100.0, 0.01)) < penalty(_h(100.0, 0.02))
 
-    def test_h_category_is_worse_band(self):
-        assert h_category(90.0, 0.005) is QualityCategory.EXCELLENT
-        assert h_category(90.0, 0.03) is QualityCategory.AVERAGE
-        assert h_category(200.0, 0.0) is QualityCategory.POOR
+    def test_category_is_worse_band_on_a_grid(self):
+        # kb.json's category column is classify(h). For an estimate, the
+        # MOS band never binds: the category is the worse of the delay and
+        # loss bands, at every point of a grid that holds each band edge.
+        assert classify(_h(90.0, 0.005)) is QualityCategory.EXCELLENT
+        assert classify(_h(90.0, 0.03)) is QualityCategory.AVERAGE
+        assert classify(_h(200.0, 0.0)) is QualityCategory.POOR
+        for delay in range(401):
+            for loss in (i / 400 for i in range(401)):
+                want = min(categorize_delay(delay), categorize_loss(loss))
+                assert classify(_h(delay, loss)) is want, (delay, loss)
 
 
 class TestSelection:
@@ -75,13 +89,13 @@ class TestSelection:
             "a", "b", "c"
         ]
         assert [e.action.kind for e in kb.entries(CASE)] == ["c", "b", "a"]
-        acquire(kb, CASE, ActionId("a"), (50.0, 0.0))
+        acquire(kb, CASE, ActionId("a"), _h(50.0, 0.0))
         assert select_next(kb, CASE, []).action == ActionId("c")
         for rank, name in enumerate("cba", start=1):
             assert kb.entry(CASE, ActionId(name)).rank == rank
         # Both b and c measure worse than a; c, ahead of b by rank but
         # behind it in the list, is the one that swaps.
-        acquire(kb, CASE, ActionId("a"), (10.0, 0.0))
+        acquire(kb, CASE, ActionId("a"), _h(10.0, 0.0))
         names = [e.action.kind for e in kb.entries(CASE)]
         penalties = {e.action.kind: penalty(e.h) for e in kb.entries(CASE)}
         refine(kb, CASE, ActionId("a"))
@@ -113,21 +127,21 @@ class TestAcquisition:
     def test_overwrites_estimate_and_category(self):
         kb = _kb([("a", 10.0, 0.0)])
         rev = kb.revision
-        acquire(kb, CASE, ActionId("a"), (200.0, 0.08))
+        acquire(kb, CASE, ActionId("a"), _h(200.0, 0.08))
         entry = kb.entry(CASE, ActionId("a"))
-        assert entry.h == (200.0, 0.08)
-        assert entry.category is QualityCategory.POOR
+        assert (entry.h.delay_ms, entry.h.loss) == (200.0, 0.08)
+        assert classify(entry.h) is QualityCategory.POOR
         assert kb.revision == rev + 1
 
     def test_unknown_action_rejected(self):
         kb = _kb([("a", 10.0, 0.0)])
         with pytest.raises(KnowledgeError):
-            acquire(kb, CASE, ActionId("zz"), (1.0, 0.0))
+            acquire(kb, CASE, ActionId("zz"), _h(1.0, 0.0))
 
     def test_duplicate_entry_rejected(self):
         kb = _kb([("a", 10.0, 0.0)])
         with pytest.raises(KnowledgeError):
-            kb.add_entry(CASE, ActionId("a"), 5.0, 0.0)
+            kb.add_entry(CASE, ActionId("a"), _h(5.0, 0.0))
 
 
 class TestSerialization:
@@ -146,8 +160,20 @@ class TestSerialization:
     def test_category_is_read_from_the_estimate(self):
         data = _kb([("a", 10.0, 0.0)]).to_json()
         data["cases"][CASE.value][0]["category"] = "POOR"  # a stale copy
-        entry = KnowledgeBase.from_json(data).entry(CASE, ActionId("a"))
-        assert entry.category is QualityCategory.EXCELLENT
+        kb = KnowledgeBase.from_json(data)
+        assert classify(kb.entry(CASE, ActionId("a")).h) is QualityCategory.EXCELLENT
+        assert kb.to_json()["cases"][CASE.value][0]["category"] == "EXCELLENT"
+
+    @pytest.mark.parametrize(
+        "delay,loss", [(float("nan"), 0.0), (float("inf"), 0.0), (float("nan"), -3.0)]
+    )
+    def test_non_finite_or_out_of_range_estimate_rejected(self, delay, loss):
+        # A NaN delay with a negative loss would give a negative penalty,
+        # selected first in every episode.
+        data = _kb([("a", 10.0, 0.0)]).to_json()
+        data["cases"][CASE.value][0]["h_est"] = {"delay_ms": delay, "loss": loss}
+        with pytest.raises(ValueError):
+            KnowledgeBase.from_json(data)
 
 
 class TestRefineExamples:
@@ -223,7 +249,7 @@ def test_refine_matches_reference_exhaustively(n):
         kb = KnowledgeBase()
         for name in names:
             # Encode the desired penalty purely through the delay term.
-            kb.add_entry(CASE, ActionId(name), pens[name] * 180.0, 0.0)
+            kb.add_entry(CASE, ActionId(name), _h(pens[name] * 180.0, 0.0))
         before_rank = kb.entry(CASE, ActionId(current)).rank
 
         refine(kb, CASE, ActionId(current))
@@ -267,11 +293,11 @@ def test_refine_invariants_random(case):
     names = [f"x{i}" for i in range(n)]
     kb = KnowledgeBase()
     for name, pen in zip(names, pens):
-        kb.add_entry(CASE, ActionId(name), pen * 180.0, 0.0)
+        kb.add_entry(CASE, ActionId(name), _h(pen * 180.0, 0.0))
 
     for estimate_i, pen, current_i in steps:
         order = [e.action.kind for e in kb.entries(CASE)]
-        acquire(kb, CASE, ActionId(order[estimate_i % n]), (pen * 180.0, 0.0))
+        acquire(kb, CASE, ActionId(order[estimate_i % n]), _h(pen * 180.0, 0.0))
         current = order[current_i % n]
         penalties = {e.action.kind: penalty(e.h) for e in kb.entries(CASE)}
         before_rank = kb.entry(CASE, ActionId(current)).rank

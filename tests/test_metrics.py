@@ -42,6 +42,9 @@ class TestRating:
             rating_factor(-1.0, 0.0)
         with pytest.raises(ValueError):
             rating_factor(0.0, 1.5)
+        for delay in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                rating_factor(delay, 0.0)
 
 
 class TestMos:
@@ -137,7 +140,8 @@ class TestSample:
 
     @pytest.mark.parametrize(
         "delay,loss,mos",
-        [(-1.0, 0.0, 3.0), (0.0, 1.5, 3.0), (0.0, 0.0, 0.5), (0.0, 0.0, 5.0)],
+        [(-1.0, 0.0, 3.0), (0.0, 1.5, 3.0), (0.0, 0.0, 0.5), (0.0, 0.0, 5.0),
+         (float("nan"), 0.0, 3.0), (float("inf"), 0.0, 3.0)],
     )
     def test_rejects_out_of_range(self, delay, loss, mos):
         with pytest.raises(ValueError):
