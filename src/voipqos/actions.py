@@ -1,12 +1,13 @@
 """QoS mechanism catalog: identifiers, world effects, conflicts, defaults.
 
 apply_action turns an action into its `netsim.Effect` (a buffer step, a
-RED/WRED table, an FEC config, or a service class with its reservation)
-and adds it to the world's ledger, `SimWorld.mechanisms`, keyed by
-(flow_id, action) in application order; stop_action removes it.  A refusal
-raises `netsim.AdmissionRefusedError`, the one refusal error.  The world
-derives the shared queue and the flow from the ledger, so nothing is
-snapshotted or restored, and one call's stop leaves the others' in place.
+RED/WRED table, an FEC block size, or a service class, whose reservation
+the flow's config works out) and adds it to the world's ledger,
+`SimWorld.mechanisms`, keyed by (flow_id, action) in application order;
+stop_action removes it.  A refusal raises `netsim.AdmissionRefusedError`,
+the one refusal error.  The world derives the shared queue and the flow
+from the ledger, so nothing is snapshotted or restored, and one call's
+stop leaves the others' in place.
 CASE_ORDER fixes each case's actions and their order in the shipped
 knowledge seed, which `harness.default_kb` reads; this module reads no file.
 
@@ -23,7 +24,7 @@ from functools import cached_property
 from typing import Dict, List, Tuple
 
 from . import netsim
-from .netsim import AdmissionRefusedError, Effect, FecConfig, REDParams, SimWorld
+from .netsim import AdmissionRefusedError, Effect, REDParams, SimWorld
 
 INCREASE_BUFFER = "increase_buffer"
 DECREASE_BUFFER = "decrease_buffer"
@@ -37,10 +38,6 @@ BUFFER_STEP_PKTS = 15
 
 # The service class each service-class action moves its flow into.
 SERVICE_OF = {CONTROLLED_LOAD: netsim.CONTROLLED_LOAD, GUARANTEED_LOAD: netsim.GUARANTEED}
-
-# Headroom factor applied to the flow rate when reserving guaranteed
-# bandwidth (covers FEC parity overhead and scheduling slack).
-GUARANTEED_RESERVATION_FACTOR = 1.25
 
 
 # The one refusal error, under the name that bench/tracer.py catches.
@@ -153,16 +150,15 @@ def apply_action(
 ) -> TransitionRecord:
     """Apply one QoS mechanism on behalf of the given call's flow; a flow
     already in the action's service class gets no ledger entry."""
-    st = world.flows[flow_id]
-    in_class = st.cfg.service == SERVICE_OF.get(action.kind)
+    in_class = world.flows[flow_id].cfg.service == SERVICE_OF.get(action.kind)
     if (flow_id, action) in world.mechanisms or in_class:
         return TransitionRecord(kind, action.name, world.clock, flow_id, noop=True)
-    world.set_mechanism(flow_id, action, _effect(action, st.cfg.rate_kbps))
+    world.set_mechanism(flow_id, action, _effect(action))
     return TransitionRecord(kind, action.name, world.clock, flow_id)
 
 
-def _effect(action: ActionId, rate_kbps: float) -> Effect:
-    """What the action changes, for a flow sending rate_kbps."""
+def _effect(action: ActionId) -> Effect:
+    """What the action changes."""
     if action.kind in (INCREASE_BUFFER, DECREASE_BUFFER):
         step = int(action.param("step_pkts"))
         return Effect(step_pkts=step if action.kind == INCREASE_BUFFER else -step)
@@ -174,16 +170,18 @@ def _effect(action: ActionId, rate_kbps: float) -> Effect:
             lax = REDParams(params.min_th * 1.2, params.max_th * 1.2, params.max_p / 2)
         return Effect(red=(params, lax))
     if action.kind == ENABLE_FEC:
-        # A knowledge-base file may name any parity; netsim runs one.
+        # A knowledge-base file may name any parity or block size; netsim
+        # runs single parity, and its block size of 0 means no FEC.
         if action.param("parity") != 1:
             raise ValueError("only single-parity FEC is supported")
-        return Effect(flow={"fec": FecConfig(int(action.param("block_k")))})
-    if action.kind == GUARANTEED_LOAD:
-        reserved = rate_kbps * GUARANTEED_RESERVATION_FACTOR
-        return Effect(flow={"service": netsim.GUARANTEED, "reserved_kbps": reserved})
-    if action.kind == CONTROLLED_LOAD:
-        # Only guaranteed service holds a reservation.
-        return Effect(flow={"service": netsim.CONTROLLED_LOAD, "reserved_kbps": 0.0})
+        block_k = int(action.param("block_k"))
+        if block_k < 1:
+            raise ValueError(f"FEC block_k must be >= 1, got {action.param('block_k')!r}")
+        return Effect(flow={"fec_block_k": block_k})
+    if action.kind in SERVICE_OF:
+        # A guaranteed flow's reservation of 0 is its default one; the
+        # other classes hold none.
+        return Effect(flow={"service": SERVICE_OF[action.kind], "reserved_kbps": 0.0})
     raise ValueError(f"unknown action kind: {action.kind}")
 
 

@@ -31,7 +31,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="replaces the scenario's learning flag",
     )
     run_p.add_argument("--out", default=None, help="output directory for artifacts")
-    presets_p = sub.add_parser("presets", help="list built-in scenario presets")
+    sub.add_parser("presets", help="list built-in scenario presets")
     return parser
 
 

@@ -23,7 +23,7 @@ import io
 import json
 import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from importlib import resources
 from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, TextIO, Tuple
@@ -42,7 +42,6 @@ from .metrics import (
 )
 from .netsim import (
     BackgroundFlow,
-    FecConfig,
     LinkConfig,
     MediaFlow,
     NetworkChange,
@@ -179,9 +178,7 @@ def scenario_from_json(data: dict) -> Scenario:
             link=LinkConfig(**data.get("link", {})),
             queue=_queue_config(**data.get("queue", {})),
             calls=tuple(_call(**c) for c in data.get("calls", ())),
-            background=None if background is None else BackgroundFlow(
-                "bg", **{"rate_kbps": 0.0, **background}
-            ),
+            background=None if background is None else BackgroundFlow("bg", **background),
             # Built inline: a long timeline is most of a scenario's parse.
             timeline=tuple(
                 NetworkChange(e["at_s"] * 1000.0, e["kind"], e["value"]) for e in timeline
@@ -231,23 +228,13 @@ def _call(
     start_s: float = 0.0,
     end_s: Optional[float] = None,
 ) -> Call:
-    """A call object's call. Its flow object holds MediaFlow fields, and
-    fec_block_k for the FEC block size (0: none); a guaranteed flow's
-    reserved_kbps of 0 is its default reservation, 1.25 x its rate."""
+    """A call object's call. Its flow object holds the MediaFlow fields
+    other than the flow id and the interval, which come from the call_id,
+    start_s and end_s."""
     if not isinstance(call_id, str):
         raise ValueError(f"call_id must be text, not {call_id!r}")
-    params = {"fec_block_k": 0, **flow}
-    block_k = params.pop("fec_block_k")
-    media = MediaFlow(
-        f"flow-{call_id}",
-        **params,
-        fec=FecConfig(block_k) if block_k else None,
-        start_ms=start_s * 1000.0,
-        end_ms=None if end_s is None else end_s * 1000.0,
-    )
-    if media.service == netsim.GUARANTEED and media.reserved_kbps == 0:
-        reserved = media.rate_kbps * actions_mod.GUARANTEED_RESERVATION_FACTOR
-        media = replace(media, reserved_kbps=reserved)
+    end_ms = None if end_s is None else end_s * 1000.0
+    media = MediaFlow(f"flow-{call_id}", **flow, start_ms=start_s * 1000.0, end_ms=end_ms)
     return Call(call_id, media, weight)
 
 

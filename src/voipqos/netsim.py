@@ -5,7 +5,9 @@ link by one packet path: a flow's kind is its config's type, and a
 BackgroundFlow reads to the path as a best-effort flow without FEC.  The
 queue has a strict-priority class used by the IntServ-style service
 classes and a per-class RED table (RED: a curve for best effort; WRED: a
-laxer one for priority too).  Media flows can run single-parity FEC.  The
+laxer one for priority too).  A media flow's FEC is its block size,
+`fec_block_k`, of single-parity blocks (0: no FEC), and a guaranteed
+flow's `reserved_kbps` of 0 means the default, 1.25 x its rate.  The
 live queue and media flows are derived from their configured values and
 the applied mechanisms' ledger, `SimWorld.mechanisms`, whose one writer
 is `SimWorld.set_mechanism`.  Guaranteed reservations are summed from the
@@ -57,6 +59,8 @@ BUCKET_DEPTH_PKTS = 10
 # The buffer capacities a buffer mechanism's step may reach.
 BUFFER_MIN_PKTS = 10
 BUFFER_MAX_PKTS = 200
+# A guaranteed flow's default reservation per kbps of its rate: FEC and scheduling headroom.
+GUARANTEED_RESERVATION_FACTOR = 1.25
 
 
 class AdmissionRefusedError(Exception):
@@ -127,7 +131,8 @@ class QueueConfig:
 class Effect:
     """What one applied mechanism changes: the shared queue (a buffer step
     or a replacement RED table) or its flow (the MediaFlow fields it sets:
-    a service class with its reservation, or an FEC config)."""
+    a service class with its reservation, 0 for the default, or an FEC
+    block size)."""
 
     step_pkts: Optional[int] = None
     red: Optional[REDTable] = None
@@ -145,14 +150,6 @@ def red_drop_probability(params: REDParams, avg_queue: float) -> float:
 
 
 @dataclass(frozen=True)
-class FecConfig:
-    block_k: int = 4
-
-    def __post_init__(self) -> None:
-        _check_count("block_k", self.block_k)
-
-
-@dataclass(frozen=True)
 class MediaFlow:
     """A voice (or video-profile) media flow."""
 
@@ -161,7 +158,7 @@ class MediaFlow:
     packet_interval_ms: float = 20.0
     service: str = BEST_EFFORT
     reserved_kbps: float = 0.0
-    fec: Optional[FecConfig] = None
+    fec_block_k: int = 0
     burst_pkts: int = 1
     start_ms: float = 0.0
     end_ms: Optional[float] = None
@@ -170,9 +167,15 @@ class MediaFlow:
         # Written so that NaN fails every check.
         if not (0 < self.rate_kbps < math.inf and 0 < self.packet_interval_ms < math.inf):
             raise ValueError("rate_kbps and packet_interval_ms must be finite and > 0")
+        if self.service == GUARANTEED and self.reserved_kbps == 0:
+            reserved = self.rate_kbps * GUARANTEED_RESERVATION_FACTOR
+            object.__setattr__(self, "reserved_kbps", reserved)
+        # The default is checked too: a rate near the float limit overflows it.
         if not 0 <= self.reserved_kbps < math.inf:
             raise ValueError("reserved_kbps must be finite and >= 0")
         _check_count("burst_pkts", self.burst_pkts)
+        if self.fec_block_k != 0:
+            _check_count("fec_block_k", self.fec_block_k)
         if self.service not in SERVICES:
             raise ValueError(f"unknown service class {self.service!r}")
 
@@ -186,12 +189,12 @@ class BackgroundFlow:
     """CBR cross traffic sharing the bottleneck."""
 
     flow_id: str
-    rate_kbps: float
+    rate_kbps: float = 0.0
     packet_bytes: int = 100
     burst_pkts: int = 1
     # What the packet path reads of a MediaFlow, as constants, not fields.
     service = BEST_EFFORT
-    fec = None
+    fec_block_k = 0
     start_ms = 0.0
     end_ms = None
 
@@ -421,12 +424,12 @@ class SimWorld:
                 if epoch != st.epoch or (cfg.end_ms is not None and at >= cfg.end_ms):
                     continue
                 # Nothing in a burst replaces st.cfg, so the burst reads it once.
-                fec, bits, totals = cfg.fec, cfg.packet_bits, st.totals
+                block_k, bits, totals = cfg.fec_block_k, cfg.packet_bits, st.totals
                 # Only controlled-load and guaranteed packets are marked and policed.
                 offer = self.offer_packet if cfg.service == BEST_EFFORT else self._offer
                 for _ in range(cfg.burst_pkts):
                     pkt = Packet(st, bits, at)
-                    if fec is not None:
+                    if block_k:
                         if st.block is None:
                             st.block = _Block()
                         pkt.block = block = st.block
@@ -435,7 +438,7 @@ class SimWorld:
                     if trace:
                         log((at, cfg.flow_id, "sent", None))
                     offer(pkt)
-                    if fec is not None and block.sent >= fec.block_k:
+                    if block_k and block.sent >= block_k:
                         st.block = None
                         offer(Packet(st, bits, at, parity=True, block=block))
                 due = at + cfg.burst_pkts * cfg.packet_interval_ms
@@ -493,8 +496,6 @@ class SimWorld:
 
     def _admit(self, flow_id: str, reserved_kbps: float) -> None:
         """Raise unless the reservation fits in what the other flows leave free."""
-        if reserved_kbps <= 0:
-            raise AdmissionRefusedError(f"{flow_id}: reservation must be > 0")
         others = self._reserved_except(flow_id)
         if others + reserved_kbps > self.link.capacity_kbps:
             raise AdmissionRefusedError(
@@ -539,7 +540,7 @@ class SimWorld:
             else:
                 st.tokens_bits = BUCKET_DEPTH_PKTS * cfg.packet_bits
                 st.tokens_at_ms = self.clock
-        if cfg.fec != st.cfg.fec:
+        if cfg.fec_block_k != st.cfg.fec_block_k:
             st.block = None  # the open block will never get its parity packet
         st.cfg = cfg
         self.mechanisms = ledger

@@ -37,7 +37,6 @@ from voipqos.netsim import (
     AdmissionRefusedError,
     BUFFER_MAX_PKTS,
     BUFFER_MIN_PKTS,
-    FecConfig,
     LinkConfig,
     MediaFlow,
     NetworkChange,
@@ -183,7 +182,7 @@ class TestApplyStop:
             world.queue,
             cfg.service,
             cfg.reserved_kbps,
-            cfg.fec,
+            cfg.fec_block_k,
             world.reserved_kbps,
         )
 
@@ -337,7 +336,7 @@ def _expected_cfg(world, flow_id):
     fields = {}
     for action in actions.active_actions(world, flow_id):
         if action == enable_fec():
-            fields["fec"] = FecConfig(4)
+            fields["fec_block_k"] = 4
         elif action == controlled_load():
             fields.update(service=netsim.CONTROLLED_LOAD, reserved_kbps=0.0)
         elif action == guaranteed_load():

@@ -10,6 +10,7 @@ import re
 import tracemalloc
 import weakref
 from itertools import chain
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -116,6 +117,14 @@ BAD_SCENARIOS = {
     ),
     "float-fec-block": _edited(
         "table1-s1", lambda d: d["calls"][0]["flow"].update(fec_block_k=2.5)
+    ),
+    "negative-fec-block": _edited(
+        "table1-s1", lambda d: d["calls"][0]["flow"].update(fec_block_k=-1)
+    ),
+    # 1.25 x the rate overflows to an infinite default reservation.
+    "overflowing-default-reservation": _edited(
+        "fig5-s3-guaranteed",
+        lambda d: d["calls"][0]["flow"].update(rate_kbps=1.5e308, reserved_kbps=0.0),
     ),
     "float-background-packet-bytes": _edited(
         "table4-red-1k", lambda d: d["background"].update(packet_bytes=100.5)
@@ -294,6 +303,28 @@ class TestScenarioSerialization:
             scenario.calls[0].flow.rate_kbps = 64.0
         with pytest.raises(dataclasses.FrozenInstanceError):
             scenario.background.rate_kbps = 64.0
+
+    def test_readme_flow_rows_are_the_configs_fields(self):
+        # A scenario's flow objects are the configs' keyword arguments, so
+        # README's table documents exactly their fields, less the ones the
+        # call or the harness sets.
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        names = set()
+        for line in readme.read_text().splitlines():
+            if line.startswith("| `"):
+                # A row's first cell: `a.b.c`, then `.d` for a.b.d.
+                first, *more = re.findall(r"`([^`]+)`", line.split("|")[1])
+                prefix = first[: first.rfind(".")]
+                names |= {first, *(prefix + name for name in more if name.startswith("."))}
+
+        def rows(obj):
+            return {name[len(obj):] for name in names if name.startswith(obj)}
+
+        def config_fields(cls, *set_elsewhere):
+            return {f.name for f in dataclasses.fields(cls)} - {"flow_id", *set_elsewhere}
+
+        assert rows("calls[].flow.") == config_fields(netsim.MediaFlow, "start_ms", "end_ms")
+        assert rows("background.") == config_fields(netsim.BackgroundFlow)
 
 
 class TestRuns:
@@ -521,8 +552,7 @@ class TestWorldRelease:
     def test_fec_blocks_of_pending_packets(self):
         # A block that held its lost packets would form a cycle with them.
         world = netsim.SimWorld(netsim.LinkConfig(20.0, 0.2, 1000.0), netsim.QueueConfig())
-        fec = netsim.FecConfig(4)
-        world.add_flow(netsim.MediaFlow("m", packet_interval_ms=1.0, fec=fec))
+        world.add_flow(netsim.MediaFlow("m", packet_interval_ms=1.0, fec_block_k=4))
         world.advance(1_000.5)
         # The packets on the wire and propagating.
         pending = [world._tx] + [

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,6 @@ from voipqos import actions, harness, netsim
 from voipqos.netsim import (
     AdmissionRefusedError,
     BackgroundFlow,
-    FecConfig,
     LinkConfig,
     MediaFlow,
     NetworkChange,
@@ -80,12 +80,12 @@ class TestEventOrder:
             trace=True,
         )
         world.add_flow(
-            MediaFlow("cl", service=netsim.CONTROLLED_LOAD, burst_pkts=4, fec=FecConfig(3))
+            MediaFlow("cl", service=netsim.CONTROLLED_LOAD, burst_pkts=4, fec_block_k=3)
         )
         world.add_flow(
             MediaFlow("g", service=netsim.GUARANTEED, reserved_kbps=20.0, burst_pkts=6)
         )
-        world.add_flow(MediaFlow("be", fec=FecConfig(4), burst_pkts=2, end_ms=5_000.0))
+        world.add_flow(MediaFlow("be", fec_block_k=4, burst_pkts=2, end_ms=5_000.0))
         world.add_flow(BackgroundFlow("bg", rate_kbps=350.0))
         world.advance(6_000.0)
         world.check_conservation()
@@ -172,7 +172,7 @@ def _busy_worlds(draw):
             service=service,
             # Three 32.5 kbps reservations fit the slowest link.
             reserved_kbps=32.5 if service == netsim.GUARANTEED else 0.0,
-            fec=FecConfig(block_k) if block_k else None,
+            fec_block_k=block_k,
             burst_pkts=draw(st.integers(1, 20)),
             start_ms=start,
             end_ms=None if length is None else start + length,
@@ -295,7 +295,7 @@ class TestFec:
         p, k = 0.05, 4
         world = _world(latency=5.0, loss=p, capacity=10_000.0, buffer_pkts=1000, seed=11)
         world.add_flow(
-            MediaFlow("m", packet_interval_ms=2.0, fec=FecConfig(block_k=k))
+            MediaFlow("m", packet_interval_ms=2.0, fec_block_k=k)
         )
         world.advance(120_000.0)
         t = world.totals("m")
@@ -314,22 +314,28 @@ class TestFec:
         plain.add_flow(MediaFlow("m", packet_interval_ms=2.0))
         plain.advance(60_000.0)
         fec = _world(latency=5.0, loss=p, capacity=10_000.0, seed=2)
-        fec.add_flow(MediaFlow("m", packet_interval_ms=2.0, fec=FecConfig(4)))
+        fec.add_flow(MediaFlow("m", packet_interval_ms=2.0, fec_block_k=4))
         fec.advance(60_000.0)
         d_plain = plain.totals("m").delay_sum_ms / plain.totals("m").delay_n
         d_fec = fec.totals("m").delay_sum_ms / fec.totals("m").delay_n
         assert d_fec > d_plain
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            FecConfig(block_k=0)
-        # FEC is single-parity, but a knowledge base's id may name any parity.
+        # A block size is 0 (no FEC) or a whole number of packets >= 1.
+        for block_k in (-1, 2.5):
+            with pytest.raises(ValueError, match="fec_block_k"):
+                MediaFlow("m", fec_block_k=block_k)
+        # FEC is single-parity, but a knowledge base's id may name any parity
+        # or block size; a block size of 0 would silently turn FEC off.
         world = _world()
         world.add_flow(MediaFlow("m"))
         two = actions.ActionId(actions.ENABLE_FEC, (("block_k", 4.0), ("parity", 2.0)))
         with pytest.raises(ValueError, match="only single-parity FEC is supported"):
             actions.apply_action(world, "m", two)
-        assert world.mechanisms == {} and world.flows["m"].cfg.fec is None
+        empty = actions.ActionId(actions.ENABLE_FEC, (("block_k", 0.0), ("parity", 1.0)))
+        with pytest.raises(ValueError, match="block_k must be >= 1"):
+            actions.apply_action(world, "m", empty)
+        assert world.mechanisms == {} and world.flows["m"].cfg.fec_block_k == 0
 
 
 class TestBufferSizing:
@@ -401,6 +407,17 @@ class TestServiceClasses:
         # Releasing the first reservation frees the headroom.
         world.end_flow("a")
         world.add_flow(MediaFlow("b", service=netsim.GUARANTEED, reserved_kbps=30.0))
+
+    def test_guaranteed_flow_defaults_its_reservation(self):
+        # A reservation of 0 is the default, 1.25 x the rate, and is admitted.
+        flow = MediaFlow("g", rate_kbps=40.0, service=netsim.GUARANTEED)
+        assert flow.reserved_kbps == 40.0 * 1.25
+        world = _world(capacity=100.0)
+        world.add_flow(flow)
+        assert world.reserved_kbps == 50.0
+        # Only guaranteed service takes the default: best effort holds none.
+        best_effort = replace(flow, service=netsim.BEST_EFFORT, reserved_kbps=0.0)
+        assert best_effort.reserved_kbps == 0.0
 
 
 class TestNetworkChanges:
@@ -487,7 +504,7 @@ class TestNetworkChanges:
             QueueConfig(capacity_pkts=100),
             timeline=(NetworkChange(2_000.0, netsim.SET_BACKGROUND_RATE, 400.0),),
         )
-        world.add_flow(MediaFlow("m", fec=FecConfig(4)))
+        world.add_flow(MediaFlow("m", fec_block_k=4))
         world.add_flow(BackgroundFlow("bg", rate_kbps=200.0))
         world.advance(1_000.0)
         world.end_flow("m")
@@ -581,7 +598,7 @@ class TestMeasurement:
 
     def test_loss_counts_recoveries(self):
         world = _world(latency=5.0, loss=0.05, capacity=10_000.0, seed=5)
-        world.add_flow(MediaFlow("m", packet_interval_ms=2.0, fec=FecConfig(4)))
+        world.add_flow(MediaFlow("m", packet_interval_ms=2.0, fec_block_k=4))
         world.advance(30_000.0)
         sample = world.measure("m")
         t = world.totals("m")

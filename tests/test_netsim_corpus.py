@@ -26,7 +26,6 @@ import pytest
 from voipqos import netsim
 from voipqos.netsim import (
     BackgroundFlow,
-    FecConfig,
     LinkConfig,
     MediaFlow,
     NetworkChange,
@@ -112,7 +111,7 @@ def _draw_world(i: int):
             service=service,
             # Three 32.5 kbps reservations fit the slowest link.
             reserved_kbps=32.5 if service == netsim.GUARANTEED else 0.0,
-            fec=FecConfig(block_k) if block_k else None,
+            fec_block_k=block_k,
             burst_pkts=rng.randint(1, 20),
             start_ms=start,
             end_ms=None if length is None else start + length,

@@ -96,7 +96,11 @@ def churn_runs():
 def timed_run(harness, scenario, seed: int, mode: str, out_dir: Optional[Path]):
     """Seconds of one run, which writes its artifacts if out_dir is set, and
     each of its outputs as canonical JSON."""
+    # As the benchmark's runner does: collect what the previous run left,
+    # then freeze what survives (the two trees and the tool's own data) so
+    # that the run's collections skip it.
     gc.collect()
+    gc.freeze()
     start = time.perf_counter()
     artifacts = harness.run(
         scenario, seed=seed, mode=mode, out_dir=None if out_dir is None else str(out_dir)
