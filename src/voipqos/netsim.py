@@ -16,17 +16,28 @@ change the network (its latency, loss rate, buffer size and background
 rate); `SimWorld.notifications` logs every applied change, in order, and
 every run with the same (seed, config) produces the same event history.
 
-The event set is one heap plus a delivery FIFO, and `advance` runs every
-event itself: a flow's emission of its next burst, the end of a
-transmission, a delivery and a timeline change.  A delivery is due one
-latency after its transmission ends, so while the latency does not drop
-deliveries come due in the order they are scheduled, and the FIFO takes
-them; the heap takes the rest.  The heap holds the emissions, the
-transmission ends, the out-of-order deliveries and only the next
-timeline change: the rest of the timeline waits, ready-made, in its own
-queue, so the heap's size does not grow with the timeline.  The queue is
-empty whenever the link is idle, so a packet that finds the link idle
-goes on the wire.
+The event heap holds only the flows' emissions and the next timeline
+change: the rest of the timeline waits, ready-made, in its own queue, so
+the heap's size does not grow with the timeline.  The link is a slot,
+the packet on the wire with the end of its transmission and the seq that
+end would take in the heap.  Before `advance` runs a heap event it runs,
+in one loop, every transmission end due before the event's (time, seq):
+the link-loss draw, the scheduled delivery and the next queued packet.
+So every event still runs in (time, seq) order, and every seq and random
+draw is taken at the same moment as if the ends were heap events.  The
+queue is empty whenever the link is idle, so a packet that finds the link
+idle goes on the wire.
+
+A delivery is due one latency after its transmission ends.  Deliveries
+wait, in a FIFO or, out of order after a latency drop, in a small heap of
+their own, until something could observe them, and then are settled in
+(due, seq) order: before a traced world's next log row, before the drop
+of an FEC-block packet (whose block a delivery may resolve), at the end
+of `advance`, and once `SETTLE_AFTER` more have come to wait, so the
+FIFO holds about what is in flight.  A delivery
+draws no random number and touches only its flow's counters and block,
+so the totals, the packet log and the random stream are those of a
+world that ran every delivery at its due time.
 
 Each packet carries its flow and, under FEC, its block; a flow holds only
 its open block, and the world the one packet on the wire.  A flow's totals
@@ -44,7 +55,7 @@ import random
 from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heapreplace
 from itertools import chain, count
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -61,6 +72,8 @@ BUFFER_MIN_PKTS = 10
 BUFFER_MAX_PKTS = 200
 # A guaranteed flow's default reservation per kbps of its rate: FEC and scheduling headroom.
 GUARANTEED_RESERVATION_FACTOR = 1.25
+# Deliveries that may come to wait between two settlements in an untraced world.
+SETTLE_AFTER = 128
 
 
 class AdmissionRefusedError(Exception):
@@ -214,12 +227,9 @@ class BackgroundFlow:
         return self.packet_bits / self.rate_kbps
 
 
-# Markers of the events advance runs: a flow's emission of its next burst
-# (of a (flow state, epoch) pair), the end of the transmission of `_tx`, a
-# packet's delivery (of the packet) and a timeline change (of the change).
+# Markers of the heap's events: a flow's emission of its next burst (of a
+# (flow state, epoch) pair) and a timeline change (of the change).
 _EMIT = "emit"
-_TX_DONE = "tx_done"
-_DELIVER = "deliver"
 _CHANGE = "change"
 
 SET_LATENCY = "set_latency"
@@ -305,7 +315,7 @@ class _Block:
 
 class _FlowState:
     __slots__ = (
-        "cfg", "configured", "epoch", "block", "tokens_bits", "tokens_at_ms",
+        "cfg", "configured", "derived", "epoch", "block", "tokens_bits", "tokens_at_ms",
         "totals", "mark", "window_delay_ms", "last_delay_ms", "active",
     )
 
@@ -314,6 +324,8 @@ class _FlowState:
         # or replaced by the timeline.
         self.configured = cfg
         self.cfg = cfg
+        # The flows set_mechanism has derived, by their ledger's field items.
+        self.derived: Dict[tuple, MediaFlow] = {}
         # A scheduled emission runs only while its epoch is the flow's.
         self.epoch = 0
         self.block: Optional[_Block] = None  # the open FEC block
@@ -347,14 +359,15 @@ class SimWorld:
         self.configured_red = queue.red
         self.queue = queue
         self.flows: Dict[str, _FlowState] = {}
-        # Events of (at_ms, seq, marker, payload), in a heap or, for a
-        # delivery not due before the FIFO's last one, in the delivery FIFO.
-        # Every event takes the next seq, and advance runs them in (at_ms,
-        # seq) order across both, so equal times run in the order they were
-        # scheduled.
+        # Emissions and the next timeline change, as (at_ms, seq, marker,
+        # payload). Every event, a transmission end and a delivery included,
+        # takes the next seq, and all of them run in (at_ms, seq) order, so
+        # equal times run in the order they were scheduled.
         self._events: List[Tuple[float, int, str, object]] = []
-        self._fifo: deque = deque()
         self._seq = count(1)
+        # The key of the event running, or of the last one run: what a drop
+        # settles the deliveries before.
+        self._now: tuple = (0.0, 0)
         # The timeline's changes, in time order, take the first seqs. Only
         # the next one sits in the heap, and running it pushes the one after.
         self._timeline = deque(
@@ -366,7 +379,14 @@ class SimWorld:
         self._qp: deque = deque()
         self._qb: deque = deque()
         self._avg_queue = 0.0
+        # The link: the packet on the wire, its transmission's end and seq.
         self._tx: Optional[Packet] = None
+        self._tx_at = 0.0
+        self._tx_seq = 0
+        # Deliveries waiting to be settled, as (due, seq, packet): a FIFO in
+        # (due, seq) order, and a heap of those due before the FIFO's last.
+        self._fifo: deque = deque()
+        self._late: List[Tuple[float, int, Packet]] = []
         # Rows of (time_ms, flow_id, outcome, delay_ms or None), when tracing.
         self.trace = trace
         self.log: List[Tuple[float, str, str, Optional[float]]] = []
@@ -381,47 +401,60 @@ class SimWorld:
         # Written so that NaN fails the check.
         if not until_ms >= self.clock:
             raise ValueError("cannot advance backwards")
-        events, fifo, seq, rng = self._events, self._fifo, self._seq, self.rng
-        trace, log = self.trace, self.log.append
+        events, fifo, late, seq, rng = self._events, self._fifo, self._late, self._seq, self.rng
+        qp, qb = self._qp, self._qb
+        trace, log, settle = self.trace, self.log.append, self._settle
+        end = (until_ms, math.inf)
+        settle_at = len(fifo) + SETTLE_AFTER
         while True:
-            # The earlier of the FIFO's head and the heap's top; seqs are
-            # unique, so the comparison never reaches the marker.
-            if fifo and (not events or fifo[0] < events[0]):
-                if fifo[0][0] > until_ms:
-                    break
-                at, _, kind, arg = fifo.popleft()
-            elif events and events[0][0] <= until_ms:
-                at, _, kind, arg = heappop(events)
-            else:
+            head = events[0] if events and events[0][0] <= until_ms else end
+            at, head_seq = head[0], head[1]
+            pkt, tx_at, tx_seq = self._tx, self._tx_at, self._tx_seq
+            if pkt is not None and (tx_at < at or (tx_at == at and tx_seq < head_seq)):
+                # Every transmission end due before the head: link loss or
+                # propagation; then the next queued packet, priority first,
+                # goes on the wire. No heap event runs meanwhile, so the link
+                # stays as it is.
+                link = self.link
+                loss, latency, capacity = link.loss_rate, link.latency_ms, link.capacity_kbps
+                while True:
+                    if loss > 0 and rng.random() < loss:
+                        self.clock, self._now = tx_at, (tx_at, tx_seq)
+                        self._drop(pkt, "dropped_link")
+                    else:
+                        due = tx_at + latency
+                        if not fifo or due >= fifo[-1][0]:
+                            fifo.append((due, next(seq), pkt))
+                        else:
+                            # Only a latency drop with packets in flight gets here.
+                            heappush(late, (due, next(seq), pkt))
+                    if qp:
+                        pkt = qp.popleft()
+                    elif qb:
+                        pkt = qb.popleft()
+                    else:
+                        pkt = None
+                        break
+                    tx_at += pkt.bits / capacity
+                    tx_seq = next(seq)
+                    if not (tx_at < at or (tx_at == at and tx_seq < head_seq)):
+                        break
+                self._tx, self._tx_at, self._tx_seq = pkt, tx_at, tx_seq
+            if head is end:
                 break
             self.clock = at
-            if kind is _TX_DONE:
-                # Link loss, or propagation; then the next queued packet,
-                # priority first, goes on the wire.
-                pkt, link = self._tx, self.link
-                if link.loss_rate > 0 and rng.random() < link.loss_rate:
-                    self._drop(pkt, "dropped_link")
-                else:
-                    due = at + link.latency_ms
-                    if not fifo or due >= fifo[-1][0]:
-                        fifo.append((due, next(seq), _DELIVER, pkt))
-                    else:
-                        # Only a latency drop with packets in flight gets here.
-                        heappush(events, (due, next(seq), _DELIVER, pkt))
-                if self._qp:
-                    pkt = self._qp.popleft()
-                elif self._qb:
-                    pkt = self._qb.popleft()
-                else:
-                    self._tx = None
-                    continue
-                self._tx = pkt
-                heappush(events, (at + pkt.bits / link.capacity_kbps, next(seq), _TX_DONE, None))
-            elif kind is _EMIT:
-                st, epoch = arg
+            if trace or len(fifo) > settle_at:
+                # A traced world logs every row in event order; an untraced
+                # one settles here only to keep the FIFO near what is in flight.
+                settle(head)
+                settle_at = len(fifo) + SETTLE_AFTER
+            self._now = head
+            if head[2] is _EMIT:
+                st, epoch = arg = head[3]
                 cfg = st.cfg
                 # end_flow and every background rate change start a new epoch.
                 if epoch != st.epoch or (cfg.end_ms is not None and at >= cfg.end_ms):
+                    heappop(events)
                     continue
                 # Nothing in a burst replaces st.cfg, so the burst reads it once.
                 block_k, bits, totals = cfg.fec_block_k, cfg.packet_bits, st.totals
@@ -441,26 +474,44 @@ class SimWorld:
                     if block_k and block.sent >= block_k:
                         st.block = None
                         offer(Packet(st, bits, at, parity=True, block=block))
+                # A burst pushes nothing on the heap, so its emission is still the top.
                 due = at + cfg.burst_pkts * cfg.packet_interval_ms
-                heappush(events, (due, next(seq), _EMIT, arg))
-            elif kind is _DELIVER:
-                pkt = arg
-                if not pkt.parity:
-                    st = pkt.flow
-                    delay = at - pkt.created_ms
-                    totals = st.totals
-                    totals.delivered += 1
-                    totals.delay_sum_ms += delay
-                    st.window_delay_ms += delay
-                    if trace:
-                        log((at, st.cfg.flow_id, "delivered", delay))
-                if pkt.block is not None:
-                    self._block_resolve(pkt, delivered=True)
+                heapreplace(events, (due, next(seq), _EMIT, arg))
             else:
-                self._do_change(arg)
+                heappop(events)
+                self._do_change(head[3])
                 if self._timeline:
                     heappush(events, self._timeline.popleft())
+        settle(end)
         self.clock = until_ms
+
+    def _settle(self, before: tuple) -> None:
+        """Run every waiting delivery whose (due, seq) comes before `before`,
+        an event's key, in (due, seq) order."""
+        fifo, late = self._fifo, self._late
+        trace, now = self.trace, self.clock
+        while True:
+            if fifo and (not late or fifo[0] < late[0]):
+                if not fifo[0] < before:
+                    break
+                due, _, pkt = fifo.popleft()
+            elif late and late[0] < before:
+                due, _, pkt = heappop(late)
+            else:
+                break
+            if not pkt.parity:
+                st = pkt.flow
+                delay = due - pkt.created_ms
+                totals = st.totals
+                totals.delivered += 1
+                totals.delay_sum_ms += delay
+                st.window_delay_ms += delay
+                if trace:
+                    self.log.append((due, st.cfg.flow_id, "delivered", delay))
+            if pkt.block is not None:
+                self.clock = due
+                self._block_resolve(pkt, delivered=True)
+        self.clock = now
 
     # ---------------- flow management ----------------
 
@@ -524,9 +575,12 @@ class SimWorld:
         else:
             changed = (effect,) if key not in ledger else (ledger[key], effect)
             ledger[key] = effect
-        cfg = replace(st.configured, **{
-            k: v for (fid, _), e in ledger.items() if fid == flow_id for k, v in e.flow.items()
-        })
+        fields = tuple(
+            item for (fid, _), e in ledger.items() if fid == flow_id for item in e.flow.items()
+        )
+        cfg = st.derived.get(fields)
+        if cfg is None:
+            cfg = st.derived[fields] = replace(st.configured, **dict(fields))
         if cfg.service == GUARANTEED and (st.cfg.service, st.cfg.reserved_kbps) != (
             GUARANTEED, cfg.reserved_kbps
         ):
@@ -641,8 +695,8 @@ class SimWorld:
                 return
         if self._tx is None:
             self._tx = pkt
-            at = self.clock + pkt.bits / self.link.capacity_kbps
-            heappush(self._events, (at, next(self._seq), _TX_DONE, None))
+            self._tx_at = self.clock + pkt.bits / self.link.capacity_kbps
+            self._tx_seq = next(self._seq)
         elif pkt.pclass == 1:
             self._qp.append(pkt)
         else:
@@ -667,6 +721,9 @@ class SimWorld:
             self.log.append((self.clock, st.cfg.flow_id, outcome, delay))
 
     def _drop(self, pkt: Packet, reason: str) -> None:
+        if self.trace or pkt.block is not None:
+            # Its log row, or its block's resolution, follows every delivery due before it.
+            self._settle(self._now)
         if not pkt.parity:
             self._record(pkt.flow, reason)
         if pkt.block is not None:
@@ -727,14 +784,14 @@ class SimWorld:
     def check_conservation(self) -> None:
         """Each flow's in-flight count equals its packets still held.
 
-        A counted packet is held while it waits in the queue, is in
-        transmission (`_tx`) or propagates (a pending delivery, in the FIFO
-        or on the heap). The queue is empty whenever the link is idle, as
-        offer_packet assumes.
+        A counted packet is held while it waits in the queue, is on the
+        link (`_tx`) or waits to be delivered (in the FIFO or the late
+        heap). The queue is empty whenever the link is idle, as offer_packet
+        assumes.
         """
         if self._tx is None and self.occupancy:
             raise AssertionError(f"{self.occupancy} packets queued on an idle link")
-        pending = [pkt for _, _, kind, pkt in chain(self._events, self._fifo) if kind is _DELIVER]
+        pending = (pkt for _, _, pkt in chain(self._fifo, self._late))
         held = Counter(
             p.flow for p in chain(self._qp, self._qb, [self._tx], pending)
             if p is not None and not p.parity

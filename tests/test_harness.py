@@ -554,11 +554,8 @@ class TestWorldRelease:
         world = netsim.SimWorld(netsim.LinkConfig(20.0, 0.2, 1000.0), netsim.QueueConfig())
         world.add_flow(netsim.MediaFlow("m", packet_interval_ms=1.0, fec_block_k=4))
         world.advance(1_000.5)
-        # The packets on the wire and propagating.
-        pending = [world._tx] + [
-            pkt for _, _, kind, pkt in chain(world._events, world._fifo)
-            if kind is netsim._DELIVER
-        ]
+        # The packet on the link and those waiting to be delivered.
+        pending = [world._tx] + [pkt for _, _, pkt in chain(world._fifo, world._late)]
         blocks = {id(p.block): p.block for p in pending if p is not None and p.block is not None}
         assert any(block.lost for block in blocks.values())
         refs = [weakref.ref(block) for block in blocks.values()]

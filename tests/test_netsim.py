@@ -101,8 +101,9 @@ class TestEventOrder:
 def test_frames_per_sent_packet():
     # Python frames of this module per sent packet on a RED preset with
     # background traffic: an exact count, independent of host speed, of
-    # the per-packet cost, which advance running emissions and the link
-    # events holds near 2 (queue discipline, RED curve).
+    # the per-packet cost, which advance running emissions and transmission
+    # ends itself, and settling deliveries in batches, holds near 2 (queue
+    # discipline, RED curve).
     world = harness.build_world(harness.load_scenario("table4-red-10k"), seed=0)
     frames = 0
 
@@ -320,6 +321,31 @@ class TestFec:
         d_fec = fec.totals("m").delay_sum_ms / fec.totals("m").delay_n
         assert d_fec > d_plain
 
+    def test_a_drop_that_ends_a_block_follows_the_deliveries_before_it(self):
+        # A guaranteed flow's conforming packets overtake its best-effort
+        # ones, so a block's parity can arrive before one of its media is
+        # lost, and that loss recovers the block. An untraced world lets
+        # deliveries wait, but the recovery's delay must still be summed
+        # after every delivery due before the loss, as in a traced world.
+        for seed in range(40):
+            worlds = []
+            for trace in (True, False):
+                world = SimWorld(
+                    LinkConfig(0.3, 0.3, 100.0), QueueConfig(60), seed=seed, trace=trace
+                )
+                world.add_flow(MediaFlow(
+                    "g", rate_kbps=26.1, packet_interval_ms=7.3, service=netsim.GUARANTEED,
+                    reserved_kbps=15.0, fec_block_k=3, burst_pkts=2, start_ms=0.37,
+                ))
+                world.add_flow(BackgroundFlow("bg", rate_kbps=70.3))
+                worlds.append(world)
+            for stop in (1_000.0, 2_000.0, 3_000.0):
+                for world in worlds:
+                    world.advance(stop)
+                traced, untraced = (world.totals("g") for world in worlds)
+                assert traced.recovered
+                assert repr(untraced) == repr(traced), (seed, stop)
+
     def test_config_validation(self):
         # A block size is 0 (no FEC) or a whole number of packets >= 1.
         for block_k in (-1, 2.5):
@@ -448,24 +474,54 @@ class TestNetworkChanges:
             (12_000.0, netsim.SET_LOSS_RATE),
         ]
 
+    @staticmethod
+    def _pending_changes(world):
+        """The timeline changes in the event heap, which holds nothing but
+        them and the flows' emissions."""
+        kinds = [kind for _, _, kind, _ in world._events]
+        assert set(kinds) <= {netsim._EMIT, netsim._CHANGE}
+        return kinds.count(netsim._CHANGE)
+
     def test_the_heap_holds_only_the_next_timeline_change(self):
         # A generated control-churn scenario: its timeline is long, but the
         # event heap holds at most its next change, at every window end.
         scenario = harness.scenario_from_json(json.loads(churn_json(0)))
         assert len(scenario.timeline) >= 150
         world = harness.build_world(scenario, seed=0)
-
-        def pending_changes():
-            return sum(1 for _, _, kind, _ in world._events if kind is netsim._CHANGE)
-
-        assert pending_changes() == 1
+        assert self._pending_changes(world) == 1
         world.check_conservation()
         for end_ms in range(5_000, int(scenario.duration_s * 1000) + 1, 5_000):
             world.advance(float(end_ms))
-            assert pending_changes() <= 1, end_ms
+            assert self._pending_changes(world) <= 1, end_ms
             world.check_conservation()
         # Every change ran, in time order.
         assert world.notifications == sorted(scenario.timeline, key=lambda c: c.at_ms)
+
+    def test_the_heap_holds_no_link_or_delivery_event(self):
+        # A congested, lossy world with FEC and a latency drop: at every
+        # stop the link is busy and deliveries wait, yet the heap holds
+        # only emissions and the next timeline change.
+        world = _world(
+            latency=40.0, loss=0.1, capacity=200.0, buffer_pkts=20,
+            timeline=(
+                NetworkChange(1_000.0, netsim.SET_LATENCY, 5.0),
+                NetworkChange(2_000.0, netsim.SET_LATENCY, 60.0),
+            ),
+        )
+        world.add_flow(MediaFlow("fec", fec_block_k=3, burst_pkts=4))
+        world.add_flow(MediaFlow("cl", service=netsim.CONTROLLED_LOAD, fec_block_k=2))
+        world.add_flow(BackgroundFlow("bg", rate_kbps=140.0))
+        busy = 0
+        for stop in range(50, 3_001, 50):
+            world.advance(float(stop))
+            assert self._pending_changes(world) <= 1, stop
+            busy += world._tx is not None and len(world._fifo) > 0
+            world.check_conservation()
+        assert busy >= 50
+        fec, cl, bg = (world.totals(fid) for fid in ("fec", "cl", "bg"))
+        assert fec.dropped_queue and bg.dropped_queue
+        assert fec.dropped_link and cl.dropped_link and bg.dropped_link
+        assert fec.recovered and cl.recovered
 
     def test_background_rate_change_restarts_emission(self):
         world = SimWorld(

@@ -7,6 +7,9 @@ deliveries coincide with emissions, the ends of transmissions and
 timeline changes, and only the `(time, seq)` order of the events decides
 what runs first. Every world is traced and advanced to several stops; its
 packet log's row count and sha256 must match `data/netsim_corpus.json`.
+An untraced twin of every world, which settles its deliveries lazily,
+must end each stop with the traced world's counters, samples and random
+state.
 
 A change that deliberately alters the event order records the corpus again:
 
@@ -46,7 +49,7 @@ BRANCHES = (
 )
 
 
-def _draw_world(i: int):
+def _draw_world(i: int, trace: bool = True):
     """World i of the corpus, its timeline and the sorted times to stop it at."""
     rng = random.Random(i)
     exact = i % 2 == 1
@@ -92,7 +95,7 @@ def _draw_world(i: int):
         timeline.append(NetworkChange(when(4_000), kind, rng.choice(values)))
     world = SimWorld(
         link, QueueConfig(capacity, red), seed=rng.randint(0, 9),
-        timeline=tuple(timeline), trace=True,
+        timeline=tuple(timeline), trace=trace,
     )
     for k in range(rng.randint(1, 3)):
         service = rng.choice(netsim.SERVICES)
@@ -158,17 +161,31 @@ def _instrument(world, taken: set) -> None:
     world.offer_packet, world._drop = offer, record_drop
 
 
+def _latency_drops(timeline):
+    """A stop just before each latency change, with the new latency: a stop
+    there counts the packets propagating then; the world runs the same with
+    or without it."""
+    return {
+        math.nextafter(c.at_ms, -math.inf): c.value
+        for c in timeline if c.kind == netsim.SET_LATENCY and c.at_ms > 0
+    }
+
+
+def _end_flows(world, stop: float, taken: set) -> None:
+    """End the flows whose end is at or before the stop."""
+    for fid, flow in world.flows.items():
+        if flow.active and flow.cfg.end_ms is not None and flow.cfg.end_ms <= stop:
+            if flow.totals.in_flight:
+                taken.add("flow_end_in_flight")
+            world.end_flow(fid)
+
+
 def run_world(i: int):
     """Row count and sha256 of world i's packet log, and the branches it took."""
     world, timeline, stops = _draw_world(i)
     taken = set()
     _instrument(world, taken)
-    # A stop just before a latency change counts the packets propagating
-    # then; the world runs the same with or without it.
-    drops = {
-        math.nextafter(c.at_ms, -math.inf): c.value
-        for c in timeline if c.kind == netsim.SET_LATENCY and c.at_ms > 0
-    }
+    drops = _latency_drops(timeline)
     for stop in sorted(set(stops) | set(drops)):
         world.advance(stop)
         if stop in drops:
@@ -177,11 +194,7 @@ def run_world(i: int):
                 taken.add("latency_drop_in_flight")
             continue
         world.check_conservation()
-        for fid, flow in world.flows.items():
-            if flow.active and flow.cfg.end_ms is not None and flow.cfg.end_ms <= stop:
-                if flow.totals.in_flight:
-                    taken.add("flow_end_in_flight")
-                world.end_flow(fid)
+        _end_flows(world, stop, taken)
     rows = {(at, event) for at, _, event, _ in world.log}
     outcomes = {event for _, event in rows}
     taken |= {
@@ -224,6 +237,27 @@ def test_every_world_reproduces_its_log(corpus):
 def test_every_branch_is_taken_by_several_worlds(corpus):
     worlds = Counter(branch for _, _, taken in corpus for branch in taken)
     assert {b: worlds[b] for b in BRANCHES if worlds[b] < MIN_WORLDS} == {}
+
+
+@pytest.mark.parametrize("i", range(N_WORLDS))
+def test_an_untraced_twin_matches_the_traced_world(i):
+    # Only an untraced world leaves its deliveries waiting between the
+    # events that could observe them; at every stop, each flow's counters
+    # (to the bit), its sample and the random state must still be the
+    # traced world's.
+    traced, timeline, stops = _draw_world(i)
+    untraced, _, _ = _draw_world(i, trace=False)
+    for stop in sorted(set(stops) | set(_latency_drops(timeline))):
+        for world in (traced, untraced):
+            world.advance(stop)
+        assert untraced.rng.getstate() == traced.rng.getstate(), stop
+        for fid, flow in traced.flows.items():
+            twin = untraced.flows[fid]
+            assert repr(twin.totals) == repr(flow.totals), (stop, fid)
+            assert repr(untraced.measure(fid)) == repr(traced.measure(fid)), (stop, fid)
+        untraced.check_conservation()
+        for world in (traced, untraced):
+            _end_flows(world, stop, set())
 
 
 if __name__ == "__main__":

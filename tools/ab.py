@@ -1,11 +1,14 @@
-"""In-process A/B timing of two voipqos source trees.
+"""A/B timing of two voipqos source trees, one fresh interpreter per pair.
 
 usage: python tools/ab.py --parent DIR --change DIR [--pairs N]
 
-Each DIR holds a `voipqos` package (a checkout's `src`). The two trees are
-imported into one interpreter as two packages, `voipqos_parent` and
-`voipqos_change`, so both sides share the host's speed at each moment. A
-pair times three samples on both sides: the presets, every preset in
+Each DIR holds a `voipqos` package (a checkout's `src`). Each pair runs in
+a fresh interpreter that imports both trees as two packages,
+`voipqos_parent` and `voipqos_change`, so both sides share the host's
+speed at each moment. Which tree is imported first alternates from pair
+to pair, since the first-imported tree can run a few percent faster; no
+pair inherits the heap or the caches of the one before. A pair times
+three samples on both sides: the presets, every preset in
 control and baseline mode at seed 0; the churn sample, the one-call
 control-churn scenarios of CHURN_SAMPLE, each at its index as seed, as
 the benchmark runs them, from the text that `bench/workloads.py` of this
@@ -16,7 +19,8 @@ loop; the churn sample is where the controller and knowledge base take a
 visible share; the traced sample adds the writing of trace.csv, as the
 benchmark's multicall-artifacts workload does. Each run of one side comes
 right after the same run of the other, and which side runs first
-alternates from pair to pair. Every pair of runs must return identical
+alternates every two pairs, so that four pairs take each import order
+with each run order. Every pair of runs must return identical
 outputs: the summary, the knowledge base a control run ends with, the
 timeseries, and a control run's transitions and call states; in the
 traced sample, every artifact file must also be byte-equal. They are
@@ -34,10 +38,12 @@ import gc
 import importlib
 import importlib.util
 import json
+import multiprocessing
 import statistics
 import sys
 import tempfile
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Optional
 
@@ -135,18 +141,12 @@ def differing_artifacts(parent: Path, change: Path) -> list:
     return sorted(n for n in names if files[0].get(n) != files[1].get(n))
 
 
-def main(argv) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", required=True, type=Path)
-    parser.add_argument("--change", required=True, type=Path)
-    parser.add_argument("--pairs", type=int, default=10)
-    args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be >= 1")
-    trees = {
-        "parent": import_tree(args.parent.resolve(), "voipqos_parent"),
-        "change": import_tree(args.change.resolve(), "voipqos_change"),
-    }
+def run_pair(srcs: dict, imports: tuple, runs_first: tuple) -> dict:
+    """Time one pair in this interpreter: import the trees in the order of
+    `imports`, then time each sample's runs on both sides, in the order of
+    `runs_first`, checking that every pair of runs gives equal outputs.
+    Returns {sample: (runs, unit, {side: seconds})}."""
+    trees = {side: import_tree(srcs[side], f"voipqos_{side}") for side in imports}
     presets = sorted(trees["parent"].PRESETS)
     if presets != sorted(trees["change"].PRESETS):
         raise SystemExit("error: the two trees define different presets")
@@ -156,35 +156,59 @@ def main(argv) -> int:
         "churn sample": (churn_runs(), "windows", False),
         "traced": (preset_runs(TRACED_PRESETS, ("control",)), "packets", True),
     }
-    times = {name: {side: [] for side in SIDES} for name in samples}
+    result = {}
+    for name, (runs, unit, traced) in samples.items():
+        total = dict.fromkeys(SIDES, 0.0)
+        for label, mode, seed, load in runs:
+            outputs = {}
+            with tempfile.TemporaryDirectory() as tmp:
+                out_dirs = {side: Path(tmp, side) if traced else None for side in SIDES}
+                for side in runs_first:
+                    scenario = load(trees[side])
+                    elapsed, outputs[side] = timed_run(
+                        trees[side], scenario, seed, mode, out_dirs[side]
+                    )
+                    total[side] += elapsed
+                differ = [
+                    n for n in outputs["parent"]
+                    if outputs["parent"][n] != outputs["change"][n]
+                ]
+                if traced:
+                    differ += differing_artifacts(out_dirs["parent"], out_dirs["change"])
+            if differ:
+                raise SystemExit(f"error: {label}: outputs differ: {', '.join(differ)}")
+        result[name] = (len(runs), unit, total)
+    return result
+
+
+def main(argv) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, type=Path)
+    parser.add_argument("--change", required=True, type=Path)
+    parser.add_argument("--pairs", type=int, default=10)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be >= 1")
+    srcs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    spawn = multiprocessing.get_context("spawn")
+    times, runs_of = {}, {}
     for pair in range(args.pairs):
-        order = SIDES if pair % 2 == 0 else SIDES[::-1]
+        imports = SIDES if pair % 2 == 0 else SIDES[::-1]
+        runs_first = SIDES if pair // 2 % 2 == 0 else SIDES[::-1]
+        with ProcessPoolExecutor(1, mp_context=spawn) as pool:
+            result = pool.submit(run_pair, srcs, imports, runs_first).result()
         line = []
-        for name, (runs, _, traced) in samples.items():
-            total = dict.fromkeys(SIDES, 0.0)
-            for label, mode, seed, load in runs:
-                outputs = {}
-                with tempfile.TemporaryDirectory() as tmp:
-                    out_dirs = {side: Path(tmp, side) if traced else None for side in SIDES}
-                    for side in order:
-                        scenario = load(trees[side])
-                        elapsed, outputs[side] = timed_run(
-                            trees[side], scenario, seed, mode, out_dirs[side]
-                        )
-                        total[side] += elapsed
-                    differ = [
-                        n for n in outputs["parent"]
-                        if outputs["parent"][n] != outputs["change"][n]
-                    ]
-                    if traced:
-                        differ += differing_artifacts(out_dirs["parent"], out_dirs["change"])
-                if differ:
-                    raise SystemExit(f"error: {label}: outputs differ: {', '.join(differ)}")
+        for name, (runs, unit, total) in result.items():
+            runs_of[name] = (runs, unit)
             for side in SIDES:
-                times[name][side].append(total[side])
+                times.setdefault(name, {s: [] for s in SIDES})[side].append(total[side])
             line.append(f"{name} parent {total['parent']:.3f} s, change {total['change']:.3f} s")
-        print(f"pair {pair + 1} ({order[0]} first): {'; '.join(line)}", flush=True)
-    for name, (runs, unit, _) in samples.items():
+        print(
+            f"pair {pair + 1} ({imports[0]} imported first, {runs_first[0]} runs first): "
+            f"{'; '.join(line)}",
+            flush=True,
+        )
+    for name, (runs, unit) in runs_of.items():
         sample_times = times[name]
         medians = {}
         for side in SIDES:
@@ -193,7 +217,7 @@ def main(argv) -> int:
                 f"{name}, {side}: median {medians[side]:.3f} s, quartiles "
                 f"{percentile(sample_times[side], 0.25):.3f}-"
                 f"{percentile(sample_times[side], 0.75):.3f} s "
-                f"over {args.pairs} sweeps of {len(runs)} runs"
+                f"over {args.pairs} sweeps of {runs} runs"
             )
         parent = sample_times["parent"]
         wins = sum(c < p for p, c in zip(parent, sample_times["change"]))
