@@ -141,7 +141,8 @@ def action_from_json(data: dict) -> ActionId:
 def select_one_of(
     kb: KnowledgeBase, case: ScenarioCase, constraints: Constraints = DEFAULT_CONSTRAINTS
 ) -> Optional[ActionEntry]:
-    """Best entry for the case, or None; bench/tracer.py is its only caller."""
+    """Best entry for the case, or None. Nothing calls it; bench/tracer.py
+    wraps it as a span of the knowledge layer."""
     return select_next(kb, case, (), constraints)
 
 

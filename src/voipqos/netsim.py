@@ -29,15 +29,15 @@ queue is empty whenever the link is idle, so a packet that finds the link
 idle goes on the wire.
 
 A delivery is due one latency after its transmission ends.  Deliveries
-wait, in a FIFO or, out of order after a latency drop, in a small heap of
-their own, until something could observe them, and then are settled in
-(due, seq) order: before a traced world's next log row, before the drop
-of an FEC-block packet (whose block a delivery may resolve), at the end
-of `advance`, and once `SETTLE_AFTER` more have come to wait, so the
-FIFO holds about what is in flight.  A delivery
-draws no random number and touches only its flow's counters and block,
-so the totals, the packet log and the random stream are those of a
-world that ran every delivery at its due time.
+wait in one queue kept in (due, seq) order, where one that a latency
+drop puts before those already waiting is inserted in its place, until
+something could observe them, and then are settled in that order: before
+a traced world's next log row, before the drop of an FEC-block packet
+(whose block a delivery may resolve), at the end of `advance`, and once
+`SETTLE_AFTER` more have come to wait, so the queue holds about what is
+in flight.  A delivery draws no random number and touches only its
+flow's counters and block, so the totals, the packet log and the random
+stream are those of a world that ran every delivery at its due time.
 
 Each packet carries its flow and, under FEC, its block; a flow holds only
 its open block, and the world the one packet on the wire.  A flow's totals
@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import insort
 from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -383,10 +384,9 @@ class SimWorld:
         self._tx: Optional[Packet] = None
         self._tx_at = 0.0
         self._tx_seq = 0
-        # Deliveries waiting to be settled, as (due, seq, packet): a FIFO in
-        # (due, seq) order, and a heap of those due before the FIFO's last.
+        # Deliveries waiting to be settled, as (due, seq, packet), in
+        # (due, seq) order.
         self._fifo: deque = deque()
-        self._late: List[Tuple[float, int, Packet]] = []
         # Rows of (time_ms, flow_id, outcome, delay_ms or None), when tracing.
         self.trace = trace
         self.log: List[Tuple[float, str, str, Optional[float]]] = []
@@ -401,7 +401,7 @@ class SimWorld:
         # Written so that NaN fails the check.
         if not until_ms >= self.clock:
             raise ValueError("cannot advance backwards")
-        events, fifo, late, seq, rng = self._events, self._fifo, self._late, self._seq, self.rng
+        events, fifo, seq, rng = self._events, self._fifo, self._seq, self.rng
         qp, qb = self._qp, self._qb
         trace, log, settle = self.trace, self.log.append, self._settle
         end = (until_ms, math.inf)
@@ -427,7 +427,7 @@ class SimWorld:
                             fifo.append((due, next(seq), pkt))
                         else:
                             # Only a latency drop with packets in flight gets here.
-                            heappush(late, (due, next(seq), pkt))
+                            insort(fifo, (due, next(seq), pkt))
                     if qp:
                         pkt = qp.popleft()
                     elif qb:
@@ -488,17 +488,10 @@ class SimWorld:
     def _settle(self, before: tuple) -> None:
         """Run every waiting delivery whose (due, seq) comes before `before`,
         an event's key, in (due, seq) order."""
-        fifo, late = self._fifo, self._late
+        fifo = self._fifo
         trace, now = self.trace, self.clock
-        while True:
-            if fifo and (not late or fifo[0] < late[0]):
-                if not fifo[0] < before:
-                    break
-                due, _, pkt = fifo.popleft()
-            elif late and late[0] < before:
-                due, _, pkt = heappop(late)
-            else:
-                break
+        while fifo and fifo[0] < before:
+            due, _, pkt = fifo.popleft()
             if not pkt.parity:
                 st = pkt.flow
                 delay = due - pkt.created_ms
@@ -785,13 +778,12 @@ class SimWorld:
         """Each flow's in-flight count equals its packets still held.
 
         A counted packet is held while it waits in the queue, is on the
-        link (`_tx`) or waits to be delivered (in the FIFO or the late
-        heap). The queue is empty whenever the link is idle, as offer_packet
-        assumes.
+        link (`_tx`) or waits to be delivered (`_fifo`). The queue is empty
+        whenever the link is idle, as offer_packet assumes.
         """
         if self._tx is None and self.occupancy:
             raise AssertionError(f"{self.occupancy} packets queued on an idle link")
-        pending = (pkt for _, _, pkt in chain(self._fifo, self._late))
+        pending = (pkt for _, _, pkt in self._fifo)
         held = Counter(
             p.flow for p in chain(self._qp, self._qb, [self._tx], pending)
             if p is not None and not p.parity

@@ -483,8 +483,9 @@ class TestRefusedReadmission:
 
 class TestDefaultKnowledge:
     def test_renamed_copy_reads_its_own_seed(self, tmp_path, monkeypatch):
-        # A copy of the package imported under another name, as tools/ab.py
-        # imports two trees side by side, reads the data beside it.
+        # A copy of the package imported under another name reads the data
+        # beside it: harness._seed_kb finds the seed through __package__,
+        # not through the name "voipqos".
         copy = tmp_path / "voipqos_copy"
         shutil.copytree(
             Path(actions.__file__).parent, copy, ignore=shutil.ignore_patterns("__pycache__")

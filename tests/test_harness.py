@@ -9,7 +9,6 @@ import os
 import re
 import tracemalloc
 import weakref
-from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -555,7 +554,7 @@ class TestWorldRelease:
         world.add_flow(netsim.MediaFlow("m", packet_interval_ms=1.0, fec_block_k=4))
         world.advance(1_000.5)
         # The packet on the link and those waiting to be delivered.
-        pending = [world._tx] + [pkt for _, _, pkt in chain(world._fifo, world._late)]
+        pending = [world._tx] + [pkt for _, _, pkt in world._fifo]
         blocks = {id(p.block): p.block for p in pending if p is not None and p.block is not None}
         assert any(block.lost for block in blocks.values())
         refs = [weakref.ref(block) for block in blocks.values()]

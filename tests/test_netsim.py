@@ -500,7 +500,9 @@ class TestNetworkChanges:
     def test_the_heap_holds_no_link_or_delivery_event(self):
         # A congested, lossy world with FEC and a latency drop: at every
         # stop the link is busy and deliveries wait, yet the heap holds
-        # only emissions and the next timeline change.
+        # only emissions and the next timeline change, and the waiting
+        # deliveries are in (due, seq) order, also at the stops that fall
+        # while deliveries scheduled before the drop still wait.
         world = _world(
             latency=40.0, loss=0.1, capacity=200.0, buffer_pkts=20,
             timeline=(
@@ -512,9 +514,11 @@ class TestNetworkChanges:
         world.add_flow(MediaFlow("cl", service=netsim.CONTROLLED_LOAD, fec_block_k=2))
         world.add_flow(BackgroundFlow("bg", rate_kbps=140.0))
         busy = 0
-        for stop in range(50, 3_001, 50):
+        for stop in sorted([*range(50, 3_001, 50), 1_005, 1_010, 1_020, 1_030]):
             world.advance(float(stop))
             assert self._pending_changes(world) <= 1, stop
+            waiting = [(due, seq) for due, seq, _ in world._fifo]
+            assert waiting == sorted(waiting), stop
             busy += world._tx is not None and len(world._fifo) > 0
             world.check_conservation()
         assert busy >= 50
