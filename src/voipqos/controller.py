@@ -114,10 +114,6 @@ class Call:
         if self.weight <= 0:
             raise ValueError("call weight must be > 0")
 
-    @property
-    def current_state(self) -> CallState:
-        return self.states[-1]
-
 
 def check_global(calls: List[Call]) -> Optional[HeuristicSample]:
     """The weighted means of the calls' current samples, which the global
@@ -173,7 +169,7 @@ class Controller:
         if call.episode is not None:
             self._finish_episode(call, satisfied=False)
         self._open_state(call, "goal")
-        call.current_state.closed_at_ms = self.world.clock
+        call.states[-1].closed_at_ms = self.world.clock
         call.closed = True
         self.world.end_flow(call.flow_id)
 
@@ -182,7 +178,7 @@ class Controller:
     def _open_state(self, call: Call, entering: str) -> None:
         """Open the call's next state on its latest sample and its category."""
         if call.states:
-            call.current_state.closed_at_ms = self.world.clock
+            call.states[-1].closed_at_ms = self.world.clock
         self._state_seq += 1
         call.states.append(CallState(
             self._state_seq, self.world.clock, entering,
@@ -230,7 +226,7 @@ class Controller:
         if sample is None:
             return
         category = call.category = classify(sample)
-        state = call.current_state
+        state = call.states[-1]
         state.add_sample(sample)
         if state.opening_sample is None:
             state.opening_sample, state.category = sample, category
@@ -249,7 +245,7 @@ class Controller:
             return
         self._record(call, "d1", cause)
         self._open_state(call, "d1")
-        call.current_state.add_sample(sample)
+        call.states[-1].add_sample(sample)
 
     # ---------------- single-call control ----------------
 

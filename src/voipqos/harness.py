@@ -26,7 +26,7 @@ import os
 from dataclasses import dataclass, fields
 from importlib import resources
 from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, TextIO, Tuple
+from typing import Iterable, List, Mapping, NamedTuple, Optional, TextIO, Tuple
 
 from . import actions as actions_mod
 from . import netsim
@@ -38,7 +38,6 @@ from .metrics import (
     HeuristicSample,
     estimate_mos,
     left_sum,
-    satisfies,
 )
 from .netsim import (
     BackgroundFlow,
@@ -493,7 +492,6 @@ def _run_windows(scenario: Scenario, seed: int, mode: str,
         kb = default_kb()
         controller = Controller(world, kb, scenario.constraints, learning=scenario.learning)
     timeseries = []
-    windows_of: Dict[str, List[HeuristicSample]] = {c.call_id: [] for c in scenario.calls}
     t = 0.0
     end_ms = scenario.duration_s * 1000.0
     while t < end_ms - 1e-9:
@@ -525,7 +523,6 @@ def _run_windows(scenario: Scenario, seed: int, mode: str,
         for call_id, sample in flows:
             if sample is not None:
                 timeseries.append((t / 1000.0, call_id, sample.delay_ms, sample.loss, sample.mos))
-                windows_of[call_id].append(sample)
         if means is not None:
             timeseries.append((t / 1000.0, GLOBAL_ROW_ID, means.delay_ms, means.loss, means.mos))
         if trace is not None:
@@ -533,7 +530,7 @@ def _run_windows(scenario: Scenario, seed: int, mode: str,
             log.flush()
     # Validation keeps end_s <= duration_s, so every call has ended here.
     episodes = [] if controller is None else controller.episodes
-    summary = _summary(scenario, world, windows_of, episodes)
+    summary = _summary(scenario, world, timeseries, episodes)
     if controller is not None:
         summary["trace_errors"] = validate_trace(controller)
     return RunArtifacts(
@@ -544,7 +541,7 @@ def _run_windows(scenario: Scenario, seed: int, mode: str,
 def _summary(
     scenario: Scenario,
     world: SimWorld,
-    windows_of: Dict[str, List[HeuristicSample]],
+    timeseries: List[Tuple[float, str, float, float, float]],
     episodes: List[Episode],
 ) -> dict:
     constraints = scenario.constraints
@@ -555,9 +552,9 @@ def _summary(
         resolved = totals.delivered + totals.dropped
         avg_loss = (totals.dropped - totals.recovered) / resolved if resolved else 0.0
         avg_delay = totals.delay_sum_ms / totals.delay_n if totals.delay_n else 0.0
-        windows = windows_of[call.call_id]
-        ok_windows = sum(1 for s in windows if satisfies(s, constraints))
-        avg_mos = left_sum(s.mos for s in windows) / len(windows) if windows else estimate_mos(
+        windows = [row for row in timeseries if row[1] == call.call_id]
+        ok_windows = sum(1 for row in windows if constraints.met_by(*row[2:]))
+        avg_mos = left_sum(row[4] for row in windows) / len(windows) if windows else estimate_mos(
             avg_delay, min(1.0, avg_loss)
         )
         call_ok = constraints.met_by(avg_delay, avg_loss, avg_mos)

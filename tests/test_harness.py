@@ -22,6 +22,7 @@ from voipqos.harness import (
     scenario_from_json,
 )
 from voipqos.knowledge import ScenarioCase, penalty
+from voipqos.metrics import HeuristicSample, satisfies
 
 
 def _edited(preset: str, edit):
@@ -416,6 +417,24 @@ class TestRuns:
         times = [row[0] for row in art.timeseries]
         assert times == sorted(times)
         assert times[-1] == pytest.approx(scenario.duration_s)
+
+    @pytest.mark.parametrize("mode", ["baseline", "control"])
+    def test_summary_windows_are_the_timeseries_rows(self, mode):
+        # A call's window counts and mean MOS are its timeseries rows, the
+        # MOS added in row order.
+        scenario = load_scenario("fig10-learning")
+        art = harness.run(scenario, seed=0, mode=mode)
+        for call_id, got in art.summary["calls"].items():
+            rows = [row for row in art.timeseries if row[1] == call_id]
+            assert rows
+            mos_sum = 0.0
+            for row in rows:
+                mos_sum += row[4]
+            assert got["windows"] == len(rows)
+            assert got["satisfied_windows"] == sum(
+                satisfies(HeuristicSample(*row[2:]), scenario.constraints) for row in rows
+            )
+            assert got["avg_mos"] == mos_sum / len(rows)
 
 
 def _num(low, high):

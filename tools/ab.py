@@ -9,8 +9,9 @@ benchmark's own runner, `bench/ops.Runner`, with no golden digests, so
 the timed region, the collector discipline, the run invariants and the
 output digests are the benchmark's. The main process imports no voipqos:
 it sends each operation, as the fields of a `bench/workloads.Op`, to one
-side and then to the other, and which side runs first alternates every
-pair.
+side and then to the other. Which side runs first alternates on every
+operation: operation i of a sample in pair p runs the parent first when
+p + i is even, so each side runs first on every other operation.
 
 A pair times three samples of the benchmark's golden pool on both sides:
 the presets, every preset in control and baseline mode at seed 0 (the
@@ -32,8 +33,10 @@ tool with exit status 1, naming the operation.
 Prints each pair's two times for each sample, then, for each sample on
 its own lines, each side's median and quartiles, the change's wins (ties
 count for neither), and the medians' difference beside the parent's
-interquartile range. The simulated work of both sides is identical, so
-the change's gain in packets (or windows) per second is the parent's
+interquartile range (IQR), and whether the claim rule holds: the change
+wins at least nine tenths of the pairs and the medians' difference
+exceeds the parent's IQR. The simulated work of both sides is identical,
+so the change's gain in packets (or windows) per second is the parent's
 median time over the change's, less one.
 """
 import argparse
@@ -130,15 +133,16 @@ def run_op(fields: tuple) -> tuple:
     return outcome.host_s, None, digests
 
 
-def time_pair(workers: dict, samples: dict, order: tuple) -> dict:
-    """{sample: (runs, {side: seconds})} of one pair, each operation run by
-    the sides in `order`. Stops on a failed run or differing outputs."""
+def time_pair(workers: dict, samples: dict, pair: int) -> dict:
+    """{sample: (runs, {side: seconds})} of one pair; operation i runs the
+    parent first when pair + i is even. Stops on a failed run or differing
+    outputs."""
     result = {}
     for name, ops in samples.items():
         total = dict.fromkeys(SIDES, 0.0)
-        for fields in ops:
+        for i, fields in enumerate(ops):
             key, digests = fields[0], {}
-            for side in order:
+            for side in SIDES if (pair + i) % 2 == 0 else SIDES[::-1]:
                 seconds, failure, digests[side] = workers[side].submit(run_op, fields).result()
                 if failure is not None:
                     raise SystemExit(f"error: {key}: {side}: {failure}")
@@ -151,7 +155,7 @@ def time_pair(workers: dict, samples: dict, order: tuple) -> dict:
     return result
 
 
-def run_pair(srcs: dict, order: tuple) -> dict:
+def run_pair(srcs: dict, pair: int) -> dict:
     """Start one worker per side and time one pair on them."""
     spawn = multiprocessing.get_context("spawn")
     with tempfile.TemporaryDirectory() as tmp:
@@ -163,7 +167,7 @@ def run_pair(srcs: dict, order: tuple) -> dict:
             }
             if samples["parent"] != samples["change"]:
                 raise SystemExit("error: the two trees define different presets")
-            return time_pair(workers, samples["parent"], order)
+            return time_pair(workers, samples["parent"], pair)
         finally:
             for pool in workers.values():
                 pool.shutdown()
@@ -184,14 +188,13 @@ def main(argv) -> int:
     times = {name: {side: [] for side in SIDES} for name in UNITS}
     runs_of = {}
     for pair in range(args.pairs):
-        order = SIDES if pair % 2 == 0 else SIDES[::-1]
         line = []
-        for name, (runs, total) in run_pair(srcs, order).items():
+        for name, (runs, total) in run_pair(srcs, pair).items():
             runs_of[name] = runs
             for side in SIDES:
                 times[name][side].append(total[side])
             line.append(f"{name} parent {total['parent']:.3f} s, change {total['change']:.3f} s")
-        print(f"pair {pair + 1} ({order[0]} runs first): {'; '.join(line)}", flush=True)
+        print(f"pair {pair + 1}: {'; '.join(line)}", flush=True)
     for name, runs in runs_of.items():
         sample_times = times[name]
         medians = {}
@@ -206,10 +209,13 @@ def main(argv) -> int:
         parent = sample_times["parent"]
         wins = sum(c < p for p, c in zip(parent, sample_times["change"]))
         iqr = percentile(parent, 0.75) - percentile(parent, 0.25)
+        difference = medians["parent"] - medians["change"]
+        holds = 10 * wins >= 9 * args.pairs and difference > iqr
         print(
             f"{name}: change won {wins} of {args.pairs} pairs; {UNITS[name]} per second "
             f"{medians['parent'] / medians['change'] - 1:+.1%}; median difference "
-            f"{medians['parent'] - medians['change']:.3f} s, parent IQR {iqr:.3f} s"
+            f"{difference:.3f} s, parent IQR {iqr:.3f} s; "
+            f"claim rule {'holds' if holds else 'does not hold'}"
         )
     return 0
 

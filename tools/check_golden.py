@@ -10,7 +10,7 @@ reservation ledger, knowledge-base ranks, trace errors) are checked too.
 Prints one line per workload and exits 1 on any mismatch or breach, or 2
 on an unknown workload name.
 Without arguments every workload is checked; all of them take about
-9 minutes on a 2-vCPU VM.
+3 minutes on a 2-vCPU VM.
 """
 import json
 import sys
