@@ -1,11 +1,13 @@
 """Deterministic discrete-event simulation of a shared-bottleneck VoIP path.
 
 All flows (media calls plus CBR background) traverse one queue and one
-link by one packet path: a flow's kind is its config's type, and a
-BackgroundFlow reads to the path as a best-effort flow without FEC.  The
-queue has a strict-priority class used by the IntServ-style service
-classes and a per-class RED table (RED: a curve for best effort; WRED: a
-laxer one for priority too).  A media flow's FEC is its block size,
+link; a flow's kind is its config's type.  A media packet takes the
+generic path, whose queue discipline is `offer_packet`; a background
+packet, always best effort without FEC, takes its own short branch of
+`advance` that runs the same class-0 discipline inline.  The queue has a
+strict-priority class used by the IntServ-style service classes and a
+per-class RED table (RED: a curve for best effort; WRED: a laxer one for
+priority too).  A media flow's FEC is its block size,
 `fec_block_k`, of single-parity blocks (0: no FEC), and a guaranteed
 flow's `reserved_kbps` of 0 means the default, 1.25 x its rate.  The
 live queue and media flows are derived from their configured values and
@@ -206,9 +208,9 @@ class BackgroundFlow:
     rate_kbps: float = 0.0
     packet_bytes: int = 100
     burst_pkts: int = 1
-    # What the packet path reads of a MediaFlow, as constants, not fields.
+    # What the world reads of a MediaFlow, as constants, not fields: a
+    # background flow is best effort and runs from the start to the end.
     service = BEST_EFFORT
-    fec_block_k = 0
     start_ms = 0.0
     end_ms = None
 
@@ -228,9 +230,11 @@ class BackgroundFlow:
         return self.packet_bits / self.rate_kbps
 
 
-# Markers of the heap's events: a flow's emission of its next burst (of a
-# (flow state, epoch) pair) and a timeline change (of the change).
+# Markers of the heap's events: a media flow's and a background flow's
+# emission of its next burst (of a (flow state, epoch) pair), and a
+# timeline change (of the change).
 _EMIT = "emit"
+_BACKGROUND = "background"
 _CHANGE = "change"
 
 SET_LATENCY = "set_latency"
@@ -449,15 +453,50 @@ class SimWorld:
                 settle(head)
                 settle_at = len(fifo) + SETTLE_AFTER
             self._now = head
-            if head[2] is _EMIT:
-                st, epoch = arg = head[3]
-                cfg = st.cfg
-                # end_flow and every background rate change start a new epoch.
-                if epoch != st.epoch or (cfg.end_ms is not None and at >= cfg.end_ms):
-                    heappop(events)
-                    continue
-                # Nothing in a burst replaces st.cfg, so the burst reads it once.
-                block_k, bits, totals = cfg.fec_block_k, cfg.packet_bits, st.totals
+            marker = head[2]
+            if marker is _CHANGE:
+                heappop(events)
+                self._do_change(head[3])
+                if self._timeline:
+                    heappush(events, self._timeline.popleft())
+                continue
+            st, epoch = arg = head[3]
+            cfg = st.cfg
+            # end_flow and every background rate change start a new epoch.
+            if epoch != st.epoch or (cfg.end_ms is not None and at >= cfg.end_ms):
+                heappop(events)
+                continue
+            # Nothing in a burst replaces st.cfg, so the burst reads it once.
+            bits, totals = cfg.packet_bits, st.totals
+            if marker is _BACKGROUND:
+                # offer_packet's class-0 discipline, inline: a background
+                # packet has no FEC block, no policer and no priority.
+                queue = self.queue
+                red, capacity = queue.red[0], queue.capacity_pkts
+                for _ in range(cfg.burst_pkts):
+                    pkt = Packet(st, bits, at)
+                    totals.sent += 1
+                    if trace:
+                        log((at, cfg.flow_id, "sent", None))
+                    occ = len(qp) + len(qb)
+                    if red is not None:
+                        w = red.ewma_weight
+                        self._avg_queue = (1.0 - w) * self._avg_queue + w * occ
+                    if occ >= capacity:
+                        self._drop(pkt, "dropped_queue")
+                        continue
+                    if red is not None:
+                        p = red_drop_probability(red, self._avg_queue)
+                        if p >= 1.0 or (p > 0.0 and rng.random() < p):
+                            self._drop(pkt, "dropped_queue")
+                            continue
+                    if self._tx is None:
+                        self._tx, self._tx_at = pkt, at + bits / self.link.capacity_kbps
+                        self._tx_seq = next(seq)
+                    else:
+                        qb.append(pkt)
+            else:
+                block_k = cfg.fec_block_k
                 # Only controlled-load and guaranteed packets are marked and policed.
                 offer = self.offer_packet if cfg.service == BEST_EFFORT else self._offer
                 for _ in range(cfg.burst_pkts):
@@ -474,14 +513,9 @@ class SimWorld:
                     if block_k and block.sent >= block_k:
                         st.block = None
                         offer(Packet(st, bits, at, parity=True, block=block))
-                # A burst pushes nothing on the heap, so its emission is still the top.
-                due = at + cfg.burst_pkts * cfg.packet_interval_ms
-                heapreplace(events, (due, next(seq), _EMIT, arg))
-            else:
-                heappop(events)
-                self._do_change(head[3])
-                if self._timeline:
-                    heappush(events, self._timeline.popleft())
+            # A burst pushes nothing on the heap, so its emission is still the top.
+            due = at + cfg.burst_pkts * cfg.packet_interval_ms
+            heapreplace(events, (due, next(seq), marker, arg))
         settle(end)
         self.clock = until_ms
 
@@ -531,7 +565,8 @@ class SimWorld:
             st.tokens_at_ms = cfg.start_ms
         self.flows[cfg.flow_id] = st
         if cfg.rate_kbps > 0:
-            heappush(self._events, (cfg.start_ms, next(self._seq), _EMIT, (st, st.epoch)))
+            marker = _BACKGROUND if isinstance(cfg, BackgroundFlow) else _EMIT
+            heappush(self._events, (cfg.start_ms, next(self._seq), marker, (st, st.epoch)))
 
     def end_flow(self, flow_id: str) -> None:
         st = self.flows[flow_id]
@@ -630,7 +665,7 @@ class SimWorld:
                     st.epoch += 1
                     if value > 0 and st.active:
                         at = self.clock + st.cfg.packet_interval_ms
-                        heappush(self._events, (at, next(self._seq), _EMIT, (st, st.epoch)))
+                        heappush(self._events, (at, next(self._seq), _BACKGROUND, (st, st.epoch)))
         self.notifications.append(change)
 
     # ---------------- policing and queueing ----------------
@@ -663,8 +698,10 @@ class SimWorld:
         return len(self._qp) + len(self._qb)
 
     def offer_packet(self, pkt: Packet) -> None:
-        """Run the queue discipline for one packet: drop it, queue it, or,
-        on an idle link, whose queue is always empty, transmit it at once."""
+        """Run the queue discipline for one media packet: drop it, queue it,
+        or, on an idle link, whose queue is always empty, transmit it at
+        once. A background packet takes the same class-0 discipline inline,
+        in `advance`."""
         qb = self._qb
         occ = len(self._qp) + len(qb)
         queue = self.queue
@@ -779,7 +816,7 @@ class SimWorld:
 
         A counted packet is held while it waits in the queue, is on the
         link (`_tx`) or waits to be delivered (`_fifo`). The queue is empty
-        whenever the link is idle, as offer_packet assumes.
+        whenever the link is idle, as the queue discipline assumes.
         """
         if self._tx is None and self.occupancy:
             raise AssertionError(f"{self.occupancy} packets queued on an idle link")

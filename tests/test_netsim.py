@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -98,12 +99,88 @@ class TestEventOrder:
         )
 
 
+class TestBackgroundPath:
+    """A background packet takes its own inline branch of `advance`, with
+    offer_packet's class-0 discipline. A best-effort media flow of the same
+    packets must show the same history in the same world."""
+
+    @staticmethod
+    def _traced(pinned):
+        # 800-bit packets every 4 ms from the pinned flow and a priority
+        # flow overload the 200 kbps link: the buffer fills, RED (whose
+        # average moves fast) drops early, and the link is nearly always busy.
+        world = SimWorld(
+            LinkConfig(10.0, 0.05, 200.0),
+            QueueConfig(12, (REDParams(2.0, 12.0, 0.3, ewma_weight=0.2), None)),
+            seed=5,
+            timeline=(
+                NetworkChange(900.0, netsim.SET_LATENCY, 40.0),
+                NetworkChange(1_800.0, netsim.SET_BUFFER_SIZE, 4.0),
+                NetworkChange(2_400.0, netsim.SET_LOSS_RATE, 0.0),
+                NetworkChange(2_700.0, netsim.SET_BUFFER_SIZE, 12.0),
+            ),
+            trace=True,
+        )
+        world.add_flow(MediaFlow("cl", service=netsim.CONTROLLED_LOAD, burst_pkts=2))
+        world.add_flow(pinned)
+        world.add_flow(MediaFlow("fec", fec_block_k=3, burst_pkts=3, end_ms=2_000.0))
+        return world
+
+    @pytest.mark.parametrize("burst", [1, 3])
+    def test_background_is_a_best_effort_media_flow(self, burst):
+        bg = self._traced(BackgroundFlow("bg", rate_kbps=200.0, burst_pkts=burst))
+        media = self._traced(
+            MediaFlow("be", rate_kbps=200.0, packet_interval_ms=4.0, burst_pkts=burst)
+        )
+        assert bg.flows["bg"].cfg.packet_bits == media.flows["be"].cfg.packet_bits == 800.0
+        assert bg.flows["bg"].cfg.packet_interval_ms == 4.0
+        offers, seen = Counter(), Counter()
+
+        def no_background(offer_packet):
+            def offer(pkt):
+                assert not isinstance(pkt.flow.cfg, BackgroundFlow)
+                offers[pkt.flow.cfg.flow_id] += 1
+                offer_packet(pkt)
+            return offer
+
+        def classify(offer_packet):
+            # Notes the queue branch each of the pinned media flow's packets takes.
+            def offer(pkt):
+                full = media.occupancy >= media.queue.capacity_pkts
+                dropped = media.flows["be"].totals.dropped_queue
+                offer_packet(pkt)
+                if pkt.flow is media.flows["be"]:
+                    if media.flows["be"].totals.dropped_queue > dropped:
+                        seen["tail_drop" if full else "red_drop"] += 1
+                    elif media._tx is not pkt:
+                        seen["queued"] += 1
+            return offer
+
+        bg.offer_packet = no_background(bg.offer_packet)
+        media.offer_packet = classify(media.offer_packet)
+        rename = {"bg": "be"}
+        for stop in range(300, 3_601, 300):
+            for world in (bg, media):
+                world.advance(float(stop))
+                world.check_conservation()
+            assert [
+                (at, rename.get(fid, fid), event, delay) for at, fid, event, delay in bg.log
+            ] == media.log, stop
+            assert bg.rng.getstate() == media.rng.getstate(), stop
+            for fid, flow in bg.flows.items():
+                assert repr(flow.totals) == repr(media.flows[rename.get(fid, fid)].totals), stop
+        assert seen["tail_drop"] and seen["red_drop"] and seen["queued"]
+        assert offers["cl"] and offers["fec"] and "bg" not in offers
+        assert media.totals("be").dropped_link > 0
+
+
 def test_frames_per_sent_packet():
     # Python frames of this module per sent packet on a RED preset with
     # background traffic: an exact count, independent of host speed, of
-    # the per-packet cost, which advance running emissions and transmission
-    # ends itself, and settling deliveries in batches, holds near 2 (queue
-    # discipline, RED curve).
+    # the per-packet cost, which advance running emissions, transmission
+    # ends and the background packets' queue discipline itself, and
+    # settling deliveries in batches, holds near 1.2 (the packet, the RED
+    # curve; a media packet's queue discipline too).
     world = harness.build_world(harness.load_scenario("table4-red-10k"), seed=0)
     frames = 0
 
@@ -119,7 +196,7 @@ def test_frames_per_sent_packet():
         sys.setprofile(None)
     sent = sum(st.totals.sent for st in world.flows.values())
     assert sent == 14_001
-    assert frames / sent < 2.2
+    assert frames / sent < 1.3
 
 
 class TestConservation:
@@ -236,7 +313,7 @@ class TestRed:
         strict = REDParams(5, 10, 1.0, ewma_weight=1.0)
         lax = REDParams(20, 30, 1.0, ewma_weight=0.001)
         world = _world(latency=0.0, capacity=100.0, red=(strict, lax))
-        x = world.flows["x"] = netsim._FlowState(BackgroundFlow("x", rate_kbps=1.0))
+        x = world.flows["x"] = netsim._FlowState(MediaFlow("x"))
         for i in range(15):
             world.offer_packet(Packet(x, 800.0, 0.0, pclass=1))
             assert x.totals.dropped_queue == 0 and len(world._qp) == i
@@ -399,7 +476,7 @@ class TestServiceClasses:
 
     def test_full_buffer_pushes_out_best_effort_for_priority(self):
         world = _world(latency=0.0, capacity=100.0, buffer_pkts=5)
-        x = world.flows["x"] = netsim._FlowState(BackgroundFlow("x", rate_kbps=1.0))
+        x = world.flows["x"] = netsim._FlowState(MediaFlow("x"))
         for i in range(7):
             world.offer_packet(Packet(x, 800.0, 0.0))
         assert world.occupancy == 5  # full: 1 in service + 4 queued + head slot
@@ -477,9 +554,9 @@ class TestNetworkChanges:
     @staticmethod
     def _pending_changes(world):
         """The timeline changes in the event heap, which holds nothing but
-        them and the flows' emissions."""
+        them and the media and background flows' emissions."""
         kinds = [kind for _, _, kind, _ in world._events]
-        assert set(kinds) <= {netsim._EMIT, netsim._CHANGE}
+        assert set(kinds) <= {netsim._EMIT, netsim._BACKGROUND, netsim._CHANGE}
         return kinds.count(netsim._CHANGE)
 
     def test_the_heap_holds_only_the_next_timeline_change(self):

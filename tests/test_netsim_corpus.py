@@ -43,8 +43,8 @@ N_WORLDS = 64
 MIN_WORLDS = 5
 BRANCHES = (
     "policer_drop", "priority_push_out", "red_drop", "wred_drop", "tail_drop",
-    "buffer_shed", "fec_recovery", "link_loss", "latency_drop_in_flight",
-    "background_rate_change", "flow_end_in_flight",
+    "background_tail_drop", "background_red_drop", "buffer_shed", "fec_recovery",
+    "link_loss", "latency_drop_in_flight", "background_rate_change", "flow_end_in_flight",
     "delivery_meets_emission", "delivery_meets_change", "delivery_meets_tx_end",
 )
 
@@ -135,9 +135,13 @@ def _held(world) -> int:
 
 
 def _instrument(world, taken: set) -> None:
-    """Wrap the world's queue discipline and drops to note the branches taken."""
-    offer_packet, drop = world.offer_packet, world._drop
+    """Wrap the world's queue discipline, its queue derivation and its drops
+    to note the branches taken. A background packet's offer runs inline in
+    `advance`, so a queue drop outside both wrapped calls is a background
+    packet's own: a tail drop if it found the buffer full, else a RED drop."""
+    offer_packet, derive_queue, drop = world.offer_packet, world._derive_queue, world._drop
     offered = []  # (packet, occupancy when offered)
+    deriving = []
 
     def offer(pkt):
         offered.append((pkt, world.occupancy))
@@ -146,10 +150,21 @@ def _instrument(world, taken: set) -> None:
         finally:
             offered.pop()
 
+    def derive():
+        deriving.append(True)
+        try:
+            derive_queue()
+        finally:
+            deriving.pop()
+
     def record_drop(pkt, reason):
         if reason == "dropped_queue":
-            if not offered:
+            if deriving:
                 taken.add("buffer_shed")
+            elif not offered:
+                assert isinstance(pkt.flow.cfg, BackgroundFlow)
+                full = world.occupancy >= world.queue.capacity_pkts
+                taken.add("background_tail_drop" if full else "background_red_drop")
             elif pkt is not offered[-1][0]:
                 taken.add("priority_push_out")
             elif offered[-1][1] >= world.queue.capacity_pkts:
@@ -158,7 +173,7 @@ def _instrument(world, taken: set) -> None:
                 taken.add("wred_drop" if pkt.pclass else "red_drop")
         drop(pkt, reason)
 
-    world.offer_packet, world._drop = offer, record_drop
+    world.offer_packet, world._derive_queue, world._drop = offer, derive, record_drop
 
 
 def _latency_drops(timeline):

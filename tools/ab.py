@@ -15,7 +15,7 @@ p + i is even, so each side runs first on every other operation.
 
 A pair times three samples of the benchmark's golden pool on both sides:
 the presets, every preset in control and baseline mode at seed 0 (the
-library runs of preset-sweep); the churn sample, the one-call
+library runs of preset-sweep); the churn sample, the 40 one-call
 control-churn scenarios of CHURN_SAMPLE, each at its index as seed; and
 the traced sample, the CLI runs at seed 0 of multicall-artifacts
 (fig7-multicall and table4-red-10k), which write every artifact,
@@ -30,12 +30,21 @@ transitions with their noop flag and its unrounded call states. An error,
 a broken run invariant or differing outputs on either side stops the
 tool with exit status 1, naming the operation.
 
-Prints each pair's two times for each sample, then, for each sample on
-its own lines, each side's median and quartiles, the change's wins (ties
-count for neither), and the medians' difference beside the parent's
-interquartile range (IQR), and whether the claim rule holds: the change
-wins at least nine tenths of the pairs and the medians' difference
-exceeds the parent's IQR. The simulated work of both sides is identical,
+Each operation's time is also put at reference speed, as `bench/run.py`
+does: the main process runs the fixed kernel of `bench/hostspeed.py`
+after each operation (`HostSpeed.account`), and at the end scales each
+operation's host time by the host's speed around the moment it ran
+(`HostSpeed.scale_at`). A side's time in a pair is the sum over its
+operations, raw and scaled.
+
+Prints each pair's two raw times for each sample as the pair ends, then
+each pair's two scaled times, then, for each sample on its own lines,
+each side's median and quartiles, raw and scaled, the change's wins
+(ties count for neither), and the medians' difference beside the
+parent's interquartile range (IQR), and whether the claim rule holds:
+the change wins at least nine tenths of the pairs and the medians'
+difference exceeds the parent's IQR. The wins, medians and IQR of that
+line are the scaled ones. The simulated work of both sides is identical,
 so the change's gain in packets (or windows) per second is the parent's
 median time over the change's, less one.
 """
@@ -44,18 +53,20 @@ import multiprocessing
 import statistics
 import sys
 import tempfile
+import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 sys.path.insert(0, str(BENCH))
 
-from run import percentile  # noqa: E402  (bench/run.py imports no voipqos on import)
+from hostspeed import HostSpeed  # noqa: E402  (neither module imports voipqos)
+from run import percentile  # noqa: E402
 
 SIDES = ("parent", "change")
 # Generated control-churn indices: even ones have one call and run to the
 # end (odd ones raise a recorded KnowledgeError).
-CHURN_SAMPLE = tuple(range(0, 40, 2))
+CHURN_SAMPLE = tuple(range(0, 80, 2))
 # What each sample's rate counts.
 UNITS = {"presets": "packets", "churn sample": "windows", "traced": "packets"}
 
@@ -133,29 +144,32 @@ def run_op(fields: tuple) -> tuple:
     return outcome.host_s, None, digests
 
 
-def time_pair(workers: dict, samples: dict, pair: int) -> dict:
-    """{sample: (runs, {side: seconds})} of one pair; operation i runs the
-    parent first when pair + i is even. Stops on a failed run or differing
-    outputs."""
+def time_pair(workers: dict, samples: dict, pair: int, speed: HostSpeed) -> dict:
+    """{sample: (runs, {side: [(seconds, moment), ...]})} of one pair, one
+    entry per operation, its host time and the perf_counter() moment it ran
+    around; operation i runs the parent first when pair + i is even. Stops
+    on a failed run or differing outputs."""
     result = {}
     for name, ops in samples.items():
-        total = dict.fromkeys(SIDES, 0.0)
+        timed = {side: [] for side in SIDES}
         for i, fields in enumerate(ops):
             key, digests = fields[0], {}
             for side in SIDES if (pair + i) % 2 == 0 else SIDES[::-1]:
+                before = time.perf_counter()
                 seconds, failure, digests[side] = workers[side].submit(run_op, fields).result()
                 if failure is not None:
                     raise SystemExit(f"error: {key}: {side}: {failure}")
-                total[side] += seconds
+                timed[side].append((seconds, (before + time.perf_counter()) / 2))
+                speed.account(seconds)
             parent, change = digests["parent"], digests["change"]
             differ = sorted(n for n in parent.keys() | change.keys() if parent.get(n) != change.get(n))
             if differ:
                 raise SystemExit(f"error: {key}: outputs differ: {', '.join(differ)}")
-        result[name] = (len(ops), total)
+        result[name] = (len(ops), timed)
     return result
 
 
-def run_pair(srcs: dict, pair: int) -> dict:
+def run_pair(srcs: dict, pair: int, speed: HostSpeed) -> dict:
     """Start one worker per side and time one pair on them."""
     spawn = multiprocessing.get_context("spawn")
     with tempfile.TemporaryDirectory() as tmp:
@@ -167,10 +181,27 @@ def run_pair(srcs: dict, pair: int) -> dict:
             }
             if samples["parent"] != samples["change"]:
                 raise SystemExit("error: the two trees define different presets")
-            return time_pair(workers, samples["parent"], pair)
+            return time_pair(workers, samples["parent"], pair, speed)
         finally:
             for pool in workers.values():
                 pool.shutdown()
+
+
+def per_pair(timed: dict, scale) -> dict:
+    """{sample: {side: [seconds, per pair]}}: the sum over a pair's
+    operations of each one's seconds times scale(its moment)."""
+    return {
+        name: {side: [sum(s * scale(t) for s, t in ops) for ops in pairs]
+               for side, pairs in sides.items()}
+        for name, sides in timed.items()
+    }
+
+
+def quartiles(values) -> str:
+    return (
+        f"median {statistics.median(values):.3f} s, quartiles "
+        f"{percentile(values, 0.25):.3f}-{percentile(values, 0.75):.3f} s"
+    )
 
 
 def main(argv) -> int:
@@ -185,35 +216,41 @@ def main(argv) -> int:
     for src in srcs.values():
         if not Path(src, "voipqos", "__init__.py").is_file():
             raise SystemExit(f"error: no voipqos sources at {src}")
-    times = {name: {side: [] for side in SIDES} for name in UNITS}
+    speed = HostSpeed()
+    # Per sample and side, one list per pair of (seconds, moment) per operation.
+    timed = {name: {side: [] for side in SIDES} for name in UNITS}
     runs_of = {}
     for pair in range(args.pairs):
         line = []
-        for name, (runs, total) in run_pair(srcs, pair).items():
+        for name, (runs, ops) in run_pair(srcs, pair, speed).items():
             runs_of[name] = runs
             for side in SIDES:
-                times[name][side].append(total[side])
-            line.append(f"{name} parent {total['parent']:.3f} s, change {total['change']:.3f} s")
+                timed[name][side].append(ops[side])
+            host = {side: sum(s for s, _ in ops[side]) for side in SIDES}
+            line.append(f"{name} parent {host['parent']:.3f} s, change {host['change']:.3f} s")
         print(f"pair {pair + 1}: {'; '.join(line)}", flush=True)
+    raw = per_pair(timed, lambda t: 1.0)
+    scaled = per_pair(timed, speed.scale_at)
+    for pair in range(args.pairs):
+        print(f"pair {pair + 1} at reference speed: " + "; ".join(
+            f"{name} parent {times['parent'][pair]:.3f} s, change {times['change'][pair]:.3f} s"
+            for name, times in scaled.items()
+        ))
     for name, runs in runs_of.items():
-        sample_times = times[name]
-        medians = {}
         for side in SIDES:
-            medians[side] = statistics.median(sample_times[side])
             print(
-                f"{name}, {side}: median {medians[side]:.3f} s, quartiles "
-                f"{percentile(sample_times[side], 0.25):.3f}-"
-                f"{percentile(sample_times[side], 0.75):.3f} s "
-                f"over {args.pairs} sweeps of {runs} runs"
+                f"{name}, {side}: raw {quartiles(raw[name][side])}; scaled "
+                f"{quartiles(scaled[name][side])}; over {args.pairs} sweeps of {runs} runs"
             )
-        parent = sample_times["parent"]
-        wins = sum(c < p for p, c in zip(parent, sample_times["change"]))
+        parent, change = scaled[name]["parent"], scaled[name]["change"]
+        wins = sum(c < p for p, c in zip(parent, change))
         iqr = percentile(parent, 0.75) - percentile(parent, 0.25)
-        difference = medians["parent"] - medians["change"]
+        medians = statistics.median(parent), statistics.median(change)
+        difference = medians[0] - medians[1]
         holds = 10 * wins >= 9 * args.pairs and difference > iqr
         print(
-            f"{name}: change won {wins} of {args.pairs} pairs; {UNITS[name]} per second "
-            f"{medians['parent'] / medians['change'] - 1:+.1%}; median difference "
+            f"{name} (scaled): change won {wins} of {args.pairs} pairs; {UNITS[name]} per "
+            f"second {medians[0] / medians[1] - 1:+.1%}; median difference "
             f"{difference:.3f} s, parent IQR {iqr:.3f} s; "
             f"claim rule {'holds' if holds else 'does not hold'}"
         )
