@@ -41,14 +41,18 @@ in flight.  A delivery draws no random number and touches only its
 flow's counters and block, so the totals, the packet log and the random
 stream are those of a world that ran every delivery at its due time.
 
-Each packet carries its flow and, under FEC, its block; a flow holds only
-its open block, and the world the one packet on the wire.  A flow's totals
-are its one set of packet counters: a measurement window is three of the
-totals, delivered, dropped and recovered, since the last sample, plus the
-window's own delay sum.  The packet log,
-one row per packet outcome, is kept only by a world built with
-`trace=True`; the harness gives a traced run's world a log that it writes
-to trace.csv after every window.  This module reads and writes no file.
+A packet is a plain tuple, (flow state, bits, created_ms, priority class,
+FEC block or None, parity), built once with every field known: a class-1
+packet is a new tuple that `_offer` hands on, and a background burst's
+equal packets share one.  A tuple costs no constructor frame, which a
+class's `__init__` would add to every packet.  A flow holds only its open
+block, and the world the one packet on the wire.  A flow's totals are its
+one set of packet counters: a measurement window is three of the totals,
+delivered, dropped and recovered, since the last sample, plus the
+window's own delay sum.  The packet log, one row per packet outcome, is
+kept only by a world built with `trace=True`; the harness gives a traced
+run's world a log that it writes to trace.csv after every window.  This
+module reads and writes no file.
 """
 from __future__ import annotations
 
@@ -273,16 +277,6 @@ class NetworkChange:
 
 
 @dataclass(slots=True)
-class Packet:
-    flow: _FlowState
-    bits: float
-    created_ms: float
-    parity: bool = False
-    block: Optional[_Block] = None
-    pclass: int = 0  # 0 = best effort, 1 = priority
-
-
-@dataclass(slots=True)
 class FlowCounters:
     sent: int = 0
     delivered: int = 0
@@ -343,6 +337,10 @@ class _FlowState:
         self.window_delay_ms = 0.0
         self.last_delay_ms: Optional[float] = None
         self.active = True
+
+
+# (flow state, bits, created_ms, pclass, FEC block or None, parity); pclass 1 is priority.
+Packet = Tuple[_FlowState, float, float, int, Optional[_Block], bool]
 
 
 class SimWorld:
@@ -439,7 +437,7 @@ class SimWorld:
                     else:
                         pkt = None
                         break
-                    tx_at += pkt.bits / capacity
+                    tx_at += pkt[1] / capacity
                     tx_seq = next(seq)
                     if not (tx_at < at or (tx_at == at and tx_seq < head_seq)):
                         break
@@ -473,8 +471,8 @@ class SimWorld:
                 # packet has no FEC block, no policer and no priority.
                 queue = self.queue
                 red, capacity = queue.red[0], queue.capacity_pkts
+                pkt = (st, bits, at, 0, None, False)
                 for _ in range(cfg.burst_pkts):
-                    pkt = Packet(st, bits, at)
                     totals.sent += 1
                     if trace:
                         log((at, cfg.flow_id, "sent", None))
@@ -499,20 +497,20 @@ class SimWorld:
                 block_k = cfg.fec_block_k
                 # Only controlled-load and guaranteed packets are marked and policed.
                 offer = self.offer_packet if cfg.service == BEST_EFFORT else self._offer
+                block = None
                 for _ in range(cfg.burst_pkts):
-                    pkt = Packet(st, bits, at)
                     if block_k:
-                        if st.block is None:
-                            st.block = _Block()
-                        pkt.block = block = st.block
+                        block = st.block
+                        if block is None:
+                            block = st.block = _Block()
                         block.sent += 1
                     totals.sent += 1
                     if trace:
                         log((at, cfg.flow_id, "sent", None))
-                    offer(pkt)
+                    offer((st, bits, at, 0, block, False))
                     if block_k and block.sent >= block_k:
                         st.block = None
-                        offer(Packet(st, bits, at, parity=True, block=block))
+                        offer((st, bits, at, 0, block, True))
             # A burst pushes nothing on the heap, so its emission is still the top.
             due = at + cfg.burst_pkts * cfg.packet_interval_ms
             heapreplace(events, (due, next(seq), marker, arg))
@@ -526,16 +524,16 @@ class SimWorld:
         trace, now = self.trace, self.clock
         while fifo and fifo[0] < before:
             due, _, pkt = fifo.popleft()
-            if not pkt.parity:
-                st = pkt.flow
-                delay = due - pkt.created_ms
+            st, _, created_ms, _, block, parity = pkt
+            if not parity:
+                delay = due - created_ms
                 totals = st.totals
                 totals.delivered += 1
                 totals.delay_sum_ms += delay
                 st.window_delay_ms += delay
                 if trace:
                     self.log.append((due, st.cfg.flow_id, "delivered", delay))
-            if pkt.block is not None:
+            if block is not None:
                 self.clock = due
                 self._block_resolve(pkt, delivered=True)
         self.clock = now
@@ -558,6 +556,9 @@ class SimWorld:
         """Add a media or background flow; one of rate 0 sends nothing yet."""
         if cfg.flow_id in self.flows:
             raise ValueError(f"duplicate flow id {cfg.flow_id}")
+        # Written so that NaN fails the check.
+        if not cfg.start_ms >= self.clock:
+            raise ValueError(f"flow {cfg.flow_id} starts at {cfg.start_ms} ms, before the clock")
         st = _FlowState(cfg)
         if cfg.service == GUARANTEED:
             self._admit(cfg.flow_id, cfg.reserved_kbps)
@@ -671,27 +672,26 @@ class SimWorld:
     # ---------------- policing and queueing ----------------
 
     def _offer(self, pkt: Packet) -> None:
-        """Mark a controlled-load or guaranteed packet and police it, then
-        run the queue discipline for it."""
-        st = pkt.flow
+        """Police a controlled-load or guaranteed packet; queue a class-1 copy
+        of it unless it is guaranteed and beyond its token bucket."""
+        st, bits, created_ms, _, block, parity = pkt
         cfg = st.cfg
-        if cfg.service == CONTROLLED_LOAD:
-            pkt.pclass = 1
-        else:
-            # Guaranteed: refill the token bucket for the time since its last refill.
+        if cfg.service == GUARANTEED:
+            # Refill the token bucket for the time since its last refill.
             depth = BUCKET_DEPTH_PKTS * cfg.packet_bits
             elapsed = self.clock - st.tokens_at_ms
             st.tokens_bits = min(depth, st.tokens_bits + cfg.reserved_kbps * elapsed)
             st.tokens_at_ms = self.clock
-            if st.tokens_bits >= pkt.bits:
-                st.tokens_bits -= pkt.bits
-                pkt.pclass = 1
-            elif self.occupancy >= self.queue.capacity_pkts // 2:
+            if st.tokens_bits < bits:
                 # Non-conforming traffic is policed under congestion,
-                # otherwise sent best effort, the new packet's class 0.
-                self._drop(pkt, "dropped_policer")
+                # otherwise sent best effort, in class 0.
+                if self.occupancy >= self.queue.capacity_pkts // 2:
+                    self._drop(pkt, "dropped_policer")
+                else:
+                    self.offer_packet(pkt)
                 return
-        self.offer_packet(pkt)
+            st.tokens_bits -= bits
+        self.offer_packet((st, bits, created_ms, 1, block, parity))
 
     @property
     def occupancy(self) -> int:
@@ -706,14 +706,15 @@ class SimWorld:
         occ = len(self._qp) + len(qb)
         queue = self.queue
         red = queue.red
-        params = red[pkt.pclass]
+        pclass = pkt[3]
+        params = red[pclass]
         if red[0] is not None:
             w = red[0].ewma_weight
             self._avg_queue = (1.0 - w) * self._avg_queue + w * occ
         if occ >= queue.capacity_pkts:
             # A full buffer yields to priority traffic: the newest
             # best-effort packet is pushed out to make room.
-            if pkt.pclass == 1 and qb:
+            if pclass == 1 and qb:
                 self._drop(qb.pop(), "dropped_queue")
             else:
                 self._drop(pkt, "dropped_queue")
@@ -725,9 +726,9 @@ class SimWorld:
                 return
         if self._tx is None:
             self._tx = pkt
-            self._tx_at = self.clock + pkt.bits / self.link.capacity_kbps
+            self._tx_at = self.clock + pkt[1] / self.link.capacity_kbps
             self._tx_seq = next(self._seq)
-        elif pkt.pclass == 1:
+        elif pclass == 1:
             self._qp.append(pkt)
         else:
             qb.append(pkt)
@@ -751,29 +752,30 @@ class SimWorld:
             self.log.append((self.clock, st.cfg.flow_id, outcome, delay))
 
     def _drop(self, pkt: Packet, reason: str) -> None:
-        if self.trace or pkt.block is not None:
+        st, _, _, _, block, parity = pkt
+        if self.trace or block is not None:
             # Its log row, or its block's resolution, follows every delivery due before it.
             self._settle(self._now)
-        if not pkt.parity:
-            self._record(pkt.flow, reason)
-        if pkt.block is not None:
+        if not parity:
+            self._record(st, reason)
+        if block is not None:
             self._block_resolve(pkt, delivered=False)
 
     def _block_resolve(self, pkt: Packet, delivered: bool) -> None:
         """Resolve one packet of a block. The block's last resolution, once
         all its media are resolved and its parity arrived, recovers its one
         lost media packet, if exactly one was lost."""
-        block = pkt.block
-        if pkt.parity:
+        st, _, created_ms, _, block, parity = pkt
+        if parity:
             block.parity_ok = delivered
         else:
             block.media_resolved += 1
             if not delivered:
-                block.lost.append(pkt.created_ms)
+                block.lost.append(created_ms)
         if delivered:
             block.last_arrival_ms = self.clock
         if block.parity_ok and block.media_resolved == block.sent and len(block.lost) == 1:
-            self._record(pkt.flow, "recovered", block.last_arrival_ms - block.lost[0])
+            self._record(st, "recovered", block.last_arrival_ms - block.lost[0])
 
     # ---------------- measurement ----------------
 
@@ -822,8 +824,8 @@ class SimWorld:
             raise AssertionError(f"{self.occupancy} packets queued on an idle link")
         pending = (pkt for _, _, pkt in self._fifo)
         held = Counter(
-            p.flow for p in chain(self._qp, self._qb, [self._tx], pending)
-            if p is not None and not p.parity
+            p[0] for p in chain(self._qp, self._qb, [self._tx], pending)
+            if p is not None and not p[5]
         )
         for fid, st in self.flows.items():
             if st.totals.in_flight != held[st]:

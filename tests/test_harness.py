@@ -574,7 +574,7 @@ class TestWorldRelease:
         world.advance(1_000.5)
         # The packet on the link and those waiting to be delivered.
         pending = [world._tx] + [pkt for _, _, pkt in world._fifo]
-        blocks = {id(p.block): p.block for p in pending if p is not None and p.block is not None}
+        blocks = {id(p[4]): p[4] for p in pending if p is not None and p[4] is not None}
         assert any(block.lost for block in blocks.values())
         refs = [weakref.ref(block) for block in blocks.values()]
         del world, pending, blocks

@@ -130,7 +130,7 @@ def _draw_world(i: int, trace: bool = True):
 def _held(world) -> int:
     """Counted packets waiting in the queue or on the wire."""
     return sum(
-        1 for p in chain(world._qp, world._qb, [world._tx]) if p is not None and not p.parity
+        1 for p in chain(world._qp, world._qb, [world._tx]) if p is not None and not p[5]
     )
 
 
@@ -162,7 +162,7 @@ def _instrument(world, taken: set) -> None:
             if deriving:
                 taken.add("buffer_shed")
             elif not offered:
-                assert isinstance(pkt.flow.cfg, BackgroundFlow)
+                assert isinstance(pkt[0].cfg, BackgroundFlow)
                 full = world.occupancy >= world.queue.capacity_pkts
                 taken.add("background_tail_drop" if full else "background_red_drop")
             elif pkt is not offered[-1][0]:
@@ -170,7 +170,7 @@ def _instrument(world, taken: set) -> None:
             elif offered[-1][1] >= world.queue.capacity_pkts:
                 taken.add("tail_drop")
             else:
-                taken.add("wred_drop" if pkt.pclass else "red_drop")
+                taken.add("wred_drop" if pkt[3] else "red_drop")
         drop(pkt, reason)
 
     world.offer_packet, world._derive_queue, world._drop = offer, derive, record_drop

@@ -1,6 +1,6 @@
 """A/B timing of two voipqos source trees through the benchmark's runner.
 
-usage: python tools/ab.py --parent DIR --change DIR [--pairs N]
+usage: python tools/ab.py --parent DIR --change DIR [--pairs N] [--json PATH]
 
 Each DIR holds a `voipqos` package (a checkout's `src`). Each pair starts
 two fresh interpreters, one per side. Each puts its tree first on the
@@ -17,11 +17,12 @@ A pair times three samples of the benchmark's golden pool on both sides:
 the presets, every preset in control and baseline mode at seed 0 (the
 library runs of preset-sweep); the churn sample, the 40 one-call
 control-churn scenarios of CHURN_SAMPLE, each at its index as seed; and
-the traced sample, the CLI runs at seed 0 of multicall-artifacts
-(fig7-multicall and table4-red-10k), which write every artifact,
-trace.csv included. The presets spend nearly all their time in the event
-loop; the churn sample is where the controller and knowledge base take a
-visible share; the traced sample adds the writing of the artifacts.
+the traced sample, one whole round of multicall-artifacts, the CLI runs
+of fig7-multicall at seed 0 and of table4-red-10k at seeds 0-6, which
+write every artifact, trace.csv included. The presets spend nearly all
+their time in the event loop; the churn sample is where the controller
+and knowledge base take a visible share; the traced sample adds the
+writing of the artifacts.
 
 Every pair of runs must give equal outputs, compared outside the timing:
 a CLI run's digest of every artifact file; a library run's summary and
@@ -47,10 +48,26 @@ difference exceeds the parent's IQR. The wins, medians and IQR of that
 line are the scaled ones. The simulated work of both sides is identical,
 so the change's gain in packets (or windows) per second is the parent's
 median time over the change's, less one.
+
+--json PATH also writes a `BENCH_*.json` record of the run to PATH:
+`label` (PATH's name without `BENCH_`), each tree's `commits` (its git
+HEAD, marked when the tree has uncommitted changes), `python`, `host`,
+`outputs`, `ab` (every pair's raw and scaled times and each sample's
+claim-rule figures), `frames_per_sent_packet` (each tree's Python frames
+per sent packet while a preset's world advances at seed 0, as
+tests/test_netsim.py counts them) and `wc_l` (each tree's lines per
+`voipqos/*.py`). Every other key of a file already at PATH is kept, so
+the description under `change`, and `bench_run`, may be written there
+first; each workload's `summary` under `bench_run` is then computed from
+its `pairs`, each holding a `bench/run.py` result per side.
 """
 import argparse
+import json
 import multiprocessing
+import os
+import platform
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -69,6 +86,8 @@ SIDES = ("parent", "change")
 CHURN_SAMPLE = tuple(range(0, 80, 2))
 # What each sample's rate counts.
 UNITS = {"presets": "packets", "churn sample": "windows", "traced": "packets"}
+# The worlds whose frames per sent packet --json records: (preset, until_ms).
+FRAME_COUNTS = (("table4-red-10k", 10_000.0), ("fig7-multicall", 100_000.0))
 
 # A worker's runner, and what its operation returned.
 _runner = None
@@ -88,7 +107,7 @@ def start(src: str, out_dir: str) -> dict:
     from dataclasses import astuple
 
     from ops import Runner
-    from workloads import golden_pool
+    from workloads import MULTICALL_RED_SEEDS_PER_ROUND, golden_pool
 
     samples = {
         "presets": [
@@ -97,7 +116,10 @@ def start(src: str, out_dir: str) -> dict:
         "churn sample": [
             op for op in golden_pool("control-churn") if op.churn_index in CHURN_SAMPLE
         ],
-        "traced": [op for op in golden_pool("multicall-artifacts") if op.seed == 0],
+        "traced": [
+            op for op in golden_pool("multicall-artifacts")
+            if op.seed < (1 if op.preset == "fig7-multicall" else MULTICALL_RED_SEEDS_PER_ROUND)
+        ],
     }
     _runner = Runner(out_dir).__enter__()
     _runner.prepare([op for ops in samples.values() for op in ops])
@@ -111,6 +133,31 @@ def start(src: str, out_dir: str) -> dict:
 
     _runner.wrap_op = capture
     return {name: [astuple(op) for op in ops] for name, ops in samples.items()}
+
+
+def frames_per_sent_packet() -> dict:
+    """In a worker: each FRAME_COUNTS world's Python frames (every `call`
+    event, of any module) per sent packet while it advances."""
+    from voipqos import harness
+
+    result = {}
+    for preset, until_ms in FRAME_COUNTS:
+        world = harness.build_world(harness.load_scenario(preset), seed=0)
+        frames = 0
+
+        def profile(frame, event, arg):
+            nonlocal frames
+            if event == "call":
+                frames += 1
+
+        sys.setprofile(profile)
+        try:
+            world.advance(until_ms)
+        finally:
+            sys.setprofile(None)
+        sent = sum(st.totals.sent for st in world.flows.values())
+        result[f"{preset} to {until_ms / 1000:g} s"] = round(frames / sent, 3)
+    return result
 
 
 def run_op(fields: tuple) -> tuple:
@@ -169,8 +216,9 @@ def time_pair(workers: dict, samples: dict, pair: int, speed: HostSpeed) -> dict
     return result
 
 
-def run_pair(srcs: dict, pair: int, speed: HostSpeed) -> dict:
-    """Start one worker per side and time one pair on them."""
+def run_pair(srcs: dict, pair: int, speed: HostSpeed, frames: dict = None) -> dict:
+    """Start one worker per side and time one pair on them. Given a dict,
+    frames, each side's frames per sent packet are put there first."""
     spawn = multiprocessing.get_context("spawn")
     with tempfile.TemporaryDirectory() as tmp:
         workers = {side: ProcessPoolExecutor(1, mp_context=spawn) for side in SIDES}
@@ -181,6 +229,9 @@ def run_pair(srcs: dict, pair: int, speed: HostSpeed) -> dict:
             }
             if samples["parent"] != samples["change"]:
                 raise SystemExit("error: the two trees define different presets")
+            if frames is not None:
+                for side in SIDES:
+                    frames[side] = workers[side].submit(frames_per_sent_packet).result()
             return time_pair(workers, samples["parent"], pair, speed)
         finally:
             for pool in workers.values():
@@ -204,11 +255,90 @@ def quartiles(values) -> str:
     )
 
 
+def commit(src: str) -> str:
+    """The git HEAD of the checkout holding src, marked when src has
+    uncommitted changes, or a note that it is no checkout."""
+    def git(*args):
+        return subprocess.run(
+            ["git", "-C", src, *args], capture_output=True, text=True
+        ).stdout.strip()
+
+    head = git("rev-parse", "HEAD")
+    if not head:
+        return "not a git checkout"
+    return head + (" with uncommitted changes" if git("status", "--porcelain", "--", ".") else "")
+
+
+def line_counts(src: str) -> dict:
+    """`wc -l voipqos/*.py` of a tree, by file, and the total."""
+    counts = {
+        path.name: path.read_bytes().count(b"\n")
+        for path in sorted(Path(src, "voipqos").glob("*.py"))
+    }
+    return {**counts, "total": sum(counts.values())}
+
+
+def bench_summary(pairs: list, metrics: list) -> dict:
+    """Each metric's medians, the parent's quartiles, the pairs the change
+    was better in and its relative change, from `bench/run.py` pairs."""
+    summary = {}
+    for m in metrics:
+        name, higher = m["name"], m["better"] == "higher"
+        values = {side: [p[side]["metrics"][name] for p in pairs] for side in SIDES}
+        better = sum(
+            (c > p) if higher else (c < p) for p, c in zip(values["parent"], values["change"])
+        )
+        medians = {side: statistics.median(values[side]) for side in SIDES}
+        summary[name] = {
+            **{f"{side}_median": medians[side] for side in SIDES},
+            **{
+                f"{side}_quartiles": [percentile(values[side], q) for q in (0.25, 0.75)]
+                for side in SIDES
+            },
+            "change_better_in": f"{better} of {len(pairs)} pairs",
+            "change_over_parent": (
+                round(medians["change"] / medians["parent"] - 1, 4) if medians["parent"] else None
+            ),
+            "bound": m["bound"],
+            "better": m["better"],
+        }
+    return summary
+
+
+def write_record(path: Path, pairs: int, srcs: dict, samples: dict, frames: dict) -> None:
+    """Write the --json record to path, keeping the keys this tool does not
+    measure from a file already there. The trees are named by their commits."""
+    record = json.loads(path.read_text()) if path.exists() else {}
+    metrics = json.loads((BENCH.parent / "BENCHMARK.json").read_text())["end_to_end"]
+    for workload in record.get("bench_run", {}).get("workloads", {}).values():
+        workload["summary"] = bench_summary(workload["pairs"], metrics)
+    record.update(
+        label=path.stem.removeprefix("BENCH_"),
+        commits={side: commit(srcs[side]) for side in SIDES},
+        python=platform.python_version(),
+        host=f"{os.cpu_count()}-CPU {platform.system()} {platform.machine()} host",
+        outputs=(
+            "equal on every pair of every operation of tools/ab.py: every CLI artifact, "
+            "and each library run's summary, knowledge base, timeseries, transitions "
+            "and call states"
+        ),
+        ab={
+            "command": f"python tools/ab.py --parent DIR --change DIR --pairs {pairs} "
+            f"--json {path.name}",
+            "samples": samples,
+        },
+        frames_per_sent_packet=frames,
+        wc_l={side: line_counts(srcs[side]) for side in SIDES},
+    )
+    path.write_text(json.dumps(record, indent=1) + "\n")
+
+
 def main(argv) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, type=Path)
     parser.add_argument("--change", required=True, type=Path)
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--json", type=Path)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
@@ -219,10 +349,11 @@ def main(argv) -> int:
     speed = HostSpeed()
     # Per sample and side, one list per pair of (seconds, moment) per operation.
     timed = {name: {side: [] for side in SIDES} for name in UNITS}
-    runs_of = {}
+    runs_of, frames, samples = {}, {}, {}
     for pair in range(args.pairs):
         line = []
-        for name, (runs, ops) in run_pair(srcs, pair, speed).items():
+        measured = run_pair(srcs, pair, speed, frames if args.json and pair == 0 else None)
+        for name, (runs, ops) in measured.items():
             runs_of[name] = runs
             for side in SIDES:
                 timed[name][side].append(ops[side])
@@ -248,12 +379,24 @@ def main(argv) -> int:
         medians = statistics.median(parent), statistics.median(change)
         difference = medians[0] - medians[1]
         holds = 10 * wins >= 9 * args.pairs and difference > iqr
+        samples[name] = {
+            "runs": runs,
+            "raw_s": raw[name],
+            "scaled_s": scaled[name],
+            "scaled_medians_s": dict(zip(SIDES, medians)),
+            "parent_scaled_iqr_s": iqr,
+            "change_won": f"{wins} of {args.pairs} pairs",
+            f"{UNITS[name]}_per_s_change": round(medians[0] / medians[1] - 1, 4),
+            "claim_rule_holds": holds,
+        }
         print(
             f"{name} (scaled): change won {wins} of {args.pairs} pairs; {UNITS[name]} per "
             f"second {medians[0] / medians[1] - 1:+.1%}; median difference "
             f"{difference:.3f} s, parent IQR {iqr:.3f} s; "
             f"claim rule {'holds' if holds else 'does not hold'}"
         )
+    if args.json:
+        write_record(args.json, args.pairs, srcs, samples, frames)
     return 0
 
 
